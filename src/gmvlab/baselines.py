@@ -7,7 +7,6 @@ applying classical MDS, so it unrolls curved manifolds.
 
 from __future__ import annotations
 
-import heapq
 import warnings
 from dataclasses import dataclass
 
@@ -88,23 +87,6 @@ def classical_mds(d: DistanceMatrix, dim: int, method: str = "mds") -> Embedding
     return Embedding2D(points=points, method=method)
 
 
-def _dijkstra_row(indptr, indices, weights, n, source) -> np.ndarray:
-    dist = np.full(n, np.inf)
-    dist[source] = 0.0
-    heap = [(0.0, source)]
-    while heap:
-        du, u = heapq.heappop(heap)
-        if du > dist[u]:
-            continue
-        for e in range(indptr[u], indptr[u + 1]):
-            v = indices[e]
-            alt = du + weights[e]
-            if alt < dist[v]:
-                dist[v] = alt
-                heapq.heappush(heap, (alt, v))
-    return dist
-
-
 def geodesic_distances(points: np.ndarray, k: int) -> DistanceMatrix:
     """All-pairs shortest paths over the Euclidean-weighted kNN graph.
 
@@ -117,16 +99,13 @@ def geodesic_distances(points: np.ndarray, k: int) -> DistanceMatrix:
     if len(sizes) > 1:
         raise InputError(f"isomap: kNN graph is disconnected (component sizes {sizes}); "
                          "increase k")
-    edge = euclidean_distances(points).d * graph.adjacency
-    # CSR-ish flattening of the neighbor lists for the Dijkstra inner loop
-    neighbor_lists = [np.nonzero(graph.adjacency[u])[0] for u in range(n)]
-    indptr = np.zeros(n + 1, dtype=int)
-    indptr[1:] = np.cumsum([len(nb) for nb in neighbor_lists])
-    indices = np.concatenate(neighbor_lists) if n else np.zeros(0, dtype=int)
-    weights = np.concatenate([edge[u, nb] for u, nb in enumerate(neighbor_lists)])
-    g = np.vstack([_dijkstra_row(indptr, indices, weights, n, s) for s in range(n)])
-    g = 0.5 * (g + g.T)
+    # Floyd-Warshall over the edge weights (inf off-graph): pass `via` relaxes
+    # every pair through that node. Its own row and column are fixed points of
+    # the pass, so updating in place is exact and keeps the matrix symmetric.
+    g = np.where(graph.adjacency > 0.0, euclidean_distances(points).d, np.inf)
     np.fill_diagonal(g, 0.0)
+    for via in range(n):
+        np.minimum(g, g[:, via, None] + g[None, via, :], out=g)
     return DistanceMatrix(g)
 
 

@@ -153,9 +153,7 @@ def cmd_metric(args) -> int:
     reports = spectral.interpretability_report(emb["mu"], aligned, k=k, r_percent=r)
     tables.write_report_csv(args.out, reports)
     if args.spectrum_out:
-        graph = spectral.build_knn(emb["mu"], k)
-        spec = spectral.spectrum(spectral.laplacian(graph))
-        tables.write_spectrum_csv(args.spectrum_out, reports, spec.eigenvalues)
+        tables.write_spectrum_csv(args.spectrum_out, reports)
     for rep in reports:
         print(f"eta[{rep.quantity_name}] = {rep.eta:.6f} "
               f"(k={rep.k}, r={rep.r_percent:g}%, components={rep.n_components})")
@@ -167,10 +165,12 @@ def cmd_baseline(args) -> int:
     dataset = datagen.load_csv(_require_file(args.dataset, "dataset CSV"))
     x = dataset.matrix()
     if args.method == "mds":
-        emb = baselines.classical_mds(baselines.euclidean_distances(x), args.dim)
+        d = baselines.euclidean_distances(x)
+        emb = baselines.classical_mds(d, args.dim)
     else:
         emb = baselines.isomap(x, k=args.k, dim=args.dim)
-    final_stress = baselines.stress(baselines.euclidean_distances(x), emb.points)
+        d = baselines.euclidean_distances(x)
+    final_stress = baselines.stress(d, emb.points)
     ids, split_of = _dataset_split_arrays(dataset)
     tables.write_embeddings_csv(args.out, ids, split_of, emb.points,
                                 true_labels=dataset.labels())

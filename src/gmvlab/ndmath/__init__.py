@@ -1,7 +1,9 @@
 """Numerical substrate: tape autodiff, MLPs, Adam, symmetric eigensolver.
 
-Everything operates on float64 numpy arrays (row-major), single threaded
-and deterministic: identical inputs give bitwise-identical outputs.
+Everything operates on float64 numpy arrays (row-major) and is
+deterministic: identical inputs give bitwise-identical outputs for a given
+numpy/BLAS build and thread count. The eigensolver is LAPACK's (through
+``np.linalg.eigh``) with a fixed eigenvector sign convention.
 """
 
 from .adam import AdamState, adam_step

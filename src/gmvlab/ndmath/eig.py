@@ -1,8 +1,9 @@
-"""Dense symmetric eigensolver via cyclic Jacobi rotations.
+"""Dense symmetric eigensolver on LAPACK (``np.linalg.eigh``).
 
-Plenty for desk-scale matrices (a few thousand rows). The accumulated
-rotation matrix is orthonormal to machine precision by construction, which
-is what downstream spectral projections rely on.
+The checks around the solve keep the contract the rest of the package
+relies on: square, symmetric, finite input; ascending eigenvalues; and
+orthonormal eigenvector columns under a fixed sign convention, so spectral
+projections and MDS coordinates are identical from run to run.
 """
 
 from __future__ import annotations
@@ -11,12 +12,13 @@ import numpy as np
 
 from ..errors import InputError, NumericalError
 
-_MAX_SWEEPS = 60
-
 
 def _check_symmetric(m: np.ndarray, tol: float) -> None:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InputError(f"symmetric_eig expects a square matrix, got shape {m.shape}")
+    # non-finite entries would slip through the tolerance test below (nan > tol is False)
+    if not np.all(np.isfinite(m)):
+        raise NumericalError("symmetric_eig: matrix has non-finite entries")
     scale = max(1.0, float(np.max(np.abs(m))) if m.size else 0.0)
     asym = float(np.max(np.abs(m - m.T))) if m.size else 0.0
     if asym > tol * scale:
@@ -27,68 +29,18 @@ def symmetric_eig(m: np.ndarray, sym_tol: float = 1e-10) -> tuple[np.ndarray, np
     """Eigendecomposition of a symmetric matrix.
 
     Returns (eigenvalues ascending, eigenvectors as orthonormal columns),
-    so ``m @ v[:, i] == w[i] * v[:, i]``. Raises InputError when the input
-    is asymmetric beyond `sym_tol` (relative to the largest entry).
-
-    Cyclic Jacobi sweeps zero one off-diagonal pair at a time; entries that
-    become negligible relative to their diagonal neighbors are flushed to
-    exact zero, so a sweep's off-diagonal sum reaching 0.0 is the stop rule.
+    so ``m @ v[:, i] == w[i] * v[:, i]``. Each column is signed so that its
+    largest-magnitude entry (the first, on ties) is positive. Raises
+    InputError when the input is asymmetric beyond `sym_tol` (relative to
+    the largest entry) and NumericalError on non-finite input or when
+    LAPACK fails to converge.
     """
     m = np.asarray(m, dtype=np.float64)
     _check_symmetric(m, sym_tol)
-    n = m.shape[0]
-    if n == 0:
-        return np.zeros(0), np.zeros((0, 0))
-    a = 0.5 * (m + m.T)  # kill roundoff asymmetry before rotating
-    v = np.eye(n)
-    if n == 1:
-        return np.diag(a).copy(), v
-
-    for sweep in range(_MAX_SWEEPS):
-        off_sum = float(np.sum(np.abs(np.triu(a, 1))))
-        if off_sum == 0.0:
-            break
-        # loose threshold for the first sweeps: skip rotations that cannot matter yet
-        thresh = 0.2 * off_sum / (n * n) if sweep < 3 else 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                g = 100.0 * abs(apq)
-                # off-diagonal entry negligible at this precision: flush to zero
-                if sweep > 3 and abs(a[p, p]) + g == abs(a[p, p]) and abs(a[q, q]) + g == abs(a[q, q]):
-                    a[p, q] = 0.0
-                    a[q, p] = 0.0
-                    continue
-                if abs(apq) <= thresh:
-                    continue
-                h = a[q, q] - a[p, p]
-                if abs(h) + g == abs(h):
-                    t = apq / h
-                else:
-                    theta = 0.5 * h / apq
-                    t = 1.0 / (abs(theta) + np.sqrt(1.0 + theta * theta))
-                    if theta < 0.0:
-                        t = -t
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                # a <- G.T a G with G the (p, q) Givens rotation
-                ap = a[p, :].copy()
-                aq = a[q, :].copy()
-                a[p, :] = c * ap - s * aq
-                a[q, :] = s * ap + c * aq
-                ap = a[:, p].copy()
-                aq = a[:, q].copy()
-                a[:, p] = c * ap - s * aq
-                a[:, q] = s * ap + c * aq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    else:
-        raise NumericalError(f"Jacobi eigensolver did not converge in {_MAX_SWEEPS} sweeps")
-
-    w = np.diag(a).copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], v[:, order]
+    try:
+        w, v = np.linalg.eigh(0.5 * (m + m.T))  # kill roundoff asymmetry before solving
+    except np.linalg.LinAlgError as e:
+        raise NumericalError(f"symmetric_eig: LAPACK eigensolver failed: {e}") from e
+    if v.size:  # a unit column's largest-magnitude entry is never zero
+        v *= np.sign(v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])])
+    return w, v

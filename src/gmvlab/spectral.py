@@ -60,6 +60,7 @@ class SpectralReport:
     r_percent: float
     k: int
     n_components: int
+    eigenvalues: np.ndarray  # the graph's Laplacian spectrum, aligned with coefficients
 
 
 def build_knn(points: np.ndarray, k: int) -> KnnGraph:
@@ -157,5 +158,6 @@ def interpretability_report(points: np.ndarray, quantities: dict, k: int,
         reports.append(SpectralReport(
             quantity_name=name, coefficients=coeff,
             eta=eta(coeff, spec.eigenvalues, r_percent),
-            r_percent=float(r_percent), k=int(k), n_components=n_components))
+            r_percent=float(r_percent), k=int(k), n_components=n_components,
+            eigenvalues=spec.eigenvalues))
     return reports

@@ -148,13 +148,13 @@ def write_report_csv(path, reports) -> None:
                              fmt(rep.eta), str(rep.n_components)])
 
 
-def write_spectrum_csv(path, reports, eigenvalues) -> None:
+def write_spectrum_csv(path, reports) -> None:
     """Optional full dump: one row per (quantity, mode)."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["quantity", "mode", "eigenvalue", "alpha"])
         for rep in reports:
-            for i, (lam, a) in enumerate(zip(eigenvalues, rep.coefficients)):
+            for i, (lam, a) in enumerate(zip(rep.eigenvalues, rep.coefficients)):
                 writer.writerow([rep.quantity_name, str(i), fmt(lam), fmt(a)])
 
 

@@ -12,6 +12,7 @@ from gmvlab.baselines import (
     stress,
 )
 from gmvlab.errors import InputError
+from gmvlab.spectral import build_knn
 
 
 def test_distance_matrix_validation():
@@ -103,6 +104,33 @@ def test_isomap_geodesics_dominate_euclidean_and_triangle_inequality():
         for j in range(0, n, 7):
             for m in range(0, n, 7):
                 assert geo[i, j] <= geo[i, m] + geo[m, j] + 1e-9
+
+
+def bellman_ford_all_pairs(adjacency, weights):
+    """Independent oracle: relax every edge until no distance shrinks."""
+    n = len(adjacency)
+    edges = [(u, v, weights[u, v]) for u in range(n) for v in range(n) if adjacency[u, v]]
+    dist = np.full((n, n), np.inf)
+    for s in range(n):
+        dist[s, s] = 0.0
+        for _ in range(n - 1):
+            changed = False
+            for u, v, w in edges:
+                if dist[s, u] + w < dist[s, v]:
+                    dist[s, v] = dist[s, u] + w
+                    changed = True
+            if not changed:
+                break
+    return dist
+
+
+def test_geodesics_match_bellman_ford_on_random_knn_graph():
+    points = np.random.default_rng(12).standard_normal((30, 3))
+    graph = build_knn(points, 4)
+    assert graph.component_sizes() == [30]
+    weights = np.sqrt(((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=2))
+    expected = bellman_ford_all_pairs(graph.adjacency, weights)
+    assert np.abs(geodesic_distances(points, 4).d - expected).max() < 1e-12
 
 
 def test_isomap_disconnected_graph_reports_component_sizes():

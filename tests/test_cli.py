@@ -109,6 +109,29 @@ def test_sample_bad_cluster_exit_code(workdir, tmp_path):
 
 
 @pytest.mark.filterwarnings("ignore:kNN graph is disconnected")
+def test_metric_builds_and_solves_the_graph_once(workdir, tmp_path, monkeypatch):
+    import gmvlab.spectral as spectral
+
+    calls = []
+    real_knn, real_eig = spectral.build_knn, spectral.symmetric_eig
+    monkeypatch.setattr(spectral, "build_knn",
+                        lambda *a, **kw: calls.append("knn") or real_knn(*a, **kw))
+    monkeypatch.setattr(spectral, "symmetric_eig",
+                        lambda *a, **kw: calls.append("eig") or real_eig(*a, **kw))
+    emb_csv = workdir["train"] / "embeddings.csv"
+    spectrum_out = tmp_path / "spectrum.csv"
+    assert main(["metric", "--embeddings", str(emb_csv), "--quantities", str(workdir["data"]),
+                 "--columns", "alpha", "gamma", "--k", "6", "--out", str(tmp_path / "r.csv"),
+                 "--spectrum-out", str(spectrum_out)]) == 0
+    assert calls == ["knn", "eig"]
+    _, srows = read_rows(spectrum_out)
+    lap = spectral.laplacian(real_knn(read_embeddings_csv(emb_csv)["mu"], 6))
+    for name in ("alpha", "gamma"):
+        got = np.array([float(r[2]) for r in srows if r[0] == name])
+        assert np.abs(got - np.linalg.eigvalsh(lap)).max() < 1e-10
+
+
+@pytest.mark.filterwarnings("ignore:kNN graph is disconnected")
 def test_metric_on_trained_embeddings(workdir, tmp_path):
     out = tmp_path / "report.csv"
     spectrum_out = tmp_path / "spectrum.csv"
@@ -313,6 +336,22 @@ def test_overflowing_training_gives_exit_2(workdir, tmp_path, capsys):
                  "--out", str(tmp_path / "run"), "--quiet"])
     assert code == 2
     assert "epoch 0" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_overflowing_mds_gives_exit_2(workdir, tmp_path, capsys):
+    # squared distances overflow to inf, so the double-centred matrix is not finite
+    lines = workdir["data"].read_text().splitlines()
+    parts = lines[1].split(",")
+    parts[1] = "1e200"
+    lines[1] = ",".join(parts)
+    bad = tmp_path / "huge.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "mds.csv"
+    code = main(["baseline", "--method", "mds", "--dataset", str(bad), "--out", str(out)])
+    assert code == 2
+    assert "numerical failure" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_train_rerun_reproduces_outputs_exactly(workdir, tmp_path):

@@ -1,9 +1,9 @@
-"""Jacobi eigensolver contract tests."""
+"""Symmetric eigensolver contract tests."""
 
 import numpy as np
 import pytest
 
-from gmvlab.errors import InputError
+from gmvlab.errors import InputError, NumericalError
 from gmvlab.ndmath import symmetric_eig
 
 
@@ -52,3 +52,43 @@ def test_one_by_one_and_empty():
     assert w[0] == 4.0 and v[0, 0] == 1.0
     w, v = symmetric_eig(np.zeros((0, 0)))
     assert w.size == 0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_input_is_a_numerical_failure(bad):
+    m = np.eye(4)
+    m[1, 2] = m[2, 1] = bad
+    with pytest.raises(NumericalError, match="non-finite"):
+        symmetric_eig(m)
+
+
+def test_lapack_failure_is_a_numerical_failure(monkeypatch):
+    def failing_eigh(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+    with pytest.raises(NumericalError, match="did not converge"):
+        symmetric_eig(np.eye(3))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_sign_convention_and_repeat_calls_byte_identical(seed):
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((30, 30))
+    m = m + m.T
+    w, v = symmetric_eig(m)
+    cols = np.arange(30)
+    assert np.all(v[np.argmax(np.abs(v), axis=0), cols] > 0.0)
+    w2, v2 = symmetric_eig(m.copy())
+    assert w.tobytes() == w2.tobytes() and v.tobytes() == v2.tobytes()
+
+
+def test_degenerate_eigenspace_gives_orthonormal_columns():
+    # eigenvalue 2 with multiplicity 3 and eigenvalue -1 twice, in a random basis
+    rng = np.random.default_rng(11)
+    q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+    m = q @ np.diag([2.0, -1.0, 2.0, 5.0, 2.0, -1.0]) @ q.T
+    w, v = symmetric_eig(m)
+    assert np.allclose(w, [-1.0, -1.0, 2.0, 2.0, 2.0, 5.0], atol=1e-12)
+    assert np.abs(v.T @ v - np.eye(6)).max() < 1e-12
+    assert np.abs(m @ v - v * w[None, :]).max() < 1e-12
