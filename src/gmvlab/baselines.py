@@ -70,8 +70,11 @@ def classical_mds(d: DistanceMatrix, dim: int, method: str = "mds") -> Embedding
     if dim < 1:
         raise InputError(f"classical_mds: dim must be >= 1, got {dim}")
     n = d.n
-    j = np.eye(n) - np.ones((n, n)) / n
-    b = -0.5 * (j @ (d.d**2) @ j)
+    # J D^2 J with J = I - 11^T/n: centre the rows, then the columns
+    b = d.d**2
+    b -= b.mean(axis=1, keepdims=True)
+    b -= b.mean(axis=0, keepdims=True)
+    b *= -0.5
     b = 0.5 * (b + b.T)
     w, v = symmetric_eig(b)
     w, v = w[::-1], v[:, ::-1]  # descending

@@ -198,28 +198,38 @@ def _check_gamma(gamma: np.ndarray, n: int, k: int) -> None:
 def elbo(model: GmVae, x: np.ndarray, emb: LatentEmbedding, gamma: np.ndarray) -> ElboTerms:
     """Batch-summed ELBO terms for given embeddings and fixed responsibilities."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    n, data_dim = x.shape
-    k = model.gmm.n_clusters
-    _check_gamma(gamma, n, k)
+    _check_gamma(gamma, x.shape[0], model.gmm.n_clusters)
+    return _objective_terms(model, x, decode(model, emb.z), emb.mu, emb.var,
+                            np.log(emb.var), gamma)
 
-    x_hat = decode(model, emb.z)
+
+def _objective_terms(model: GmVae, x: np.ndarray, x_hat: np.ndarray, mu: np.ndarray,
+                     var: np.ndarray, logvar: np.ndarray, gamma: np.ndarray) -> ElboTerms:
+    """Batch-summed objective terms from one forward pass.
+
+    `x_hat` is the decoded sample, `mu`/`var`/`logvar` the posterior
+    parameters and `gamma` the responsibilities, all for the batch `x`.
+    Both `elbo` and the training step evaluate the objective here.
+    """
+    n, data_dim = x.shape
+    gmm = model.gmm
     sq_err = np.sum((x - x_hat) ** 2)
-    recon = -0.5 * (n * data_dim * (LOG_2PI + np.log(model.decoder_var)) + sq_err / model.decoder_var)
+    recon = -0.5 * (n * data_dim * (LOG_2PI + np.log(model.decoder_var))
+                    + sq_err / model.decoder_var)
 
     # responsibility-weighted expected log-density under each cluster
-    mu_diff = emb.mu[:, None, :] - model.gmm.means[None, :, :]
-    inner = (np.log(model.gmm.variances)[None, :, :] + LOG_2PI
-             + (emb.var[:, None, :] + mu_diff**2) / model.gmm.variances[None, :, :])
+    mu_diff = mu[:, None, :] - gmm.means[None, :, :]
+    inner = (np.log(gmm.variances)[None, :, :] + LOG_2PI
+             + (var[:, None, :] + mu_diff**2) / gmm.variances[None, :, :])
     cluster_kl = -0.5 * float(np.sum(gamma * inner.sum(axis=2)))
 
-    logvar = np.log(emb.var)
     posterior_entropy = 0.5 * float(np.sum(logvar + LOG_2PI + 1.0))
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        cat = gamma * (np.log(model.gmm.pi)[None, :] - np.log(gamma))
+        cat = gamma * (np.log(gmm.pi)[None, :] - np.log(gamma))
     categorical_term = float(np.sum(np.where(gamma > 0.0, cat, 0.0)))
 
-    reg = 0.5 * model.beta * float(np.sum(emb.mu**2 + emb.var - 1.0 - logvar))
+    reg = 0.5 * model.beta * float(np.sum(mu**2 + var - 1.0 - logvar))
     return ElboTerms(recon=float(recon), cluster_kl=cluster_kl,
                      posterior_entropy=posterior_entropy,
                      categorical_term=categorical_term, reg=reg)

@@ -1,9 +1,13 @@
-"""EM-alternating training loop.
+"""EM-alternating training loop with analytic backprop.
 
 Each epoch runs Adam minibatch descent on the negative ELBO plus the
-beta-KL regularizer (responsibilities held fixed within a batch), then
-re-embeds the full training set and applies the scheduled number of EM
-updates to the mixture parameters.
+beta-KL regularizer, then re-embeds the full training set and applies the
+scheduled number of EM updates to the mixture parameters. Within a batch
+the responsibilities are held fixed, so the objective has a closed-form
+gradient with respect to the decoded sample, the posterior mean and the
+posterior log-variance (through the reparameterization z = mu + sigma *
+eps); `backward` chains it through the decoder and encoder. All network
+parameters live in one flat vector that Adam updates in place.
 """
 
 from __future__ import annotations
@@ -13,21 +17,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import InputError, NumericalError
-from ..ndmath import AdamState, Tape, adam_step, backward, forward_mlp
-from ..ndmath import exp as texp
-from ..ndmath import slice_cols, square, vsum
+from ..ndmath import AdamState, adam_step
 from .model import (
-    LOG_2PI,
     ElboTerms,
     GmVae,
     LatentEmbedding,
+    _objective_terms,
     encode,
     em_step,
     responsibilities,
 )
-
-ENC_PREFIX = "enc."
-DEC_PREFIX = "dec."
 
 
 @dataclass
@@ -60,69 +59,89 @@ class TrainHistory:
         self.variances.append(gmm.variances.copy())
 
 
-def batch_loss(model: GmVae, x: np.ndarray, eps: np.ndarray, tape: Tape,
-               gamma: np.ndarray | None = None):
-    """Record the training objective for one batch on `tape`.
+@dataclass
+class BatchCache:
+    """Forward values of one batch that `backward` reuses."""
 
-    Builds encoder -> reparameterized z -> decoder and the ELBO terms as tape
-    nodes. Responsibilities are evaluated at the sampled z from the current
-    mixture and enter the loss as constants (no gradient flows through them)
-    unless a fixed `gamma` is supplied. Returns (loss Var, ElboTerms, z value).
+    x: np.ndarray
+    gamma: np.ndarray     # (n, K) responsibilities, held fixed
+    var: np.ndarray       # (n, d) posterior variance
+    std_eps: np.ndarray   # (n, d) sigma * eps, so z = mu + std_eps
+    enc_acts: list        # encoder activations; the last is [mu, log var]
+    dec_acts: list        # decoder activations; the last is x_hat
+
+
+def batch_loss(model: GmVae, x: np.ndarray, eps: np.ndarray,
+               gamma: np.ndarray | None = None):
+    """Training objective for one batch; returns (loss, ElboTerms, BatchCache).
+
+    Runs encoder -> reparameterized z -> decoder. Responsibilities are
+    evaluated at the sampled z from the current mixture and held fixed (no
+    gradient flows through them) unless a fixed `gamma` is supplied.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    n, data_dim = x.shape
     d = model.latent_dim
-    gmm = model.gmm
-
-    enc_out = forward_mlp(model.encoder, x, tape, ENC_PREFIX)
-    mu = slice_cols(enc_out, 0, d)
-    logvar = slice_cols(enc_out, d, 2 * d)
-    var = texp(logvar)
-    z = mu + texp(logvar * 0.5) * tape.constant(eps)
-    if not np.all(np.isfinite(z.value)):
+    enc_acts = model.encoder.forward(x)
+    mu = enc_acts[-1][:, :d]
+    logvar = enc_acts[-1][:, d:]
+    var = np.exp(logvar)
+    std_eps = np.exp(0.5 * logvar) * eps
+    z = mu + std_eps
+    if not np.all(np.isfinite(z)):
         raise NumericalError("encoder produced non-finite latent state")
     if gamma is None:
-        gamma = responsibilities(gmm, z.value).gamma
-
-    x_hat = forward_mlp(model.decoder, z, tape, DEC_PREFIX)
-    sq_err = vsum(square(x_hat - x))
-    recon = sq_err * (-0.5 / model.decoder_var) + (
-        -0.5 * n * data_dim * (LOG_2PI + np.log(model.decoder_var)))
-
-    # sum_c gamma_c * sum_j(log 2 pi s_c + (var + (mu - m_c)^2) / s_c), gamma fixed
-    cluster = None
-    logdet = np.sum(np.log(gmm.variances) + LOG_2PI, axis=1)  # (K,)
-    for c in range(gmm.n_clusters):
-        w = gamma[:, c : c + 1]  # (n, 1) constant weight column
-        quad = vsum((square(mu + (-gmm.means[c])) + var) * (w / gmm.variances[c]))
-        piece = quad + float(gamma[:, c].sum() * logdet[c])
-        cluster = piece if cluster is None else cluster + piece
-    cluster = cluster * (-0.5)
-
-    entropy = vsum(logvar) * 0.5 + 0.5 * n * d * (LOG_2PI + 1.0)
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cat = gamma * (np.log(gmm.pi)[None, :] - np.log(gamma))
-    categorical = float(np.sum(np.where(gamma > 0.0, cat, 0.0)))
-
-    reg = (vsum(square(mu)) + vsum(var) + vsum(logvar) * (-1.0) + (-n * d)) * (0.5 * model.beta)
-
-    loss = -(recon + cluster + entropy + categorical) + reg
-    terms = ElboTerms(recon=float(recon.value), cluster_kl=float(cluster.value),
-                      posterior_entropy=float(entropy.value), categorical_term=categorical,
-                      reg=float(reg.value))
-    return loss, terms, z.value
+        gamma = responsibilities(model.gmm, z).gamma
+    dec_acts = model.decoder.forward(z)
+    terms = _objective_terms(model, x, dec_acts[-1], mu, var, logvar, gamma)
+    cache = BatchCache(x=x, gamma=gamma, var=var, std_eps=std_eps,
+                       enc_acts=enc_acts, dec_acts=dec_acts)
+    return terms.total_loss, terms, cache
 
 
-def _model_params(model: GmVae) -> dict:
-    params = model.encoder.param_dict(ENC_PREFIX)
-    params.update(model.decoder.param_dict(DEC_PREFIX))
-    return params
+def backward(model: GmVae, cache: BatchCache) -> np.ndarray:
+    """Gradient of `batch_loss`'s loss, responsibilities held fixed, as one flat
+    vector in `pack_params` order."""
+    gmm = model.gmm
+    beta = model.beta
+    mu = cache.enc_acts[-1][:, :model.latent_dim]
+    x_hat = cache.dec_acts[-1]
+    dec_dw, dec_db, g_z = model.decoder.backward(cache.dec_acts,
+                                                 (x_hat - cache.x) / model.decoder_var)
+    # with g_z the loss gradient at z and s_c, m_c the cluster variances and means:
+    # dL/dmu = g_z + sum_c gamma_c (mu - m_c) / s_c + beta mu
+    # dL/dlogvar = (g_z sigma eps + var (sum_c gamma_c / s_c + beta) - 1 - beta) / 2
+    precision = cache.gamma @ (1.0 / gmm.variances)
+    g_mu = g_z + mu * precision - cache.gamma @ (gmm.means / gmm.variances) + beta * mu
+    g_logvar = 0.5 * (g_z * cache.std_eps + cache.var * (precision + beta) - 1.0 - beta)
+    enc_dw, enc_db, _ = model.encoder.backward(cache.enc_acts, np.hstack([g_mu, g_logvar]))
+    return np.concatenate([g.ravel() for dws, dbs in ((enc_dw, enc_db), (dec_dw, dec_db))
+                           for pair in zip(dws, dbs) for g in pair])
 
 
-def _load_params(model: GmVae, params: dict) -> None:
-    model.encoder.load_param_dict(params, ENC_PREFIX)
-    model.decoder.load_param_dict(params, DEC_PREFIX)
+def pack_params(model: GmVae) -> tuple[np.ndarray, tuple]:
+    """Move the encoder and decoder arrays into one flat float64 vector.
+
+    The nets' weights and biases become views into the returned vector, so
+    updating it in place updates the model. The order is the encoder, then
+    the decoder, each layer's weights before its biases. Returns the vector
+    and its (name, size) layout, e.g. ("enc.w0", 1600).
+    """
+    nets = (("enc.", model.encoder), ("dec.", model.decoder))
+    theta = np.concatenate([a.ravel() for _, net in nets
+                            for pair in zip(net.weights, net.biases) for a in pair])
+    layout, start = [], 0
+    for prefix, net in nets:
+        for i in range(net.n_layers):
+            for kind, arrays in (("w", net.weights), ("b", net.biases)):
+                size = arrays[i].size
+                arrays[i] = theta[start:start + size].reshape(arrays[i].shape)
+                layout.append((f"{prefix}{kind}{i}", size))
+                start += size
+    return theta, tuple(layout)
+
+
+def _last_good(epoch: int) -> str:
+    return f"last good epoch {epoch - 1}" if epoch else "no completed epoch"
 
 
 def train(model: GmVae, x_train: np.ndarray, cfg: TrainConfig,
@@ -140,31 +159,26 @@ def train(model: GmVae, x_train: np.ndarray, cfg: TrainConfig,
     if cfg.batch_size < 1:
         raise InputError(f"batch_size must be >= 1, got {cfg.batch_size}")
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    adam = AdamState(lr=cfg.lr, weight_decay=cfg.weight_decay)
+    theta, layout = pack_params(model)
+    adam = AdamState(lr=cfg.lr, weight_decay=cfg.weight_decay, layout=layout)
     history = TrainHistory()
 
     for epoch in range(cfg.epochs):
         perm = rng.permutation(n)
         sums = np.zeros(5)
         for start in range(0, n, cfg.batch_size):
+            batch = start // cfg.batch_size
             rows = perm[start:start + cfg.batch_size]
-            xb = x_train[rows]
             eps = rng.standard_normal((len(rows), model.latent_dim))
-            tape = Tape()
-            last_good = f"last good epoch {epoch - 1}" if epoch else "no completed epoch"
             try:
-                loss, terms, _ = batch_loss(model, xb, eps, tape)
+                loss, terms, cache = batch_loss(model, x_train[rows], eps)
             except NumericalError as e:
+                raise NumericalError(f"epoch {epoch}, batch {batch}: {e} ({_last_good(epoch)})")
+            if not np.isfinite(loss):
                 raise NumericalError(
-                    f"epoch {epoch}, batch {start // cfg.batch_size}: {e} ({last_good})")
-            if not np.isfinite(loss.value):
-                raise NumericalError(
-                    f"non-finite loss at epoch {epoch}, batch {start // cfg.batch_size} "
-                    f"({last_good})")
-            grads = backward(tape, loss)
-            params = _model_params(model)
-            new_params, adam = adam_step(params, grads, adam)
-            _load_params(model, new_params)
+                    f"non-finite loss at epoch {epoch}, batch {batch} ({_last_good(epoch)})")
+            grad = backward(model, cache)
+            adam_step(theta, grad, adam)
             sums += np.array([terms.recon, terms.cluster_kl, terms.posterior_entropy,
                               terms.categorical_term, terms.reg])
 

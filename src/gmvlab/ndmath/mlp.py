@@ -5,14 +5,14 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import InputError
-from .tape import Tape, Var, affine, tanh
 
 
 class Mlp:
     """Feed-forward net defined by layer widths, e.g. [50, 32, 16, 8, 4].
 
     Weights are (out, in) matrices; tanh is applied after every layer except
-    the last. Parameters are plain float64 arrays owned by the instance.
+    the last. Parameters are float64 arrays; a trainer may replace them with
+    views into one flat parameter vector.
     """
 
     def __init__(self, layer_dims, weights, biases):
@@ -44,48 +44,40 @@ class Mlp:
     def n_params(self) -> int:
         return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
 
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        """Forward pass without tape recording."""
+    def forward(self, x: np.ndarray) -> list[np.ndarray]:
+        """Activations [input, hidden tanh outputs..., output] of a batch."""
         h = np.asarray(x, dtype=np.float64)
         if h.shape[-1] != self.layer_dims[0]:
             raise InputError(
                 f"Mlp input width {h.shape[-1]} != layer 0 width {self.layer_dims[0]}"
             )
+        acts = [h]
+        last = self.n_layers - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             h = h @ w.T + b
-            if i < self.n_layers - 1:
+            if i < last:
                 h = np.tanh(h)
-        return h
+            acts.append(h)
+        return acts
 
-    def param_dict(self, prefix: str = "") -> dict[str, np.ndarray]:
-        out = {}
-        for i in range(self.n_layers):
-            out[f"{prefix}w{i}"] = self.weights[i]
-            out[f"{prefix}b{i}"] = self.biases[i]
-        return out
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        """Network output for a batch (the last of `forward`'s activations)."""
+        return self.forward(x)[-1]
 
-    def load_param_dict(self, params: dict[str, np.ndarray], prefix: str = "") -> None:
-        for i in range(self.n_layers):
-            self.weights[i] = np.asarray(params[f"{prefix}w{i}"], dtype=np.float64)
-            self.biases[i] = np.asarray(params[f"{prefix}b{i}"], dtype=np.float64)
+    def backward(self, acts: list[np.ndarray], grad_out: np.ndarray):
+        """Backpropagate a loss gradient at the output through the layers.
 
-
-def forward_mlp(net: Mlp, x, tape: Tape, prefix: str = "mlp.") -> Var:
-    """Record the forward pass of `net` on the tape; returns the output Var.
-
-    `x` may be an ndarray (treated as a constant input) or an existing Var,
-    letting networks chain on one tape. Parameters register as leaves named
-    ``{prefix}w{i}`` / ``{prefix}b{i}``.
-    """
-    h = x if isinstance(x, Var) else tape.constant(np.atleast_2d(x))
-    if h.value.shape[-1] != net.layer_dims[0]:
-        raise InputError(
-            f"forward_mlp: input width {h.value.shape[-1]} != layer 0 width {net.layer_dims[0]}"
-        )
-    for i in range(net.n_layers):
-        w = tape.leaf(net.weights[i], f"{prefix}w{i}")
-        b = tape.leaf(net.biases[i], f"{prefix}b{i}")
-        h = affine(h, w, b)
-        if i < net.n_layers - 1:
-            h = tanh(h)
-    return h
+        `acts` are the activations `forward` returned for the batch and
+        `grad_out` the loss gradient with respect to the output. Returns
+        (dW per layer, db per layer, gradient with respect to the input).
+        """
+        last = self.n_layers - 1
+        dws, dbs = [None] * self.n_layers, [None] * self.n_layers
+        g = grad_out
+        for i in range(last, -1, -1):
+            if i < last:
+                g = g * (1.0 - acts[i + 1] * acts[i + 1])  # tanh' at layer i's output
+            dws[i] = g.T @ acts[i]
+            dbs[i] = g.sum(axis=0)
+            g = g @ self.weights[i]
+        return dws, dbs, g

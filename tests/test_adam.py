@@ -8,21 +8,21 @@ from gmvlab.ndmath import AdamState, adam_step
 
 
 def test_zero_gradient_leaves_params_unchanged():
-    params = {"w": np.array([1.0, -2.0, 3.0])}
-    grads = {"w": np.zeros(3)}
+    theta = np.array([1.0, -2.0, 3.0])
+    before = theta.copy()
     state = AdamState(lr=1e-3)
-    new, state = adam_step(params, grads, state)
-    assert np.array_equal(new["w"], params["w"])
+    adam_step(theta, np.zeros(3), state)
+    assert np.array_equal(theta, before)
     assert state.step_count == 1
 
 
 def test_constant_positive_gradient_decreases_parameter_monotonically():
-    params = {"w": np.array([0.5])}
+    theta = np.array([0.5])
     state = AdamState(lr=1e-2)
-    values = [params["w"][0]]
+    values = [theta[0]]
     for _ in range(50):
-        params, state = adam_step(params, {"w": np.array([2.0])}, state)
-        values.append(params["w"][0])
+        adam_step(theta, np.array([2.0]), state)
+        values.append(theta[0])
     assert all(b < a for a, b in zip(values, values[1:]))
 
 
@@ -31,31 +31,33 @@ def test_first_step_magnitude_is_lr():
     g = 0.37
     lr = 1e-3
     state = AdamState(lr=lr)
-    params, _ = adam_step({"w": np.array([1.0])}, {"w": np.array([g])}, state)
+    theta = np.array([1.0])
+    adam_step(theta, np.array([g]), state)
     expected = 1.0 - lr * g / (abs(g) + state.eps)
-    assert abs(params["w"][0] - expected) < 1e-15
-    assert abs((1.0 - params["w"][0]) - lr) < 1e-6
+    assert abs(theta[0] - expected) < 1e-15
+    assert abs((1.0 - theta[0]) - lr) < 1e-6
 
 
 def test_decoupled_weight_decay_shrinks_parameter_without_gradient():
-    params = {"w": np.array([2.0])}
+    theta = np.array([2.0])
     state = AdamState(lr=0.1, weight_decay=0.5)
-    new, _ = adam_step(params, {"w": np.zeros(1)}, state)
-    assert np.allclose(new["w"], 2.0 - 0.1 * 0.5 * 2.0)
+    adam_step(theta, np.zeros(1), state)
+    assert np.allclose(theta, 2.0 - 0.1 * 0.5 * 2.0)
 
 
 def test_nonfinite_gradient_names_parameter():
-    state = AdamState()
+    theta = np.ones(5)
+    state = AdamState(layout=(("enc.b0", 3), ("enc.w0", 2)))
     with pytest.raises(NumericalError, match="enc.w0"):
-        adam_step({"enc.w0": np.ones(2)}, {"enc.w0": np.array([1.0, np.nan])}, state)
+        adam_step(theta, np.array([1.0, 1.0, 1.0, 1.0, np.nan]), state)
+    assert np.array_equal(theta, np.ones(5))
+    assert state.step_count == 0
 
 
 def test_moments_match_param_shapes():
     rng = np.random.default_rng(0)
-    params = {"a": rng.standard_normal((3, 2)), "b": rng.standard_normal(4)}
-    grads = {k: rng.standard_normal(v.shape) for k, v in params.items()}
+    theta = rng.standard_normal(10)
     state = AdamState()
-    adam_step(params, grads, state)
-    for k, v in params.items():
-        assert state.first_moment[k].shape == v.shape
-        assert state.second_moment[k].shape == v.shape
+    adam_step(theta, rng.standard_normal(10), state)
+    assert state.first_moment.shape == theta.shape
+    assert state.second_moment.shape == theta.shape

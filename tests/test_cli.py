@@ -377,3 +377,50 @@ def test_metric_reads_k_and_r_from_config(workdir, tmp_path):
     _, rows = read_rows(out)
     assert rows[0][1] == "6"
     assert float(rows[0][2]) == 50.0
+
+
+def _widen_decoder_input(ckpt):
+    dec = ckpt["decoder"]
+    dec["layer_dims"][0] += 1
+    dec["weights"][0] = [row + [0.0] for row in dec["weights"][0]]
+
+
+def _drop_last_decoder_layer(ckpt):
+    dec = ckpt["decoder"]
+    for key in ("layer_dims", "weights", "biases"):
+        dec[key].pop()
+
+
+BAD_CHECKPOINTS = {
+    "not-json": None,
+    "format-tag": lambda c: c.update(format="other"),
+    "missing-gmm": lambda c: c.pop("gmm"),
+    "latent-dim-string": lambda c: c.update(latent_dim="x"),
+    "latent-dim-vs-encoder": lambda c: c.update(latent_dim=3),
+    "pi-too-short": lambda c: c["gmm"].update(pi=[1.0]),
+    "negative-variance": lambda c: c["gmm"]["variances"][0].__setitem__(0, -1.0),
+    "means-shape": lambda c: c["gmm"].update(means=[[0.0]]),
+    "nan-weight": lambda c: c["encoder"]["weights"][0][0].__setitem__(0, float("nan")),
+    "decoder-input-width": _widen_decoder_input,
+    "decoder-output-width": _drop_last_decoder_layer,
+}
+
+
+@pytest.mark.parametrize("mutation", list(BAD_CHECKPOINTS))
+def test_malformed_checkpoint_gives_exit_1_naming_the_file(workdir, tmp_path, capsys, mutation):
+    bad = tmp_path / "bad.json"
+    mutate = BAD_CHECKPOINTS[mutation]
+    if mutate is None:
+        bad.write_text("{not json")
+    else:
+        ckpt = json.loads((workdir["train"] / "checkpoint.json").read_text())
+        mutate(ckpt)
+        bad.write_text(json.dumps(ckpt))
+    for argv in (["embed", "--checkpoint", str(bad), "--dataset", str(workdir["data"]),
+                  "--out", str(tmp_path / "emb.csv")],
+                 ["sample", "--checkpoint", str(bad), "--count", "5",
+                  "--out", str(tmp_path / "gen.csv")]):
+        assert main(argv) == 1, argv[0]
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert str(bad) in err, err

@@ -14,7 +14,7 @@ from gmvlab.gmvae import (
     save_checkpoint,
     train,
 )
-from gmvlab.ndmath import Tape, backward
+from gmvlab.gmvae.train import backward, pack_params
 
 
 def make_model(seed=0, data_dim=6, latent_dim=2, k=2, hidden=(5, 4),
@@ -28,45 +28,56 @@ def model_arrays(model):
            [b.copy() for b in model.encoder.biases + model.decoder.biases]
 
 
-@pytest.mark.parametrize("seed", range(5))
-def test_total_loss_gradients_match_finite_differences(seed):
+FD_CASES = [pytest.param(seed, 2, 0.1, id=str(seed)) for seed in range(5)] + [
+    pytest.param(5, 1, 0.1, id="k1"),
+    pytest.param(6, 3, 0.1, id="k3"),
+    pytest.param(7, 2, 0.0, id="beta0"),
+]
+
+
+@pytest.mark.parametrize("seed,k,beta", FD_CASES)
+def test_total_loss_gradients_match_finite_differences(seed, k, beta):
     rng = np.random.default_rng(seed)
-    model = make_model(seed=seed)
+    model = make_model(seed=seed, k=k, beta=beta)
     x = rng.standard_normal((4, 6))
     eps = rng.standard_normal((4, 2))
     # freeze responsibilities so the objective is a fixed function of the nets
-    tape = Tape()
-    _, _, z0 = batch_loss(model, x, eps, tape)
-    from gmvlab.gmvae import responsibilities
-
-    gamma = responsibilities(model.gmm, z0).gamma
+    _, _, cache = batch_loss(model, x, eps)
+    gamma = cache.gamma
+    theta, layout = pack_params(model)
+    names = [name for name, size in layout for _ in range(size)]
 
     def loss_value():
-        t = Tape()
-        loss, _, _ = batch_loss(model, x, eps, t, gamma=gamma)
-        return loss
+        return batch_loss(model, x, eps, gamma=gamma)[0]
 
-    t = Tape()
-    loss, _, _ = batch_loss(model, x, eps, t, gamma=gamma)
-    grads = backward(t, loss)
+    loss, _, cache = batch_loss(model, x, eps, gamma=gamma)
+    grad = backward(model, cache)
+    assert grad.shape == theta.shape
 
     h = 1e-5
-    for name, g in grads.items():
-        net = model.encoder if name.startswith("enc.") else model.decoder
-        i = int(name[5:])
-        arr = net.weights[i] if name[4] == "w" else net.biases[i]
-        it = np.nditer(arr, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            orig = arr[idx]
-            arr[idx] = orig + h
-            fp = loss_value().value
-            arr[idx] = orig - h
-            fm = loss_value().value
-            arr[idx] = orig
-            fd = (fp - fm) / (2 * h)
-            denom = max(abs(fd), abs(g[idx]), 1e-8)
-            assert abs(fd - g[idx]) / denom < 1e-4, f"{name}{idx}: ad={g[idx]} fd={fd}"
+    for i, g in enumerate(grad):
+        orig = theta[i]
+        theta[i] = orig + h
+        fp = loss_value()
+        theta[i] = orig - h
+        fm = loss_value()
+        theta[i] = orig
+        fd = (fp - fm) / (2 * h)
+        denom = max(abs(fd), abs(g), 1e-8)
+        assert abs(fd - g) / denom < 1e-4, f"{names[i]} entry {i}: analytic={g} fd={fd}"
+
+
+def test_pack_params_points_the_nets_at_one_vector():
+    model = make_model()
+    before = model_arrays(model)
+    theta, layout = pack_params(model)
+    assert theta.size == model.encoder.n_params() + model.decoder.n_params()
+    assert sum(size for _, size in layout) == theta.size
+    assert layout[0] == ("enc.w0", model.encoder.weights[0].size)
+    for a, b in zip(before, model_arrays(model)):
+        assert np.array_equal(a, b)
+    theta[0] += 1.0
+    assert model.encoder.weights[0][0, 0] == before[0][0, 0] + 1.0
 
 
 def test_zero_epochs_leaves_model_untouched():

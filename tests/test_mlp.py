@@ -1,0 +1,93 @@
+"""Mlp forward and backward: finite-difference checks, fixed nets, determinism."""
+
+import numpy as np
+import pytest
+
+from gmvlab.errors import InputError
+from gmvlab.ndmath import Mlp
+
+
+def central_diff(f, x, h=1e-5):
+    """Elementwise central finite differences of a scalar-valued f."""
+    g = np.zeros_like(x)
+    it = np.nditer(x, flags=["multi_index"])
+    for _ in it:
+        idx = it.multi_index
+        orig = x[idx]
+        x[idx] = orig + h
+        fp = f()
+        x[idx] = orig - h
+        fm = f()
+        x[idx] = orig
+        g[idx] = (fp - fm) / (2 * h)
+    return g
+
+
+def rel_err(a, b):
+    denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-8)
+    return np.max(np.abs(a - b) / denom)
+
+
+def test_mlp_mse_gradient_matches_finite_differences():
+    rng = np.random.default_rng(7)
+    net = Mlp.init([4, 6, 5, 3], rng)
+    x = rng.standard_normal((8, 4))
+
+    def loss():
+        out = net.infer(x)
+        return np.sum(out * out) / out.size
+
+    acts = net.forward(x)
+    dws, dbs, dx = net.backward(acts, 2.0 * acts[-1] / acts[-1].size)
+    for i in range(net.n_layers):
+        for name, g, arr in ((f"w{i}", dws[i], net.weights[i]), (f"b{i}", dbs[i], net.biases[i])):
+            fd = central_diff(loss, arr)
+            mask = np.abs(g) > 1e-8
+            assert rel_err(g[mask], fd[mask]) < 1e-4, name
+    assert rel_err(dx, central_diff(loss, x)) < 1e-4
+
+
+def test_forward_is_deterministic():
+    rng = np.random.default_rng(3)
+    net = Mlp.init([5, 4, 2], rng)
+    x = rng.standard_normal((6, 5))
+
+    def run():
+        acts = net.forward(x)
+        return acts, net.backward(acts, acts[-1])
+
+    (a1, (w1, b1, x1)), (a2, (w2, b2, x2)) = run(), run()
+    for p, q in zip(a1 + w1 + b1 + [x1], a2 + w2 + b2 + [x2]):
+        assert np.array_equal(p, q)
+
+
+def test_forward_shape_mismatch_raises():
+    rng = np.random.default_rng(0)
+    net = Mlp.init([4, 3], rng)
+    with pytest.raises(InputError):
+        net.forward(np.ones((2, 5)))
+    with pytest.raises(InputError):
+        net.infer(np.ones((2, 5)))
+
+
+def test_zero_net_maps_to_zero():
+    net = Mlp([3, 2], [np.zeros((2, 3))], [np.zeros(2)])
+    assert np.array_equal(net.infer(np.ones((4, 3))), np.zeros((4, 2)))
+
+
+def test_identity_layer_is_identity():
+    net = Mlp([3, 3], [np.eye(3)], [np.zeros(3)])
+    x = np.random.default_rng(1).standard_normal((5, 3))
+    assert np.array_equal(net.infer(x), x)
+
+
+def test_two_layer_forward_matches_manual_composition():
+    rng = np.random.default_rng(11)
+    net = Mlp.init([3, 4, 2], rng)
+    x = rng.standard_normal((6, 3))
+    acts = net.forward(x)
+    hidden = np.tanh(x @ net.weights[0].T + net.biases[0])
+    manual = hidden @ net.weights[1].T + net.biases[1]
+    assert np.array_equal(acts[1], hidden)
+    assert np.array_equal(acts[2], manual)
+    assert np.array_equal(net.infer(x), manual)
