@@ -19,7 +19,6 @@ from .config import load_config
 from .errors import ContractError, InputError, NumericalError
 from .gmvae import (
     GmVae,
-    TrainConfig,
     cluster_assign,
     embed_dataset,
     load_checkpoint,
@@ -57,21 +56,13 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _dataset_split_arrays(dataset):
-    ids = np.arange(len(dataset))
-    split_of = np.empty(len(dataset), dtype=object)
-    for name, idx in dataset.split.items():
-        split_of[idx] = name
-    return ids, split_of
-
-
 def _write_embeddings(model, dataset, out_path) -> None:
     x = dataset.matrix()
     emb, gamma = embed_dataset(model, x)
     hard = np.argmax(gamma, axis=1)
-    ids, split_of = _dataset_split_arrays(dataset)
-    tables.write_embeddings_csv(out_path, ids, split_of, emb.mu, var=emb.var, gamma=gamma,
-                                hard_labels=hard, true_labels=dataset.labels())
+    tables.write_embeddings_csv(out_path, range(len(dataset)), dataset.split_names(), emb.mu,
+                                var=emb.var, gamma=gamma, hard_labels=hard,
+                                true_labels=dataset.labels())
 
 
 def cmd_train(args) -> int:
@@ -90,9 +81,6 @@ def cmd_train(args) -> int:
                        n_clusters=m.n_clusters, hidden_dims=m.hidden_dims,
                        decoder_var=m.decoder_var, beta=m.beta, rng=rng)
     tc = cfg.training
-    train_cfg = TrainConfig(epochs=tc.epochs, batch_size=tc.batch_size, lr=tc.lr,
-                            weight_decay=tc.weight_decay, n_em=tc.n_em,
-                            variance_floor=tc.variance_floor, seed=tc.seed)
     say_every = max(1, tc.epochs // 20)
 
     def progress(epoch, terms):
@@ -100,7 +88,7 @@ def cmd_train(args) -> int:
             print(f"epoch {epoch + 1}/{tc.epochs}: loss {terms.total_loss:.4f} "
                   f"recon {terms.recon:.4f} pi {np.round(model.gmm.pi, 4)}")
 
-    history = train(model, x_train, train_cfg, progress=progress if not args.quiet else None)
+    history = train(model, x_train, tc, progress=progress if not args.quiet else None)
 
     digest = save_checkpoint(model, out_dir / "checkpoint.json", config=cfg.as_dict())
     tables.write_history_csv(out_dir / "history.csv", history)
@@ -136,20 +124,25 @@ def cmd_sample(args) -> int:
     return 0
 
 
+def _join_on_sample_id(embeddings, other, what: str, columns):
+    """The embeddings table and the numeric `columns` of `other`, whose rows are
+    matched to the embeddings' rows by sample_id."""
+    emb = tables.read_embeddings_csv(_require_file(embeddings, "embeddings CSV"))
+    ids, values = tables.read_quantities_csv(_require_file(other, what), columns=columns)
+    pos = {sid: i for i, sid in enumerate(ids)}
+    missing = [sid for sid in emb["sample_ids"] if sid not in pos]
+    if missing:
+        raise InputError(f"sample_id {missing[0]} from {embeddings} has no row in {other}")
+    rows = [pos[sid] for sid in emb["sample_ids"]]
+    return emb, {name: v[rows] for name, v in values.items()}
+
+
 def cmd_metric(args) -> int:
     cfg = load_config(args.config)
     k = cfg.metric.k if args.k is None else args.k
     r = cfg.metric.r_percent if args.r is None else args.r
-    emb = tables.read_embeddings_csv(_require_file(args.embeddings, "embeddings CSV"))
-    q_ids, quantities = tables.read_quantities_csv(
-        _require_file(args.quantities, "quantities CSV"), columns=args.columns)
-    pos = {sid: i for i, sid in enumerate(q_ids)}
-    missing = [sid for sid in emb["sample_ids"] if sid not in pos]
-    if missing:
-        raise InputError(f"sample_id {missing[0]} from {args.embeddings} "
-                         f"has no row in {args.quantities}")
-    rows = [pos[sid] for sid in emb["sample_ids"]]
-    aligned = {name: q[rows] for name, q in quantities.items()}
+    emb, aligned = _join_on_sample_id(args.embeddings, args.quantities, "quantities CSV",
+                                      args.columns)
     reports = spectral.interpretability_report(emb["mu"], aligned, k=k, r_percent=r)
     tables.write_report_csv(args.out, reports)
     if args.spectrum_out:
@@ -171,26 +164,18 @@ def cmd_baseline(args) -> int:
         emb = baselines.isomap(x, k=args.k, dim=args.dim)
         d = baselines.euclidean_distances(x)
     final_stress = baselines.stress(d, emb.points)
-    ids, split_of = _dataset_split_arrays(dataset)
-    tables.write_embeddings_csv(args.out, ids, split_of, emb.points,
-                                true_labels=dataset.labels())
+    tables.write_embeddings_csv(args.out, range(len(dataset)), dataset.split_names(),
+                                emb.points, true_labels=dataset.labels())
     print(f"wrote {emb.method} embedding to {args.out} "
           f"(stress vs. Euclidean distances: {final_stress:.6g})")
     return 0
 
 
 def cmd_align(args) -> int:
-    emb = tables.read_embeddings_csv(_require_file(args.embeddings, "embeddings CSV"))
-    p_ids, params = tables.read_quantities_csv(_require_file(args.params, "parameters CSV"),
-                                               columns=args.columns)
-    pos = {sid: i for i, sid in enumerate(p_ids)}
-    missing = [sid for sid in emb["sample_ids"] if sid not in pos]
-    if missing:
-        raise InputError(f"sample_id {missing[0]} from {args.embeddings} "
-                         f"has no row in {args.params}")
-    rows = [pos[sid] for sid in emb["sample_ids"]]
+    emb, params = _join_on_sample_id(args.embeddings, args.params, "parameters CSV",
+                                     args.columns)
     names = list(params)
-    b = np.column_stack([params[name][rows] for name in names])
+    b = np.column_stack([params[name] for name in names])
     report = align_mod.fit_affine(emb["mu"], b)
     transformed = align_mod.apply_map(report.map, emb["mu"])
 
@@ -207,13 +192,8 @@ def cmd_align(args) -> int:
     }
     with open(out_dir / "align_report.json", "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
-    with open(out_dir / "transformed.csv", "w", newline="") as fh:
-        import csv as _csv
-
-        writer = _csv.writer(fh)
-        writer.writerow(["sample_id"] + [f"pred_{name}" for name in names])
-        for sid, row in zip(emb["sample_ids"], transformed):
-            writer.writerow([str(sid)] + [tables.fmt(v) for v in row])
+    tables.write_table(out_dir / "transformed.csv", {"sample_id": emb["sample_ids"]} | {
+        f"pred_{name}": transformed[:, j] for j, name in enumerate(names)})
     print(f"residual_rms = {report.residual_rms:.6g}")
     for name, v in zip(names, report.r_squared):
         print(f"r_squared[{name}] = {v:.6f}")

@@ -35,7 +35,7 @@ class ModelConfig:
 
 
 @dataclass
-class TrainingConfig:
+class TrainConfig:
     lr: float = 1e-3
     weight_decay: float = 0.0
     batch_size: int = 64
@@ -55,7 +55,7 @@ class MetricConfig:
 class RunConfig:
     dataset: DatasetConfig = field(default_factory=DatasetConfig)
     model: ModelConfig = field(default_factory=ModelConfig)
-    training: TrainingConfig = field(default_factory=TrainingConfig)
+    training: TrainConfig = field(default_factory=TrainConfig)
     metric: MetricConfig = field(default_factory=MetricConfig)
 
     def validate(self) -> None:

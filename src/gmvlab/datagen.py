@@ -14,15 +14,18 @@ family; the terminal value against a threshold gives the class label.
 Randomness uses numpy's PCG64 generator (ziggurat normal sampling); each
 trajectory draws from its own SeedSequence-spawned stream, so serial and
 parallel generation produce identical datasets.
+
+`save_csv` and `load_csv` map the dataset onto a `gmvlab.tables` table,
+one row per trajectory: sample_id, coverage, parameter draw, label, split.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import tables
 from .errors import InputError, NumericalError
 
 RHO0 = 0.89
@@ -37,6 +40,7 @@ LABEL_REACTIVE = "reactive"
 
 SPLIT_FRACTIONS = (0.8, 0.1, 0.1)  # train / val / test
 SPLIT_NAMES = ("train", "val", "test")
+_PARAM_NAMES = ("xi1", "xi2", "alpha", "gamma")  # stored per row; kappa is not
 
 
 @dataclass(frozen=True)
@@ -69,9 +73,6 @@ class Dataset:
     def __len__(self):
         return len(self.trajectories)
 
-    def indices(self, name: str) -> np.ndarray:
-        return self.split[name]
-
     def matrix(self, split: str | None = None) -> np.ndarray:
         """Stacked rho values, (n, steps); optionally restricted to a split."""
         rows = range(len(self)) if split is None else self.split[split]
@@ -80,6 +81,13 @@ class Dataset:
     def labels(self, split: str | None = None) -> list:
         rows = range(len(self)) if split is None else self.split[split]
         return [self.trajectories[i].label for i in rows]
+
+    def split_names(self) -> np.ndarray:
+        """Each row's split name, in row order."""
+        names = np.empty(len(self), dtype=object)
+        for name, idx in self.split.items():
+            names[idx] = name
+        return names
 
 
 def reaction_rhs(rho, p: ReactionParams):
@@ -175,55 +183,33 @@ def generate(seed: int, n: int = 1280, steps: int = DEFAULT_STEPS, horizon: floa
     return Dataset(trajectories=trajectories, split=split)
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def save_csv(dataset: Dataset, path) -> None:
     """One row per trajectory: sample_id, rho_0..rho_{S-1}, xi1, xi2, alpha, gamma, label, split."""
-    steps = len(dataset.trajectories[0].rho)
-    split_of = {}
-    for name, idx in dataset.split.items():
-        for i in idx:
-            split_of[int(i)] = name
-    header = ["sample_id"] + [f"rho_{j}" for j in range(steps)] + [
-        "xi1", "xi2", "alpha", "gamma", "label", "split"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i, t in enumerate(dataset.trajectories):
-            p = t.params
-            row = [str(i)] + [_fmt(v) for v in t.rho] + [
-                _fmt(p.xi1), _fmt(p.xi2), _fmt(p.alpha), _fmt(p.gamma), t.label, split_of[i]]
-            writer.writerow(row)
+    rho = dataset.matrix()
+    params = [t.params for t in dataset.trajectories]
+    columns = {"sample_id": range(len(dataset))}
+    columns |= {f"rho_{j}": rho[:, j] for j in range(rho.shape[1])}
+    columns |= {name: [float(getattr(p, name)) for p in params] for name in _PARAM_NAMES}
+    columns |= {"label": dataset.labels(), "split": dataset.split_names()}
+    tables.write_table(path, columns)
 
 
 def load_csv(path, kappa: float = DEFAULT_KAPPA) -> Dataset:
     """Inverse of save_csv. The kappa column is not stored; pass it if non-default."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rho_cols = [j for j, name in enumerate(header) if name.startswith("rho_")]
-        try:
-            col = {name: header.index(name) for name in ("sample_id", "xi1", "xi2", "alpha", "gamma", "label", "split")}
-        except ValueError as e:
-            raise InputError(f"dataset CSV {path}: missing column ({e})")
-        trajectories = []
-        split_lists: dict[str, list] = {name: [] for name in SPLIT_NAMES}
-        for row in reader:
-            i = len(trajectories)
-            if int(row[col["sample_id"]]) != i:
-                raise InputError(f"dataset CSV {path}: non-contiguous sample_id at row {i}")
-            rho = np.array([float(row[j]) for j in rho_cols])
-            if not np.all(np.isfinite(rho)):
-                raise InputError(f"dataset CSV {path}: non-finite coverage value at row {i}")
-            p = ReactionParams(
-                xi1=float(row[col["xi1"]]), xi2=float(row[col["xi2"]]),
-                alpha=float(row[col["alpha"]]), gamma=float(row[col["gamma"]]), kappa=kappa)
-            name = row[col["split"]]
-            if name not in split_lists:
-                raise InputError(f"dataset CSV {path}: unknown split {name!r} at row {i}")
-            split_lists[name].append(i)
-            trajectories.append(Trajectory(rho=rho, params=p, label=row[col["label"]]))
-    split = {name: np.array(v, dtype=int) for name, v in split_lists.items()}
+    table = tables.Table(path)
+    for i, sid in enumerate(table.sample_ids()):
+        if sid != i:
+            raise InputError(f"{path}, line {i + 2}: sample_id {sid}, expected {i}")
+    rho = table.block("rho_")
+    if rho is None:
+        raise InputError(f"{path}: no rho_* columns found")
+    params = table.floats(_PARAM_NAMES)
+    splits, labels = np.array(table.column("split")), np.array(table.column("label"))
+    del table  # free the cells before the per-row objects below take memory among them
+    unknown = np.flatnonzero(~np.isin(splits, SPLIT_NAMES))
+    if unknown.size:
+        raise InputError(f"{path}, line {unknown[0] + 2}: unknown split {splits[unknown[0]]!r}")
+    trajectories = [Trajectory(rho=r, params=ReactionParams(*p, kappa=kappa), label=lab)
+                    for r, p, lab in zip(rho, params.tolist(), labels.tolist())]
+    split = {name: np.flatnonzero(splits == name) for name in SPLIT_NAMES}
     return Dataset(trajectories=trajectories, split=split)

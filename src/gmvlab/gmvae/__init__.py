@@ -1,3 +1,4 @@
+from ..config import TrainConfig
 from .checkpoint import FORMAT_TAG, load_checkpoint, save_checkpoint
 from .model import (
     DEFAULT_VARIANCE_FLOOR,
@@ -5,7 +6,6 @@ from .model import (
     GmmParams,
     GmVae,
     LatentEmbedding,
-    Responsibilities,
     cluster_assign,
     decode,
     elbo,
@@ -16,7 +16,7 @@ from .model import (
     responsibilities,
     sample,
 )
-from .train import TrainConfig, TrainHistory, batch_loss, embed_dataset, train
+from .train import TrainHistory, batch_loss, embed_dataset, train
 
 __all__ = [
     "FORMAT_TAG",
@@ -27,7 +27,6 @@ __all__ = [
     "GmmParams",
     "GmVae",
     "LatentEmbedding",
-    "Responsibilities",
     "cluster_assign",
     "decode",
     "elbo",

@@ -57,11 +57,6 @@ class LatentEmbedding:
 
 
 @dataclass
-class Responsibilities:
-    gamma: np.ndarray  # (n, K), rows on the simplex
-
-
-@dataclass
 class ElboTerms:
     """Batch-summed objective pieces.
 
@@ -167,25 +162,25 @@ def _log_gauss_diag(z: np.ndarray, means: np.ndarray, variances: np.ndarray) -> 
     return -0.5 * (logdet[None, :] + quad)
 
 
-def responsibilities(gmm: GmmParams, z: np.ndarray) -> Responsibilities:
-    """Posterior cluster probabilities of latent points, computed in log space."""
-    gmm.validate()
+def _log_joint(gmm: GmmParams, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log pi_c + log N(z_n | c) as (n, K), and its log-sum-exp over c as (n, 1)."""
     z = np.atleast_2d(np.asarray(z, dtype=np.float64))
     with np.errstate(divide="ignore"):  # pi entries may be exactly 0
-        log_unnorm = np.log(gmm.pi)[None, :] + _log_gauss_diag(z, gmm.means, gmm.variances)
-    top = log_unnorm.max(axis=1, keepdims=True)
-    log_norm = top + np.log(np.sum(np.exp(log_unnorm - top), axis=1, keepdims=True))
-    gamma = np.exp(log_unnorm - log_norm)
-    return Responsibilities(gamma=gamma)
+        log_joint = np.log(gmm.pi)[None, :] + _log_gauss_diag(z, gmm.means, gmm.variances)
+    top = log_joint.max(axis=1, keepdims=True)
+    return log_joint, top + np.log(np.sum(np.exp(log_joint - top), axis=1, keepdims=True))
+
+
+def responsibilities(gmm: GmmParams, z: np.ndarray) -> np.ndarray:
+    """Posterior cluster probabilities (n, K) of latent points, computed in log space.
+    The mixture is validated where it changes (`em_step`, `load_checkpoint`), not here."""
+    log_joint, log_norm = _log_joint(gmm, z)
+    return np.exp(log_joint - log_norm)
 
 
 def gmm_log_likelihood(gmm: GmmParams, z: np.ndarray) -> float:
     """Total marginal log-likelihood sum_n log sum_c pi_c N(z_n | c)."""
-    z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-    with np.errstate(divide="ignore"):
-        log_unnorm = np.log(gmm.pi)[None, :] + _log_gauss_diag(z, gmm.means, gmm.variances)
-    top = log_unnorm.max(axis=1)
-    return float(np.sum(top + np.log(np.sum(np.exp(log_unnorm - top[:, None]), axis=1))))
+    return float(np.sum(_log_joint(gmm, z)[1]))
 
 
 def _check_gamma(gamma: np.ndarray, n: int, k: int) -> None:
@@ -247,7 +242,7 @@ def em_step(gmm: GmmParams, emb: LatentEmbedding,
     if n < 1:
         raise ContractError("em_step needs at least one sample")
     gmm.validate()
-    gamma = responsibilities(gmm, emb.z).gamma  # (n, K)
+    gamma = responsibilities(gmm, emb.z)  # (n, K)
     mass = gamma.sum(axis=0)  # (K,)
     new = gmm.copy()
     for c in range(gmm.n_clusters):
@@ -261,6 +256,7 @@ def em_step(gmm: GmmParams, emb: LatentEmbedding,
         new.variances[c] = np.maximum(var_c, variance_floor)
     new.pi = mass / n
     new.pi = new.pi / new.pi.sum()  # guard the simplex against roundoff
+    new.validate()
     return new
 
 
@@ -290,7 +286,7 @@ def sample(model: GmVae, count: int, rng: np.random.Generator,
 def cluster_assign(model: GmVae, x: np.ndarray) -> np.ndarray:
     """Hard cluster labels: argmax responsibility of the posterior-mean embedding."""
     emb = encode(model, x, eps=np.zeros(1))
-    return np.argmax(responsibilities(model.gmm, emb.mu).gamma, axis=1)
+    return np.argmax(responsibilities(model.gmm, emb.mu), axis=1)
 
 
 def permutation_accuracy(pred_clusters: np.ndarray, true_labels) -> tuple[float, dict]:

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..config import TrainConfig
 from ..errors import InputError, NumericalError
 from ..ndmath import AdamState, adam_step
 from .model import (
@@ -27,17 +28,6 @@ from .model import (
     em_step,
     responsibilities,
 )
-
-
-@dataclass
-class TrainConfig:
-    epochs: int = 20000
-    batch_size: int = 64
-    lr: float = 1e-3
-    weight_decay: float = 0.0
-    n_em: int = 1
-    variance_floor: float = 1e-6
-    seed: int = 1
 
 
 @dataclass
@@ -90,7 +80,7 @@ def batch_loss(model: GmVae, x: np.ndarray, eps: np.ndarray,
     if not np.all(np.isfinite(z)):
         raise NumericalError("encoder produced non-finite latent state")
     if gamma is None:
-        gamma = responsibilities(model.gmm, z).gamma
+        gamma = responsibilities(model.gmm, z)
     dec_acts = model.decoder.forward(z)
     terms = _objective_terms(model, x, dec_acts[-1], mu, var, logvar, gamma)
     cache = BatchCache(x=x, gamma=gamma, var=var, std_eps=std_eps,
@@ -196,5 +186,5 @@ def train(model: GmVae, x_train: np.ndarray, cfg: TrainConfig,
 def embed_dataset(model: GmVae, x: np.ndarray) -> tuple[LatentEmbedding, np.ndarray]:
     """Deterministic posterior-mean embeddings plus their responsibilities."""
     emb = encode(model, x, eps=np.zeros(1))
-    gamma = responsibilities(model.gmm, emb.mu).gamma
+    gamma = responsibilities(model.gmm, emb.mu)
     return emb, gamma

@@ -319,6 +319,72 @@ def test_corrupt_dataset_fails_validation_with_exit_1(workdir, tmp_path, capsys)
     assert "non-finite" in capsys.readouterr().err
 
 
+def _malformed(text, mutation, column):
+    """`text` with one defect in `column` or in data line 3; returns the new text
+    and the line number the error should name, if any."""
+    lines = text.splitlines()
+    header, row = lines[0].split(","), lines[2].split(",")
+    j = header.index(column)
+    if mutation == "empty-file":
+        return "", None
+    if mutation == "header-only":
+        return lines[0] + "\n", None
+    if mutation == "bad-header":
+        header[j] = column[:-1] + "x"
+        lines[0] = ",".join(header)
+        return "\n".join(lines) + "\n", None
+    if mutation == "truncated-row":
+        row.pop()
+    elif mutation == "extra-cell":
+        row.append("1")
+    else:
+        k, value = {"non-numeric": (j, "abc"), "nan": (j, "nan"), "non-integer-id": (0, "2.5"),
+                    "repeated-id": (0, lines[1].split(",")[0])}[mutation]
+        row[k] = value
+    lines[2] = ",".join(row)
+    return "\n".join(lines) + "\n", 3
+
+
+# name -> (file to corrupt, its column to corrupt, argv given the corrupt file and an output path)
+MALFORMED_TARGETS = {
+    "dataset-via-baseline": ("data", "rho_0", lambda w, bad, out: [
+        "baseline", "--method", "mds", "--dataset", bad, "--out", out]),
+    "dataset-via-train": ("data", "rho_0", lambda w, bad, out: [
+        "train", "--config", w["ini"], "--dataset", bad, "--out", out, "--quiet"]),
+    "embeddings-via-metric": ("embeddings", "mu_1", lambda w, bad, out: [
+        "metric", "--embeddings", bad, "--quantities", str(w["data"]), "--columns", "alpha",
+        "--out", out]),
+    "embeddings-via-align": ("embeddings", "mu_1", lambda w, bad, out: [
+        "align", "--embeddings", bad, "--params", str(w["data"]), "--columns", "xi1", "xi2",
+        "--out", out]),
+    "quantities-via-metric": ("data", "alpha", lambda w, bad, out: [
+        "metric", "--embeddings", str(w["train"] / "embeddings.csv"), "--quantities", bad,
+        "--columns", "alpha", "--out", out]),
+    "params-via-align": ("data", "xi1", lambda w, bad, out: [
+        "align", "--embeddings", str(w["train"] / "embeddings.csv"), "--params", bad,
+        "--columns", "xi1", "xi2", "--out", out]),
+}
+MUTATIONS = ["non-numeric", "nan", "truncated-row", "extra-cell", "empty-file", "header-only",
+             "non-integer-id", "repeated-id", "bad-header"]
+
+
+@pytest.mark.parametrize("mutation", MUTATIONS)
+@pytest.mark.parametrize("target", list(MALFORMED_TARGETS))
+def test_malformed_csv_gives_exit_1_naming_file_and_line(workdir, tmp_path, capsys, target,
+                                                         mutation):
+    source, column, argv = MALFORMED_TARGETS[target]
+    valid = workdir["data"] if source == "data" else workdir["train"] / "embeddings.csv"
+    text, line = _malformed(valid.read_text(), mutation, column)
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text)
+    assert main(argv(workdir, str(bad), str(tmp_path / "out"))) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert str(bad) in err, err
+    if line is not None:
+        assert f"line {line}" in err, err
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_overflowing_training_gives_exit_2(workdir, tmp_path, capsys):
     # a finite but astronomically large value passes validation yet overflows

@@ -60,20 +60,20 @@ def test_encode_deterministic_for_fixed_seed():
 def test_symmetric_clusters_split_even():
     gmm = GmmParams(pi=np.array([0.5, 0.5]), means=np.array([[-3.0], [3.0]]),
                     variances=np.ones((2, 1)))
-    gamma = responsibilities(gmm, np.zeros((1, 1))).gamma
+    gamma = responsibilities(gmm, np.zeros((1, 1)))
     assert np.allclose(gamma, [[0.5, 0.5]], atol=1e-15)
 
 
 def test_responsibility_ratio_matches_gaussian_ratio():
     gmm = GmmParams(pi=np.array([0.5, 0.5]), means=np.array([[0.0], [10.0]]),
                     variances=np.ones((2, 1)))
-    gamma = responsibilities(gmm, np.zeros((1, 1))).gamma
+    gamma = responsibilities(gmm, np.zeros((1, 1)))
     assert gamma[0, 0] == pytest.approx(1.0 / (1.0 + math.exp(-50.0)), rel=1e-12)
 
 
 def test_single_cluster_gets_everything():
     gmm = GmmParams(pi=np.array([1.0]), means=np.zeros((1, 3)), variances=np.ones((1, 3)))
-    gamma = responsibilities(gmm, np.random.default_rng(0).standard_normal((7, 3))).gamma
+    gamma = responsibilities(gmm, np.random.default_rng(0).standard_normal((7, 3)))
     assert np.array_equal(gamma, np.ones((7, 1)))
 
 
@@ -83,14 +83,14 @@ def test_rows_sum_to_one_under_extreme_underflow():
                     means=np.array([[0.0, 0.0], [300.0, 0.0], [0.0, 500.0]]),
                     variances=np.full((3, 2), 0.5))
     z = np.random.default_rng(3).standard_normal((50, 2)) * 5
-    gamma = responsibilities(gmm, z).gamma
+    gamma = responsibilities(gmm, z)
     assert np.max(np.abs(gamma.sum(axis=1) - 1.0)) < 1e-12
     assert gamma.min() >= 0.0 and gamma.max() <= 1.0
 
 
 def test_zero_pi_cluster_gets_zero_responsibility():
     gmm = GmmParams(pi=np.array([1.0, 0.0]), means=np.zeros((2, 1)), variances=np.ones((2, 1)))
-    gamma = responsibilities(gmm, np.zeros((3, 1))).gamma
+    gamma = responsibilities(gmm, np.zeros((3, 1)))
     assert np.array_equal(gamma[:, 1], np.zeros(3))
 
 
@@ -132,7 +132,7 @@ def test_elbo_matches_scalar_reference(seed, k):
     model = make_model(seed=seed, k=k)
     x = rng.standard_normal((3, 6))
     emb = encode(model, x, rng=rng)
-    gamma = responsibilities(model.gmm, emb.z).gamma
+    gamma = responsibilities(model.gmm, emb.z)
     terms = elbo(model, x, emb, gamma)
     recon, clus, ent, cat, reg = scalar_elbo_reference(model, x, emb, gamma)
     scale = max(1.0, abs(terms.total_loss))
@@ -148,7 +148,7 @@ def test_unit_posterior_has_zero_regularizer():
     n, d = 3, 2
     emb = LatentEmbedding(mu=np.zeros((n, d)), var=np.ones((n, d)),
                           z=np.zeros((n, d)), eps=np.zeros((n, d)))
-    gamma = responsibilities(model.gmm, emb.z).gamma
+    gamma = responsibilities(model.gmm, emb.z)
     terms = elbo(model, np.zeros((n, 6)), emb, gamma)
     assert terms.reg == 0.0
 
@@ -202,6 +202,14 @@ def test_collapsed_cluster_hits_variance_floor():
                     variances=np.ones((1, 2)))
     new = em_step(gmm, embedding_of(mu, var=0.0 + 1e-300), variance_floor=1e-6)
     assert np.array_equal(new.variances, np.full((1, 2), 1e-6))
+
+
+def test_em_step_rejects_weights_off_the_simplex():
+    # responsibilities no longer validate per call, so em_step must keep doing it
+    gmm = GmmParams(pi=np.array([0.7, 0.7]), means=np.array([[0.0, 0.0], [5.0, 5.0]]),
+                    variances=np.ones((2, 2)))
+    with pytest.raises(ContractError, match="simplex"):
+        em_step(gmm, embedding_of(np.zeros((3, 2))))
 
 
 def test_em_log_likelihood_nondecreasing_on_z():
@@ -305,5 +313,5 @@ def test_cluster_assign_uses_posterior_mean():
     x = np.random.default_rng(4).standard_normal((6, 6))
     emb = encode(model, x, eps=np.zeros(1))
     got = cluster_assign(model, x)
-    expected = np.argmax(responsibilities(model.gmm, emb.mu).gamma, axis=1)
+    expected = np.argmax(responsibilities(model.gmm, emb.mu), axis=1)
     assert np.array_equal(got, expected)
