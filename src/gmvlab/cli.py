@@ -70,7 +70,7 @@ def cmd_train(args) -> int:
     if args.seed is not None:
         cfg.training.seed = args.seed
     dataset_path = _require_file(args.dataset, "dataset CSV")
-    dataset = datagen.load_csv(dataset_path, kappa=cfg.dataset.kappa)
+    dataset = datagen.load_csv(dataset_path)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 

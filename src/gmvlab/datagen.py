@@ -13,10 +13,14 @@ family; the terminal value against a threshold gives the class label.
 
 Randomness uses numpy's PCG64 generator (ziggurat normal sampling); each
 trajectory draws from its own SeedSequence-spawned stream, so serial and
-parallel generation produce identical datasets.
+parallel generation produce identical datasets. The remaining keyword
+defaults (steps, horizon, substeps, kappa, label threshold) are
+`config.DatasetConfig`'s.
 
-`save_csv` and `load_csv` map the dataset onto a `gmvlab.tables` table,
-one row per trajectory: sample_id, coverage, parameter draw, label, split.
+A `Dataset` is a set of columns: the (n, steps) coverage matrix, one (n,)
+array per parameter draw, the (n,) labels and the split indices.
+`save_csv` and `load_csv` map them onto a `gmvlab.tables` table, one row
+per trajectory: sample_id, coverage, parameter draw, label, split.
 """
 
 from __future__ import annotations
@@ -26,14 +30,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tables
+from .config import DatasetConfig
 from .errors import InputError, NumericalError
 
 RHO0 = 0.89
-DEFAULT_KAPPA = 10.0
-DEFAULT_STEPS = 50
-DEFAULT_HORIZON = 50.0
-DEFAULT_SUBSTEPS = 10
-DEFAULT_THRESHOLD = 0.5
 
 LABEL_STABLE = "stable"
 LABEL_REACTIVE = "reactive"
@@ -43,44 +43,22 @@ SPLIT_NAMES = ("train", "val", "test")
 _PARAM_NAMES = ("xi1", "xi2", "alpha", "gamma")  # stored per row; kappa is not
 
 
-@dataclass(frozen=True)
-class ReactionParams:
-    xi1: float
-    xi2: float
-    alpha: float
-    gamma: float
-    kappa: float = DEFAULT_KAPPA
-
-    @classmethod
-    def from_xi(cls, xi1: float, xi2: float, kappa: float = DEFAULT_KAPPA) -> "ReactionParams":
-        alpha = 0.1 + np.exp(0.05 * xi1)
-        gamma = 0.001 + 0.01 * np.exp(0.05 * xi2)
-        return cls(xi1=float(xi1), xi2=float(xi2), alpha=float(alpha), gamma=float(gamma), kappa=float(kappa))
-
-
-@dataclass
-class Trajectory:
-    rho: np.ndarray  # (steps,)
-    params: ReactionParams
-    label: str | None = None
-
-
 @dataclass
 class Dataset:
-    trajectories: list
+    rho: np.ndarray  # (n, steps) coverage
+    params: dict  # name in _PARAM_NAMES -> (n,) draws
+    label: np.ndarray  # (n,) LABEL_STABLE or LABEL_REACTIVE
     split: dict  # name -> np.ndarray of indices
 
     def __len__(self):
-        return len(self.trajectories)
+        return self.rho.shape[0]
 
     def matrix(self, split: str | None = None) -> np.ndarray:
-        """Stacked rho values, (n, steps); optionally restricted to a split."""
-        rows = range(len(self)) if split is None else self.split[split]
-        return np.stack([self.trajectories[i].rho for i in rows])
+        """The (n, steps) coverage matrix; optionally only a split's rows."""
+        return self.rho if split is None else self.rho[self.split[split]]
 
-    def labels(self, split: str | None = None) -> list:
-        rows = range(len(self)) if split is None else self.split[split]
-        return [self.trajectories[i].label for i in rows]
+    def labels(self, split: str | None = None) -> np.ndarray:
+        return self.label if split is None else self.label[self.split[split]]
 
     def split_names(self) -> np.ndarray:
         """Each row's split name, in row order."""
@@ -90,23 +68,35 @@ class Dataset:
         return names
 
 
-def reaction_rhs(rho, p: ReactionParams):
+def reaction_rhs(rho, alpha, gamma, kappa):
     """Reaction rate at coverage rho; elementwise over arrays."""
-    return p.alpha * (1.0 - rho) - p.gamma * rho - p.kappa * rho * (1.0 - rho) ** 2
+    return alpha * (1.0 - rho) - gamma * rho - kappa * rho * (1.0 - rho) ** 2
 
 
-def _rk4_paths(alpha, gamma, kappa, steps: int, horizon: float, substeps: int) -> np.ndarray:
-    """Classic RK4 on a uniform grid, vectorized over trajectories.
+def params_from_xi(xi1, xi2) -> dict:
+    """The parameter draw for standard-normal xi1, xi2 as {xi1, xi2, alpha, gamma}; elementwise."""
+    xi1, xi2 = np.asarray(xi1, dtype=np.float64), np.asarray(xi2, dtype=np.float64)
+    return {"xi1": xi1, "xi2": xi2,
+            "alpha": 0.1 + np.exp(0.05 * xi1), "gamma": 0.001 + 0.01 * np.exp(0.05 * xi2)}
+
+
+def integrate(alpha, gamma, kappa: float = DatasetConfig.kappa, steps: int = DatasetConfig.steps,
+              horizon: float = DatasetConfig.horizon,
+              substeps: int = DatasetConfig.substeps) -> np.ndarray:
+    """Classic RK4 on a uniform grid, vectorized over m parameter draws.
 
     Integrates `substeps` internal stages per stored interval; returns the
     (m, steps) array of stored samples starting at RHO0.
     """
+    if steps < 2:
+        raise InputError(f"integrate needs steps >= 2, got {steps}")
+    if not horizon > 0:
+        raise InputError(f"integrate needs horizon > 0, got {horizon}")
+    if substeps < 1:
+        raise InputError(f"integrate needs substeps >= 1, got {substeps}")
     alpha = np.atleast_1d(np.asarray(alpha, dtype=np.float64))
     gamma = np.atleast_1d(np.asarray(gamma, dtype=np.float64))
     m = alpha.shape[0]
-
-    def f(r):
-        return alpha * (1.0 - r) - gamma * r - kappa * r * (1.0 - r) ** 2
 
     h = horizon / (steps - 1) / substeps
     out = np.empty((m, steps))
@@ -114,10 +104,10 @@ def _rk4_paths(alpha, gamma, kappa, steps: int, horizon: float, substeps: int) -
     out[:, 0] = rho
     for i in range(1, steps):
         for _ in range(substeps):
-            k1 = f(rho)
-            k2 = f(rho + 0.5 * h * k1)
-            k3 = f(rho + 0.5 * h * k2)
-            k4 = f(rho + h * k3)
+            k1 = reaction_rhs(rho, alpha, gamma, kappa)
+            k2 = reaction_rhs(rho + 0.5 * h * k1, alpha, gamma, kappa)
+            k3 = reaction_rhs(rho + 0.5 * h * k2, alpha, gamma, kappa)
+            k4 = reaction_rhs(rho + h * k3, alpha, gamma, kappa)
             rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.all(np.isfinite(rho)):
             raise NumericalError(f"integration produced non-finite state at step {i}")
@@ -125,20 +115,9 @@ def _rk4_paths(alpha, gamma, kappa, steps: int, horizon: float, substeps: int) -
     return out
 
 
-def integrate(p: ReactionParams, steps: int = DEFAULT_STEPS, horizon: float = DEFAULT_HORIZON,
-              substeps: int = DEFAULT_SUBSTEPS) -> Trajectory:
-    """Integrate one parameter draw; returns an unlabeled Trajectory."""
-    if steps < 2:
-        raise InputError(f"integrate needs steps >= 2, got {steps}")
-    if horizon <= 0:
-        raise InputError(f"integrate needs horizon > 0, got {horizon}")
-    rho = _rk4_paths(p.alpha, p.gamma, p.kappa, steps, horizon, substeps)[0]
-    return Trajectory(rho=rho, params=p)
-
-
-def label(t: Trajectory, threshold: float = DEFAULT_THRESHOLD) -> str:
-    """Reactive iff the terminal coverage exceeds the threshold."""
-    return LABEL_REACTIVE if t.rho[-1] > threshold else LABEL_STABLE
+def label(terminal, threshold: float = DatasetConfig.label_threshold) -> np.ndarray:
+    """Reactive where the terminal coverage exceeds the threshold; elementwise."""
+    return np.where(np.asarray(terminal) > threshold, LABEL_REACTIVE, LABEL_STABLE)
 
 
 def split_sizes(n: int) -> tuple[int, int, int]:
@@ -148,9 +127,11 @@ def split_sizes(n: int) -> tuple[int, int, int]:
     return n_train, n_val, n - n_train - n_val
 
 
-def generate(seed: int, n: int = 1280, steps: int = DEFAULT_STEPS, horizon: float = DEFAULT_HORIZON,
-             label_threshold: float = DEFAULT_THRESHOLD, kappa: float = DEFAULT_KAPPA,
-             substeps: int = DEFAULT_SUBSTEPS) -> Dataset:
+def generate(seed: int, n: int = DatasetConfig.n_samples, steps: int = DatasetConfig.steps,
+             horizon: float = DatasetConfig.horizon,
+             label_threshold: float = DatasetConfig.label_threshold,
+             kappa: float = DatasetConfig.kappa,
+             substeps: int = DatasetConfig.substeps) -> Dataset:
     """Sample n parameter draws, integrate, label, and split train/val/test."""
     if n < 10:
         raise InputError(f"generate needs n >= 10, got {n}")
@@ -158,19 +139,12 @@ def generate(seed: int, n: int = 1280, steps: int = DEFAULT_STEPS, horizon: floa
     xi = np.empty((n, 2))
     for i in range(n):
         xi[i] = np.random.Generator(np.random.PCG64(children[i])).standard_normal(2)
-    params = [ReactionParams.from_xi(xi[i, 0], xi[i, 1], kappa=kappa) for i in range(n)]
-    alpha = np.array([p.alpha for p in params])
-    gamma = np.array([p.gamma for p in params])
-    rho = _rk4_paths(alpha, gamma, kappa, steps, horizon, substeps)
+    params = params_from_xi(xi[:, 0], xi[:, 1])
+    rho = integrate(params["alpha"], params["gamma"], kappa, steps, horizon, substeps)
     if rho.min() < 0.0 or rho.max() > 1.0 + 1e-9:
         raise NumericalError(
             f"generated coverage out of [0, 1]: min={rho.min():.6g} max={rho.max():.6g}"
         )
-    trajectories = []
-    for i in range(n):
-        t = Trajectory(rho=rho[i], params=params[i])
-        t.label = label(t, threshold=label_threshold)
-        trajectories.append(t)
 
     split_rng = np.random.Generator(np.random.PCG64(children[n]))
     perm = split_rng.permutation(n)
@@ -180,22 +154,21 @@ def generate(seed: int, n: int = 1280, steps: int = DEFAULT_STEPS, horizon: floa
         "val": np.sort(perm[n_train:n_train + n_val]),
         "test": np.sort(perm[n_train + n_val:]),
     }
-    return Dataset(trajectories=trajectories, split=split)
+    return Dataset(rho=rho, params=params, label=label(rho[:, -1], label_threshold), split=split)
 
 
 def save_csv(dataset: Dataset, path) -> None:
     """One row per trajectory: sample_id, rho_0..rho_{S-1}, xi1, xi2, alpha, gamma, label, split."""
-    rho = dataset.matrix()
-    params = [t.params for t in dataset.trajectories]
+    rho = dataset.rho
     columns = {"sample_id": range(len(dataset))}
     columns |= {f"rho_{j}": rho[:, j] for j in range(rho.shape[1])}
-    columns |= {name: [float(getattr(p, name)) for p in params] for name in _PARAM_NAMES}
-    columns |= {"label": dataset.labels(), "split": dataset.split_names()}
+    columns |= {name: dataset.params[name] for name in _PARAM_NAMES}
+    columns |= {"label": dataset.label, "split": dataset.split_names()}
     tables.write_table(path, columns)
 
 
-def load_csv(path, kappa: float = DEFAULT_KAPPA) -> Dataset:
-    """Inverse of save_csv. The kappa column is not stored; pass it if non-default."""
+def load_csv(path) -> Dataset:
+    """Inverse of save_csv."""
     table = tables.Table(path)
     for i, sid in enumerate(table.sample_ids()):
         if sid != i:
@@ -204,12 +177,10 @@ def load_csv(path, kappa: float = DEFAULT_KAPPA) -> Dataset:
     if rho is None:
         raise InputError(f"{path}: no rho_* columns found")
     params = table.floats(_PARAM_NAMES)
-    splits, labels = np.array(table.column("split")), np.array(table.column("label"))
-    del table  # free the cells before the per-row objects below take memory among them
+    splits = np.array(table.column("split"))
     unknown = np.flatnonzero(~np.isin(splits, SPLIT_NAMES))
     if unknown.size:
         raise InputError(f"{path}, line {unknown[0] + 2}: unknown split {splits[unknown[0]]!r}")
-    trajectories = [Trajectory(rho=r, params=ReactionParams(*p, kappa=kappa), label=lab)
-                    for r, p, lab in zip(rho, params.tolist(), labels.tolist())]
     split = {name: np.flatnonzero(splits == name) for name in SPLIT_NAMES}
-    return Dataset(trajectories=trajectories, split=split)
+    return Dataset(rho=rho, params=dict(zip(_PARAM_NAMES, params.T)),
+                   label=np.array(table.column("label")), split=split)

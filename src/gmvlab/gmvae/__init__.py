@@ -1,7 +1,6 @@
 from ..config import TrainConfig
 from .checkpoint import FORMAT_TAG, load_checkpoint, save_checkpoint
 from .model import (
-    DEFAULT_VARIANCE_FLOOR,
     ElboTerms,
     GmmParams,
     GmVae,
@@ -22,7 +21,6 @@ __all__ = [
     "FORMAT_TAG",
     "load_checkpoint",
     "save_checkpoint",
-    "DEFAULT_VARIANCE_FLOOR",
     "ElboTerms",
     "GmmParams",
     "GmVae",

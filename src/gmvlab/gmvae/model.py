@@ -17,11 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..config import TrainConfig
 from ..errors import ContractError, InputError, NumericalError
 from ..ndmath import Mlp
 
 LOG_2PI = float(np.log(2.0 * np.pi))
-DEFAULT_VARIANCE_FLOOR = 1e-6
 
 
 @dataclass
@@ -37,6 +37,9 @@ class GmmParams:
         return self.pi.shape[0]
 
     def validate(self, floor: float = 0.0) -> None:
+        for name in ("pi", "means", "variances"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ContractError(f"mixture {name} must be finite, got {getattr(self, name)}")
         if abs(self.pi.sum() - 1.0) > 1e-12 or np.any(self.pi < 0):
             raise ContractError(f"mixture weights must form a simplex, got {self.pi}")
         if np.any(self.variances < floor) or np.any(self.variances <= 0):
@@ -231,7 +234,7 @@ def _objective_terms(model: GmVae, x: np.ndarray, x_hat: np.ndarray, mu: np.ndar
 
 
 def em_step(gmm: GmmParams, emb: LatentEmbedding,
-            variance_floor: float = DEFAULT_VARIANCE_FLOOR) -> GmmParams:
+            variance_floor: float = TrainConfig.variance_floor) -> GmmParams:
     """One EM pass: responsibilities at the sampled z, then moment updates.
 
     Cluster means average the posterior means; variances add the posterior

@@ -117,11 +117,12 @@ def low_mode_count(n: int, r_percent: float) -> int:
     return int(np.ceil(r_percent * n / 100.0))
 
 
-def eta(coefficients: np.ndarray, eigenvalues: np.ndarray, r_percent: float) -> float:
+def eta(coefficients: np.ndarray, r_percent: float) -> float:
     """Energy fraction in the lowest-r% modes (mode count, not eigenvalue mass).
 
-    Eigenvalues arrive ascending, so the low set is simply the first
-    ceil(r * n / 100) coefficients; ties keep the solver's return order.
+    Coefficients arrive in ascending-eigenvalue order (as `project` returns
+    them), so the low set is simply the first ceil(r * n / 100) of them;
+    ties keep the solver's return order.
     """
     if not (0.0 < r_percent <= 100.0):
         raise InputError(f"eta: r_percent must be in (0, 100], got {r_percent}")
@@ -157,7 +158,7 @@ def interpretability_report(points: np.ndarray, quantities: dict, k: int,
         coeff = project(spec, np.asarray(q, dtype=np.float64).ravel())
         reports.append(SpectralReport(
             quantity_name=name, coefficients=coeff,
-            eta=eta(coeff, spec.eigenvalues, r_percent),
+            eta=eta(coeff, r_percent),
             r_percent=float(r_percent), k=int(k), n_components=n_components,
             eigenvalues=spec.eigenvalues))
     return reports

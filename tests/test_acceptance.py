@@ -211,12 +211,12 @@ def test_spectral_metric_properties():
 
     const_alpha = project(spec, np.full(150, 3.0))
     checks.append(("constant eta = 1",
-                   abs(eta(const_alpha, spec.eigenvalues, 20.0) - 1.0) < 1e-12))
+                   abs(eta(const_alpha, 20.0) - 1.0) < 1e-12))
 
     p = rng.standard_normal(150)
     alpha = project(spec, p)
     checks.append(("Parseval 1e-8", abs(np.sum(alpha**2) - np.sum(p**2)) < 1e-8))
-    etas = [eta(alpha, spec.eigenvalues, r) for r in np.linspace(1, 100, 34)]
+    etas = [eta(alpha, r) for r in np.linspace(1, 100, 34)]
     checks.append(("eta monotone in r", all(b >= a - 1e-15 for a, b in zip(etas, etas[1:]))))
 
     from test_spectral import brute_force_eta
@@ -233,7 +233,7 @@ def test_spectral_metric_properties():
 
     big = rng.standard_normal((500, 2))
     spec500 = spectrum(laplacian(build_knn(big, 10)))
-    noise_etas = [eta(project(spec500, rng.standard_normal(500)), spec500.eigenvalues, 20.0)
+    noise_etas = [eta(project(spec500, rng.standard_normal(500)), 20.0)
                   for _ in range(20)]
     mean_eta = float(np.mean(noise_etas))
     checks.append(("iid-noise eta ~ 0.2 +/- 0.05", abs(mean_eta - 0.2) < 0.05))
@@ -258,7 +258,7 @@ def test_pi_convergence(dataset, trained_runs):
 def test_interpretability_ranking(dataset, trained_runs):
     test_idx = dataset.split["test"]
     x_test = dataset.matrix("test")
-    alpha_q = np.array([dataset.trajectories[i].params.alpha for i in test_idx])
+    alpha_q = dataset.params["alpha"][test_idx]
     margins = []
     ok = True
     for seed, model, _ in trained_runs:
@@ -287,8 +287,7 @@ def test_affine_alignment(dataset, trained_runs):
     _, model, _ = trained_runs[0]
     test_idx = dataset.split["test"]
     emb, _ = embed_dataset(model, dataset.matrix("test"))
-    xi = np.array([[dataset.trajectories[i].params.xi1, dataset.trajectories[i].params.xi2]
-                   for i in test_idx])
+    xi = np.column_stack([dataset.params["xi1"][test_idx], dataset.params["xi2"][test_idx]])
     rep = fit_affine(emb.mu, xi)
     z_aug = np.hstack([emb.mu, np.ones((len(xi), 1))])
     ortho = np.abs(z_aug.T @ (xi - apply_map(rep.map, emb.mu))).max()

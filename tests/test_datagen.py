@@ -8,86 +8,100 @@ from gmvlab.datagen import (
     LABEL_REACTIVE,
     LABEL_STABLE,
     Dataset,
-    ReactionParams,
-    Trajectory,
     generate,
     integrate,
     label,
+    params_from_xi,
     reaction_rhs,
     split_sizes,
 )
+from gmvlab.config import DatasetConfig
 from gmvlab.errors import InputError
 
 
+KAPPA = DatasetConfig.kappa
+
+
 def test_rhs_at_zero_is_alpha():
-    p = ReactionParams.from_xi(0.3, -0.2)
-    assert reaction_rhs(0.0, p) == pytest.approx(p.alpha, abs=0, rel=1e-15)
+    p = params_from_xi(0.3, -0.2)
+    rate = reaction_rhs(0.0, p["alpha"], p["gamma"], KAPPA)
+    assert rate == pytest.approx(p["alpha"], abs=0, rel=1e-15)
 
 
 def test_rhs_at_one_is_minus_gamma():
-    p = ReactionParams.from_xi(-1.0, 0.5)
-    assert reaction_rhs(1.0, p) == pytest.approx(-p.gamma, abs=0, rel=1e-15)
+    p = params_from_xi(-1.0, 0.5)
+    rate = reaction_rhs(1.0, p["alpha"], p["gamma"], KAPPA)
+    assert rate == pytest.approx(-p["gamma"], abs=0, rel=1e-15)
 
 
 def test_rhs_hand_evaluation():
     # alpha=1.1, gamma=0.011, kappa=1 at rho=0.5:
     # 1.1*0.5 - 0.011*0.5 - 0.5*0.25 = 0.4195
-    p = ReactionParams(xi1=0.0, xi2=0.0, alpha=1.1, gamma=0.011, kappa=1.0)
-    assert reaction_rhs(0.5, p) == pytest.approx(0.4195, abs=1e-15)
+    assert reaction_rhs(0.5, 1.1, 0.011, 1.0) == pytest.approx(0.4195, abs=1e-15)
 
 
 def test_param_formulas_at_zero_xi():
-    p = ReactionParams.from_xi(0.0, 0.0)
-    assert p.alpha == pytest.approx(1.1)
-    assert p.gamma == pytest.approx(0.011)
-    assert p.kappa == datagen.DEFAULT_KAPPA
+    p = params_from_xi(0.0, 0.0)
+    assert p["alpha"] == pytest.approx(1.1)
+    assert p["gamma"] == pytest.approx(0.011)
+    assert (p["xi1"], p["xi2"]) == (0.0, 0.0)
+
+
+def test_param_formulas_are_elementwise():
+    xi1, xi2 = np.array([-1.0, 0.0, 2.0]), np.array([0.5, 0.0, -3.0])
+    p = params_from_xi(xi1, xi2)
+    for i in range(3):
+        one = params_from_xi(xi1[i], xi2[i])
+        assert all(p[name][i] == one[name] for name in p)
 
 
 def test_degenerate_zero_rhs_gives_constant_trajectory():
-    p = ReactionParams(xi1=0.0, xi2=0.0, alpha=0.0, gamma=0.0, kappa=0.0)
-    t = integrate(p, steps=50, horizon=50.0)
-    assert np.array_equal(t.rho, np.full(50, datagen.RHO0))
+    rho = integrate(0.0, 0.0, kappa=0.0, steps=50, horizon=50.0)
+    assert rho.shape == (1, 50)
+    assert np.array_equal(rho[0], np.full(50, datagen.RHO0))
 
 
 def test_initial_value_exact():
-    p = ReactionParams.from_xi(0.7, -0.3)
-    t = integrate(p)
-    assert t.rho[0] == datagen.RHO0
+    p = params_from_xi(np.array([0.7, -2.0]), np.array([-0.3, 1.5]))
+    rho = integrate(p["alpha"], p["gamma"])
+    assert rho.shape == (2, DatasetConfig.steps)
+    assert np.all(rho[:, 0] == datagen.RHO0)
 
 
 def test_integrate_matches_fine_step_reference():
-    p = ReactionParams.from_xi(0.0, 0.0)
-    coarse = integrate(p, steps=50, horizon=50.0, substeps=10)
-    fine = integrate(p, steps=50, horizon=50.0, substeps=1000)
-    assert abs(coarse.rho[-1] - fine.rho[-1]) < 1e-6
+    p = params_from_xi(0.0, 0.0)
+    coarse = integrate(p["alpha"], p["gamma"], KAPPA, steps=50, horizon=50.0, substeps=10)
+    fine = integrate(p["alpha"], p["gamma"], KAPPA, steps=50, horizon=50.0, substeps=1000)
+    assert abs(coarse[0, -1] - fine[0, -1]) < 1e-6
 
 
 def test_integrate_validates_arguments():
-    p = ReactionParams.from_xi(0.0, 0.0)
-    with pytest.raises(InputError):
-        integrate(p, steps=1)
-    with pytest.raises(InputError):
-        integrate(p, horizon=0.0)
+    p = params_from_xi(0.0, 0.0)
+    bad = [{"steps": 1}, {"horizon": 0.0}, {"horizon": -5.0}, {"substeps": 0}]
+    for kwargs in bad:
+        with pytest.raises(InputError):
+            integrate(p["alpha"], p["gamma"], **kwargs)
+    for kwargs in [{"steps": 1}, {"horizon": -5.0}, {"substeps": 0}]:
+        with pytest.raises(InputError):
+            generate(seed=1, n=20, **kwargs)
 
 
 def test_label_thresholding():
-    p = ReactionParams.from_xi(0.0, 0.0)
-    const = Trajectory(rho=np.full(50, 0.89), params=p)
-    assert label(const) == LABEL_REACTIVE
-    decayed = Trajectory(rho=np.linspace(0.89, 0.05, 50), params=p)
-    assert label(decayed) == LABEL_STABLE
+    assert label(np.full(50, 0.89)[-1]) == LABEL_REACTIVE
+    assert label(np.linspace(0.89, 0.05, 50)[-1]) == LABEL_STABLE
+    terminal = np.array([0.89, 0.05, 0.5, 0.51])
+    assert label(terminal).tolist() == [LABEL_REACTIVE, LABEL_STABLE, LABEL_STABLE, LABEL_REACTIVE]
 
 
 def test_generate_is_deterministic():
     a = generate(seed=123, n=32)
     b = generate(seed=123, n=32)
-    for ta, tb in zip(a.trajectories, b.trajectories):
-        assert np.array_equal(ta.rho, tb.rho)
-        assert ta.label == tb.label
+    assert np.array_equal(a.rho, b.rho)
+    assert np.array_equal(a.labels(), b.labels())
     for name in datagen.SPLIT_NAMES:
         assert np.array_equal(a.split[name], b.split[name])
     c = generate(seed=124, n=32)
-    assert not np.array_equal(a.trajectories[0].rho, c.trajectories[0].rho)
+    assert not np.array_equal(a.rho[0], c.rho[0])
 
 
 def test_split_sizes_follow_80_10_10():
@@ -133,11 +147,12 @@ def test_csv_roundtrip(tmp_path):
     datagen.save_csv(ds, path)
     back = datagen.load_csv(path)
     assert isinstance(back, Dataset)
-    for ta, tb in zip(ds.trajectories, back.trajectories):
-        assert np.array_equal(ta.rho, tb.rho)
-        assert ta.label == tb.label
-        assert ta.params.alpha == tb.params.alpha
-        assert ta.params.xi1 == tb.params.xi1
+    assert np.array_equal(ds.rho, back.rho)
+    assert list(back.params) == ["xi1", "xi2", "alpha", "gamma"]
+    for name in ds.params:
+        assert np.array_equal(ds.params[name], back.params[name])
+    assert np.array_equal(ds.labels(), back.labels())
+    assert list(back.split) == list(datagen.SPLIT_NAMES)
     for name in datagen.SPLIT_NAMES:
         assert np.array_equal(ds.split[name], back.split[name])
 

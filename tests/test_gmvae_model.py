@@ -212,6 +212,25 @@ def test_em_step_rejects_weights_off_the_simplex():
         em_step(gmm, embedding_of(np.zeros((3, 2))))
 
 
+@pytest.mark.parametrize("name", ["pi", "means", "variances"])
+def test_non_finite_mixture_fails_validation(name):
+    # NaN slips through every comparison, so the simplex and floor checks alone miss it
+    gmm = GmmParams(pi=np.array([0.5, 0.5]), means=np.array([[0.0, 0.0], [5.0, 5.0]]),
+                    variances=np.ones((2, 2)))
+    getattr(gmm, name)[0] = np.nan
+    with pytest.raises(ContractError, match=f"{name} must be finite"):
+        gmm.validate()
+    with pytest.raises(ContractError, match=f"{name} must be finite"):
+        em_step(gmm, embedding_of(np.zeros((3, 2))))
+
+
+def test_em_step_rejects_a_non_finite_result():
+    gmm = GmmParams(pi=np.array([0.5, 0.5]), means=np.array([[0.0, 0.0], [5.0, 5.0]]),
+                    variances=np.ones((2, 2)))
+    with pytest.raises(ContractError, match="must be finite"):
+        em_step(gmm, embedding_of(np.full((3, 2), np.nan)))
+
+
 def test_em_log_likelihood_nondecreasing_on_z():
     # the expectation step scores sampled z while the maximization step
     # averages posterior means, so exact monotonicity needs z ~ mu; tight
