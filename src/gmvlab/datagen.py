@@ -182,5 +182,8 @@ def load_csv(path) -> Dataset:
     if unknown.size:
         raise InputError(f"{path}, line {unknown[0] + 2}: unknown split {splits[unknown[0]]!r}")
     split = {name: np.flatnonzero(splits == name) for name in SPLIT_NAMES}
-    return Dataset(rho=rho, params=dict(zip(_PARAM_NAMES, params.T)),
-                   label=np.array(table.column("label")), split=split)
+    labels = np.array(table.column("label"))
+    unknown = np.flatnonzero(~np.isin(labels, (LABEL_STABLE, LABEL_REACTIVE)))
+    if unknown.size:
+        raise InputError(f"{path}, line {unknown[0] + 2}: unknown label {labels[unknown[0]]!r}")
+    return Dataset(rho=rho, params=dict(zip(_PARAM_NAMES, params.T)), label=labels, split=split)

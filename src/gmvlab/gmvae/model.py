@@ -157,33 +157,58 @@ def decode(model: GmVae, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _log_gauss_diag(z: np.ndarray, means: np.ndarray, variances: np.ndarray) -> np.ndarray:
-    """log N(z_n | mean_c, diag var_c) for all n, c -> (n, K)."""
-    diff = z[:, None, :] - means[None, :, :]  # (n, K, d)
-    quad = np.sum(diff * diff / variances[None, :, :], axis=2)
-    logdet = np.sum(np.log(variances) + LOG_2PI, axis=1)  # (K,)
-    return -0.5 * (logdet[None, :] + quad)
+@dataclass
+class MixtureConstants:
+    """Quantities of one fixed mixture that responsibilities and gradients read.
+
+    The mixture changes only in `em_step`, so the training loop computes
+    these once per epoch instead of once per batch.
+    """
+
+    means: np.ndarray          # (K, d)
+    variances: np.ndarray      # (K, d)
+    log_pi: np.ndarray         # (K,), -inf where pi is 0
+    logdet: np.ndarray         # (K,) sum_j log(2 pi var_cj)
+    inv_var: np.ndarray        # (K, d) 1 / var
+    mean_over_var: np.ndarray  # (K, d) mean / var
+
+    @classmethod
+    def of(cls, gmm: GmmParams) -> "MixtureConstants":
+        with np.errstate(divide="ignore"):  # pi entries may be exactly 0
+            log_pi = np.log(gmm.pi)
+        return cls(means=gmm.means, variances=gmm.variances, log_pi=log_pi,
+                   logdet=np.sum(np.log(gmm.variances) + LOG_2PI, axis=1),
+                   inv_var=1.0 / gmm.variances, mean_over_var=gmm.means / gmm.variances)
 
 
-def _log_joint(gmm: GmmParams, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """log pi_c + log N(z_n | c) as (n, K), and its log-sum-exp over c as (n, 1)."""
-    z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-    with np.errstate(divide="ignore"):  # pi entries may be exactly 0
-        log_joint = np.log(gmm.pi)[None, :] + _log_gauss_diag(z, gmm.means, gmm.variances)
+def _as_rows(z) -> np.ndarray:
+    return np.atleast_2d(np.asarray(z, dtype=np.float64))
+
+
+def _log_joint(mix: MixtureConstants, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log pi_c + log N(z_n | mean_c, diag var_c) as (n, K), and its log-sum-exp
+    over c as (n, 1)."""
+    diff = z[:, None, :] - mix.means  # (n, K, d)
+    log_joint = mix.log_pi + -0.5 * (mix.logdet + (diff * diff / mix.variances).sum(axis=2))
     top = log_joint.max(axis=1, keepdims=True)
-    return log_joint, top + np.log(np.sum(np.exp(log_joint - top), axis=1, keepdims=True))
+    return log_joint, top + np.log(np.exp(log_joint - top).sum(axis=1, keepdims=True))
+
+
+def _responsibilities(mix: MixtureConstants, z: np.ndarray) -> np.ndarray:
+    """`responsibilities` under precomputed mixture constants; z is (n, d) float64."""
+    log_joint, log_norm = _log_joint(mix, z)
+    return np.exp(log_joint - log_norm)
 
 
 def responsibilities(gmm: GmmParams, z: np.ndarray) -> np.ndarray:
     """Posterior cluster probabilities (n, K) of latent points, computed in log space.
     The mixture is validated where it changes (`em_step`, `load_checkpoint`), not here."""
-    log_joint, log_norm = _log_joint(gmm, z)
-    return np.exp(log_joint - log_norm)
+    return _responsibilities(MixtureConstants.of(gmm), _as_rows(z))
 
 
 def gmm_log_likelihood(gmm: GmmParams, z: np.ndarray) -> float:
     """Total marginal log-likelihood sum_n log sum_c pi_c N(z_n | c)."""
-    return float(np.sum(_log_joint(gmm, z)[1]))
+    return float(np.sum(_log_joint(MixtureConstants.of(gmm), _as_rows(z))[1]))
 
 
 def _check_gamma(gamma: np.ndarray, n: int, k: int) -> None:
@@ -211,7 +236,9 @@ def _objective_terms(model: GmVae, x: np.ndarray, x_hat: np.ndarray, mu: np.ndar
     """
     n, data_dim = x.shape
     gmm = model.gmm
-    sq_err = np.sum((x - x_hat) ** 2)
+    err = x - x_hat
+    err *= err
+    sq_err = err.sum()
     recon = -0.5 * (n * data_dim * (LOG_2PI + np.log(model.decoder_var))
                     + sq_err / model.decoder_var)
 
@@ -234,18 +261,24 @@ def _objective_terms(model: GmVae, x: np.ndarray, x_hat: np.ndarray, mu: np.ndar
 
 
 def em_step(gmm: GmmParams, emb: LatentEmbedding,
-            variance_floor: float = TrainConfig.variance_floor) -> GmmParams:
+            variance_floor: float = TrainConfig.variance_floor,
+            gamma: np.ndarray | None = None) -> GmmParams:
     """One EM pass: responsibilities at the sampled z, then moment updates.
 
     Cluster means average the posterior means; variances add the posterior
     variances to the spread around the new mean, clamped at the floor.
     A cluster whose responsibility mass underflows keeps its parameters.
+    `gamma`, if given, must be `responsibilities(gmm, emb.z)`, which a
+    caller that already has them passes instead of recomputing them.
     """
     n = emb.mu.shape[0]
     if n < 1:
         raise ContractError("em_step needs at least one sample")
     gmm.validate()
-    gamma = responsibilities(gmm, emb.z)  # (n, K)
+    if gamma is None:
+        gamma = responsibilities(gmm, emb.z)  # (n, K)
+    else:
+        _check_gamma(gamma, n, gmm.n_clusters)
     mass = gamma.sum(axis=0)  # (K,)
     new = gmm.copy()
     for c in range(gmm.n_clusters):

@@ -7,12 +7,20 @@ the responsibilities are held fixed, so the objective has a closed-form
 gradient with respect to the decoded sample, the posterior mean and the
 posterior log-variance (through the reparameterization z = mu + sigma *
 eps); `backward` chains it through the decoder and encoder. All network
-parameters live in one flat vector that Adam updates in place.
+parameters live in one flat vector that Adam updates in place; the
+gradient is written into one preallocated vector of the same layout.
+
+A batch computes only what its gradient needs. The objective is evaluated
+once per epoch, on the re-embed pass that feeds EM: the network after the
+epoch's Adam pass, the re-embed noise, and responsibilities under the
+mixture before the epoch's EM pass (the first EM update reuses them).
+`TrainHistory.terms`, and so the history CSV, hold that objective as
+per-sample means over the training set.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -23,9 +31,12 @@ from .model import (
     ElboTerms,
     GmVae,
     LatentEmbedding,
+    MixtureConstants,
     _objective_terms,
-    encode,
+    _responsibilities,
+    elbo,
     em_step,
+    encode,
     responsibilities,
 )
 
@@ -59,15 +70,18 @@ class BatchCache:
     std_eps: np.ndarray   # (n, d) sigma * eps, so z = mu + std_eps
     enc_acts: list        # encoder activations; the last is [mu, log var]
     dec_acts: list        # decoder activations; the last is x_hat
+    mix: MixtureConstants  # the mixture the batch was evaluated under
 
 
-def batch_loss(model: GmVae, x: np.ndarray, eps: np.ndarray,
-               gamma: np.ndarray | None = None):
-    """Training objective for one batch; returns (loss, ElboTerms, BatchCache).
+def batch_loss(model: GmVae, x: np.ndarray, eps: np.ndarray, mix: MixtureConstants,
+               gamma: np.ndarray | None = None) -> BatchCache:
+    """Forward pass of the training objective for one batch; returns its cache.
 
-    Runs encoder -> reparameterized z -> decoder. Responsibilities are
-    evaluated at the sampled z from the current mixture and held fixed (no
-    gradient flows through them) unless a fixed `gamma` is supplied.
+    Runs encoder -> reparameterized z -> decoder. `mix` is
+    `MixtureConstants.of(model.gmm)`. Responsibilities are evaluated at the
+    sampled z and held fixed (no gradient flows through them) unless a fixed
+    `gamma` is supplied. The objective is `batch_terms(model, cache)` and its
+    gradient `backward(model, cache, out)`; training needs only the gradient.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     d = model.latent_dim
@@ -77,35 +91,67 @@ def batch_loss(model: GmVae, x: np.ndarray, eps: np.ndarray,
     var = np.exp(logvar)
     std_eps = np.exp(0.5 * logvar) * eps
     z = mu + std_eps
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise NumericalError("encoder produced non-finite latent state")
     if gamma is None:
-        gamma = responsibilities(model.gmm, z)
-    dec_acts = model.decoder.forward(z)
-    terms = _objective_terms(model, x, dec_acts[-1], mu, var, logvar, gamma)
-    cache = BatchCache(x=x, gamma=gamma, var=var, std_eps=std_eps,
-                       enc_acts=enc_acts, dec_acts=dec_acts)
-    return terms.total_loss, terms, cache
+        gamma = _responsibilities(mix, z)
+    return BatchCache(x=x, gamma=gamma, var=var, std_eps=std_eps, enc_acts=enc_acts,
+                      dec_acts=model.decoder.forward(z), mix=mix)
 
 
-def backward(model: GmVae, cache: BatchCache) -> np.ndarray:
-    """Gradient of `batch_loss`'s loss, responsibilities held fixed, as one flat
-    vector in `pack_params` order."""
-    gmm = model.gmm
+def batch_terms(model: GmVae, cache: BatchCache) -> ElboTerms:
+    """The batch's objective terms from its cached forward values; `backward`
+    returns the gradient of their `total_loss`."""
+    out = cache.enc_acts[-1]
+    d = model.latent_dim
+    return _objective_terms(model, cache.x, cache.dec_acts[-1], out[:, :d], cache.var,
+                            out[:, d:], cache.gamma)
+
+
+def _layer_views(model: GmVae, flat: np.ndarray) -> list[tuple[list, list]]:
+    """Per net, encoder then decoder, the (weights, biases) lists of views into
+    `flat` in `pack_params` order: each layer's weights before its biases."""
+    views, start = [], 0
+    for net in (model.encoder, model.decoder):
+        ws, bs = [], []
+        for w, b in zip(net.weights, net.biases):
+            ws.append(flat[start:start + w.size].reshape(w.shape))
+            start += w.size
+            bs.append(flat[start:start + b.size])
+            start += b.size
+        views.append((ws, bs))
+    return views
+
+
+class FlatGradient:
+    """A flat gradient vector in `pack_params` order and, per net, the per-layer
+    dW and db views into it that `Mlp.backward` fills."""
+
+    def __init__(self, model: GmVae):
+        self.flat = np.empty(model.encoder.n_params() + model.decoder.n_params())
+        self.nets = _layer_views(model, self.flat)
+
+
+def backward(model: GmVae, cache: BatchCache, out: FlatGradient) -> np.ndarray:
+    """Gradient of the batch objective, responsibilities held fixed, written into
+    and returned as `out.flat` (`pack_params` order)."""
+    (enc_dws, enc_dbs), (dec_dws, dec_dbs) = out.nets
+    mix = cache.mix
     beta = model.beta
-    mu = cache.enc_acts[-1][:, :model.latent_dim]
-    x_hat = cache.dec_acts[-1]
-    dec_dw, dec_db, g_z = model.decoder.backward(cache.dec_acts,
-                                                 (x_hat - cache.x) / model.decoder_var)
+    d = model.latent_dim
+    mu = cache.enc_acts[-1][:, :d]
+    g_x_hat = (cache.dec_acts[-1] - cache.x) / model.decoder_var
+    _, _, g_z = model.decoder.backward(cache.dec_acts, g_x_hat, dec_dws, dec_dbs)
     # with g_z the loss gradient at z and s_c, m_c the cluster variances and means:
     # dL/dmu = g_z + sum_c gamma_c (mu - m_c) / s_c + beta mu
     # dL/dlogvar = (g_z sigma eps + var (sum_c gamma_c / s_c + beta) - 1 - beta) / 2
-    precision = cache.gamma @ (1.0 / gmm.variances)
-    g_mu = g_z + mu * precision - cache.gamma @ (gmm.means / gmm.variances) + beta * mu
-    g_logvar = 0.5 * (g_z * cache.std_eps + cache.var * (precision + beta) - 1.0 - beta)
-    enc_dw, enc_db, _ = model.encoder.backward(cache.enc_acts, np.hstack([g_mu, g_logvar]))
-    return np.concatenate([g.ravel() for dws, dbs in ((enc_dw, enc_db), (dec_dw, dec_db))
-                           for pair in zip(dws, dbs) for g in pair])
+    precision = cache.gamma @ mix.inv_var
+    g_enc = np.empty((mu.shape[0], 2 * d))  # [dL/dmu, dL/dlogvar], the encoder's output
+    np.add(g_z + mu * precision - cache.gamma @ mix.mean_over_var, beta * mu, out=g_enc[:, :d])
+    np.multiply(0.5, g_z * cache.std_eps + cache.var * (precision + beta) - 1.0 - beta,
+                out=g_enc[:, d:])
+    model.encoder.backward(cache.enc_acts, g_enc, enc_dws, enc_dbs, input_grad=False)
+    return out.flat
 
 
 def pack_params(model: GmVae) -> tuple[np.ndarray, tuple]:
@@ -119,14 +165,11 @@ def pack_params(model: GmVae) -> tuple[np.ndarray, tuple]:
     nets = (("enc.", model.encoder), ("dec.", model.decoder))
     theta = np.concatenate([a.ravel() for _, net in nets
                             for pair in zip(net.weights, net.biases) for a in pair])
-    layout, start = [], 0
-    for prefix, net in nets:
-        for i in range(net.n_layers):
-            for kind, arrays in (("w", net.weights), ("b", net.biases)):
-                size = arrays[i].size
-                arrays[i] = theta[start:start + size].reshape(arrays[i].shape)
-                layout.append((f"{prefix}{kind}{i}", size))
-                start += size
+    layout = []
+    for (prefix, net), (ws, bs) in zip(nets, _layer_views(model, theta)):
+        net.weights[:], net.biases[:] = ws, bs
+        layout += [(f"{prefix}{kind}{i}", arrays[i].size)
+                   for i in range(net.n_layers) for kind, arrays in (("w", ws), ("b", bs))]
     return theta, tuple(layout)
 
 
@@ -139,8 +182,10 @@ def train(model: GmVae, x_train: np.ndarray, cfg: TrainConfig,
     """Train `model` in place on the (n, data_dim) matrix; returns the history.
 
     Deterministic for a fixed seed: the same permutations, noise draws and
-    update order replay exactly. `progress`, if given, is called as
-    progress(epoch, terms) after each epoch.
+    update order replay exactly. Each epoch draws its permutation, then one
+    (n, latent_dim) noise block sliced per batch, then the re-embed noise.
+    `progress`, if given, is called as progress(epoch, terms) after each
+    epoch, with the epoch's objective (see the module docstring).
     """
     x_train = np.atleast_2d(np.asarray(x_train, dtype=np.float64))
     n = x_train.shape[0]
@@ -150,33 +195,35 @@ def train(model: GmVae, x_train: np.ndarray, cfg: TrainConfig,
         raise InputError(f"batch_size must be >= 1, got {cfg.batch_size}")
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     theta, layout = pack_params(model)
+    grad = FlatGradient(model)
     adam = AdamState(lr=cfg.lr, weight_decay=cfg.weight_decay, layout=layout)
     history = TrainHistory()
 
     for epoch in range(cfg.epochs):
+        mix = MixtureConstants.of(model.gmm)  # the mixture changes only in em_step
         perm = rng.permutation(n)
-        sums = np.zeros(5)
-        for start in range(0, n, cfg.batch_size):
-            batch = start // cfg.batch_size
-            rows = perm[start:start + cfg.batch_size]
-            eps = rng.standard_normal((len(rows), model.latent_dim))
+        noise = rng.standard_normal((n, model.latent_dim))
+        for batch, start in enumerate(range(0, n, cfg.batch_size)):
+            stop = start + cfg.batch_size
             try:
-                loss, terms, cache = batch_loss(model, x_train[rows], eps)
+                cache = batch_loss(model, x_train[perm[start:stop]], noise[start:stop], mix)
+                adam_step(theta, backward(model, cache, grad), adam)
             except NumericalError as e:
                 raise NumericalError(f"epoch {epoch}, batch {batch}: {e} ({_last_good(epoch)})")
-            if not np.isfinite(loss):
-                raise NumericalError(
-                    f"non-finite loss at epoch {epoch}, batch {batch} ({_last_good(epoch)})")
-            grad = backward(model, cache)
-            adam_step(theta, grad, adam)
-            sums += np.array([terms.recon, terms.cluster_kl, terms.posterior_entropy,
-                              terms.categorical_term, terms.reg])
 
-        emb = encode(model, x_train, rng=rng)
-        for _ in range(cfg.n_em):
-            model.gmm = em_step(model.gmm, emb, variance_floor=cfg.variance_floor)
+        try:
+            emb = encode(model, x_train, rng=rng)
+            gamma = _responsibilities(mix, emb.z)
+            terms = elbo(model, x_train, emb, gamma)
+        except NumericalError as e:
+            raise NumericalError(f"epoch {epoch}, re-embed pass: {e} ({_last_good(epoch)})")
+        if not np.isfinite(terms.total_loss):
+            raise NumericalError(f"non-finite objective at epoch {epoch} ({_last_good(epoch)})")
+        for i in range(cfg.n_em):
+            model.gmm = em_step(model.gmm, emb, variance_floor=cfg.variance_floor,
+                                gamma=None if i else gamma)
 
-        epoch_terms = ElboTerms(*(sums / n))
+        epoch_terms = ElboTerms(*(v / n for v in astuple(terms)))
         history.append(epoch_terms, model.gmm)
         if progress is not None:
             progress(epoch, epoch_terms)

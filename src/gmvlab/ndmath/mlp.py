@@ -54,9 +54,10 @@ class Mlp:
         acts = [h]
         last = self.n_layers - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w.T + b
+            h = h @ w.T
+            h += b
             if i < last:
-                h = np.tanh(h)
+                np.tanh(h, out=h)
             acts.append(h)
         return acts
 
@@ -64,20 +65,27 @@ class Mlp:
         """Network output for a batch (the last of `forward`'s activations)."""
         return self.forward(x)[-1]
 
-    def backward(self, acts: list[np.ndarray], grad_out: np.ndarray):
+    def backward(self, acts: list[np.ndarray], grad_out: np.ndarray, dws=None, dbs=None,
+                 input_grad: bool = True):
         """Backpropagate a loss gradient at the output through the layers.
 
         `acts` are the activations `forward` returned for the batch and
-        `grad_out` the loss gradient with respect to the output. Returns
-        (dW per layer, db per layer, gradient with respect to the input).
+        `grad_out` the loss gradient with respect to the output. dW and db
+        are written into `dws` and `dbs` (one array per layer, e.g. views of
+        a flat gradient vector) when given, else into new arrays. Returns
+        (dws, dbs, gradient with respect to the input, or None when
+        `input_grad` is False).
         """
         last = self.n_layers - 1
-        dws, dbs = [None] * self.n_layers, [None] * self.n_layers
+        if dws is None:
+            dws = [np.empty_like(w) for w in self.weights]
+            dbs = [np.empty_like(b) for b in self.biases]
         g = grad_out
         for i in range(last, -1, -1):
             if i < last:
                 g = g * (1.0 - acts[i + 1] * acts[i + 1])  # tanh' at layer i's output
-            dws[i] = g.T @ acts[i]
-            dbs[i] = g.sum(axis=0)
-            g = g @ self.weights[i]
-        return dws, dbs, g
+            np.matmul(g.T, acts[i], out=dws[i])
+            np.add.reduce(g, axis=0, out=dbs[i])
+            if i or input_grad:
+                g = g @ self.weights[i]
+        return dws, dbs, (g if input_grad else None)

@@ -25,14 +25,30 @@ def _cell(v) -> str:
     return fmt(v) if isinstance(v, float) else str(v)
 
 
+def _cells(col):
+    """A column's cells as strings; a float64 array is formatted in one pass,
+    to the same text `_cell` gives each of its entries."""
+    if isinstance(col, np.ndarray) and col.dtype == np.float64:
+        return map("{:.17g}".format, col.tolist())
+    return map(_cell, col)
+
+
+_ROWS_PER_CHUNK = 64  # rows formatted at a time, so few Python floats are alive at once
+
+
 def write_table(path, columns: dict) -> None:
     """Write a header of the column names, then one row per position of the
     equal-length columns: floats through `fmt`, everything else through `str`."""
-    cells = [map(_cell, col) for col in columns.values()]
+    cols = list(columns.values())
+    n = len(cols[0]) if cols else 0
+    if any(len(col) != n for col in cols):
+        raise ValueError(f"write_table: column lengths differ: {[len(c) for c in cols]}")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
-        writer.writerows(zip(*cells, strict=True))
+        for start in range(0, n, _ROWS_PER_CHUNK):
+            stop = start + _ROWS_PER_CHUNK
+            writer.writerows(zip(*(_cells(col[start:stop]) for col in cols)))
 
 
 class Table:

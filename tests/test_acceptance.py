@@ -34,8 +34,8 @@ from gmvlab.gmvae import (
     sample,
     train,
 )
-from gmvlab.gmvae.model import LatentEmbedding
-from gmvlab.gmvae.train import backward, pack_params
+from gmvlab.gmvae.model import LatentEmbedding, MixtureConstants
+from gmvlab.gmvae.train import FlatGradient, backward, batch_terms, pack_params
 from gmvlab.spectral import build_knn, eta, interpretability_report, laplacian, project, spectrum
 
 FULL = os.environ.get("GMVLAB_FULL_ACCEPTANCE", "") == "1"
@@ -117,15 +117,15 @@ def test_gradient_correctness():
         model = GmVae.init(6, 2, 2, (5, 4), 1e-2, 0.1, np.random.default_rng(seed))
         x = rng.standard_normal((4, 6))
         eps = rng.standard_normal((4, 2))  # fixed noise for the whole check
-        _, _, cache = batch_loss(model, x, eps)
-        gamma = cache.gamma
+        mix = MixtureConstants.of(model.gmm)
+        gamma = batch_loss(model, x, eps, mix).gamma
         theta, _ = pack_params(model)
 
         def loss_value():
-            return batch_loss(model, x, eps, gamma=gamma)[0]
+            return batch_terms(model, batch_loss(model, x, eps, mix, gamma=gamma)).total_loss
 
-        _, _, cache = batch_loss(model, x, eps, gamma=gamma)
-        for i, g in enumerate(backward(model, cache)):
+        grad = backward(model, batch_loss(model, x, eps, mix, gamma=gamma), FlatGradient(model))
+        for i, g in enumerate(grad):
             orig = theta[i]
             theta[i] = orig + h
             fp = loss_value()

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -337,6 +338,8 @@ def _malformed(text, mutation, column):
         row.pop()
     elif mutation == "extra-cell":
         row.append("1")
+    elif mutation == "bad-label":
+        row[header.index("label")] = "sideways"
     else:
         k, value = {"non-numeric": (j, "abc"), "nan": (j, "nan"), "non-integer-id": (0, "2.5"),
                     "repeated-id": (0, lines[1].split(",")[0])}[mutation]
@@ -366,10 +369,14 @@ MALFORMED_TARGETS = {
 }
 MUTATIONS = ["non-numeric", "nan", "truncated-row", "extra-cell", "empty-file", "header-only",
              "non-integer-id", "repeated-id", "bad-header"]
+# (target, mutation): every mutation on every target, plus a label outside the
+# two classes on the targets that read the dataset's labels
+MALFORMED_CASES = [(t, m) for t in MALFORMED_TARGETS for m in MUTATIONS] + [
+    (t, "bad-label") for t in ("dataset-via-baseline", "dataset-via-train")]
 
 
-@pytest.mark.parametrize("mutation", MUTATIONS)
-@pytest.mark.parametrize("target", list(MALFORMED_TARGETS))
+@pytest.mark.parametrize("target,mutation", MALFORMED_CASES,
+                         ids=[f"{t}-{m}" for t, m in MALFORMED_CASES])
 def test_malformed_csv_gives_exit_1_naming_file_and_line(workdir, tmp_path, capsys, target,
                                                          mutation):
     source, column, argv = MALFORMED_TARGETS[target]
@@ -402,6 +409,28 @@ def test_overflowing_training_gives_exit_2(workdir, tmp_path, capsys):
                  "--out", str(tmp_path / "run"), "--quiet"])
     assert code == 2
     assert "epoch 0" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_training_blow_up_gives_exit_2_naming_epoch_and_batch(workdir, tmp_path, capsys,
+                                                             monkeypatch):
+    # 64 training rows in batches of 16 are 4 Adam steps per epoch; blowing the
+    # weights up after the 5th (epoch 1, batch 0) makes epoch 1's batch 1 fail
+    train_module = sys.modules["gmvlab.gmvae.train"]
+    real = train_module.adam_step
+
+    def adam_then_blow_up(theta, grad, state):
+        real(theta, grad, state)
+        if state.step_count == 5:
+            theta[:] = 1e300
+
+    monkeypatch.setattr(train_module, "adam_step", adam_then_blow_up)
+    code = main(["train", "--config", workdir["ini"], "--dataset", str(workdir["data"]),
+                 "--out", str(tmp_path / "run"), "--quiet"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "epoch 1, batch 1: encoder produced non-finite latent state (last good epoch 0)" in err
+    assert not (tmp_path / "run" / "checkpoint.json").exists()
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")

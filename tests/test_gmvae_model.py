@@ -250,6 +250,19 @@ def test_em_log_likelihood_nondecreasing_on_z():
         ll = nxt
 
 
+def test_em_step_with_given_responsibilities_matches_its_own():
+    rng = np.random.default_rng(10)
+    emb = embedding_of(rng.standard_normal((30, 2)), var=0.05)
+    gmm = GmmParams(pi=np.array([0.3, 0.7]), means=rng.uniform(-1, 1, size=(2, 2)),
+                    variances=np.ones((2, 2)))
+    own = em_step(gmm, emb)
+    given = em_step(gmm, emb, gamma=responsibilities(gmm, emb.z))
+    for name in ("pi", "means", "variances"):
+        assert getattr(own, name).tobytes() == getattr(given, name).tobytes()
+    with pytest.raises(ContractError, match="gamma shape"):
+        em_step(gmm, emb, gamma=np.full((29, 2), 0.5))
+
+
 def test_em_preserves_simplex():
     rng = np.random.default_rng(9)
     emb = embedding_of(rng.standard_normal((40, 2)), var=0.05)

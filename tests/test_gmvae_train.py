@@ -1,20 +1,32 @@
-"""Training loop: full-loss gradient checks, degenerate configs, determinism,
-checkpoint round-trips."""
+"""Training loop: full-loss gradient checks, bit-identity with the per-batch
+reference loop, failure messages, degenerate configs, determinism, checkpoint
+round-trips."""
 
 import copy
+import dataclasses
+import sys
 
 import numpy as np
 import pytest
 
+from gmvlab.errors import NumericalError
 from gmvlab.gmvae import (
     GmVae,
     TrainConfig,
     batch_loss,
+    elbo,
+    em_step,
+    encode,
     load_checkpoint,
+    responsibilities,
     save_checkpoint,
     train,
 )
-from gmvlab.gmvae.train import backward, pack_params
+from gmvlab.gmvae.model import LatentEmbedding, MixtureConstants
+from gmvlab.gmvae.train import FlatGradient, backward, batch_terms, pack_params
+from gmvlab.ndmath import AdamState, adam_step
+
+TRAIN_MODULE = sys.modules["gmvlab.gmvae.train"]
 
 
 def make_model(seed=0, data_dim=6, latent_dim=2, k=2, hidden=(5, 4),
@@ -42,16 +54,15 @@ def test_total_loss_gradients_match_finite_differences(seed, k, beta):
     x = rng.standard_normal((4, 6))
     eps = rng.standard_normal((4, 2))
     # freeze responsibilities so the objective is a fixed function of the nets
-    _, _, cache = batch_loss(model, x, eps)
-    gamma = cache.gamma
+    mix = MixtureConstants.of(model.gmm)
+    gamma = batch_loss(model, x, eps, mix).gamma
     theta, layout = pack_params(model)
     names = [name for name, size in layout for _ in range(size)]
 
     def loss_value():
-        return batch_loss(model, x, eps, gamma=gamma)[0]
+        return batch_terms(model, batch_loss(model, x, eps, mix, gamma=gamma)).total_loss
 
-    loss, _, cache = batch_loss(model, x, eps, gamma=gamma)
-    grad = backward(model, cache)
+    grad = backward(model, batch_loss(model, x, eps, mix, gamma=gamma), FlatGradient(model))
     assert grad.shape == theta.shape
 
     h = 1e-5
@@ -78,6 +89,162 @@ def test_pack_params_points_the_nets_at_one_vector():
         assert np.array_equal(a, b)
     theta[0] += 1.0
     assert model.encoder.weights[0][0, 0] == before[0][0, 0] + 1.0
+
+
+# A plain per-batch training loop that `train` must match bit for bit: a noise
+# draw, the forward pass, the responsibilities and a freshly concatenated
+# gradient per batch, and responsibilities recomputed by every EM pass.
+
+def _ref_forward(net, h):
+    acts = [h]
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        h = h @ w.T + b
+        if i < net.n_layers - 1:
+            h = np.tanh(h)
+        acts.append(h)
+    return acts
+
+
+def _ref_backward(net, acts, g):
+    dws, dbs = [None] * net.n_layers, [None] * net.n_layers
+    for i in range(net.n_layers - 1, -1, -1):
+        if i < net.n_layers - 1:
+            g = g * (1.0 - acts[i + 1] * acts[i + 1])
+        dws[i] = g.T @ acts[i]
+        dbs[i] = g.sum(axis=0)
+        g = g @ net.weights[i]
+    return dws, dbs, g
+
+
+def _ref_responsibilities(gmm, z):
+    diff = z[:, None, :] - gmm.means[None, :, :]
+    quad = np.sum(diff * diff / gmm.variances[None, :, :], axis=2)
+    logdet = np.sum(np.log(gmm.variances) + np.log(2.0 * np.pi), axis=1)
+    with np.errstate(divide="ignore"):
+        log_joint = np.log(gmm.pi)[None, :] + -0.5 * (logdet[None, :] + quad)
+    top = log_joint.max(axis=1, keepdims=True)
+    return np.exp(log_joint - (top + np.log(np.sum(np.exp(log_joint - top), axis=1,
+                                                          keepdims=True))))
+
+
+def _ref_gradient(model, x, eps):
+    d, gmm, beta = model.latent_dim, model.gmm, model.beta
+    enc_acts = _ref_forward(model.encoder, x)
+    mu, logvar = enc_acts[-1][:, :d], enc_acts[-1][:, d:]
+    var = np.exp(logvar)
+    std_eps = np.exp(0.5 * logvar) * eps
+    z = mu + std_eps
+    gamma = _ref_responsibilities(gmm, z)
+    dec_acts = _ref_forward(model.decoder, z)
+    dec_dw, dec_db, g_z = _ref_backward(model.decoder, dec_acts,
+                                        (dec_acts[-1] - x) / model.decoder_var)
+    precision = gamma @ (1.0 / gmm.variances)
+    g_mu = g_z + mu * precision - gamma @ (gmm.means / gmm.variances) + beta * mu
+    g_logvar = 0.5 * (g_z * std_eps + var * (precision + beta) - 1.0 - beta)
+    enc_dw, enc_db, _ = _ref_backward(model.encoder, enc_acts, np.hstack([g_mu, g_logvar]))
+    return np.concatenate([g.ravel() for dws, dbs in ((enc_dw, enc_db), (dec_dw, dec_db))
+                           for pair in zip(dws, dbs) for g in pair])
+
+
+def _ref_train(model, x, cfg):
+    rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    theta, layout = pack_params(model)
+    adam = AdamState(lr=cfg.lr, weight_decay=cfg.weight_decay, layout=layout)
+    n, d = x.shape[0], model.latent_dim
+    for _ in range(cfg.epochs):
+        perm = rng.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            rows = perm[start:start + cfg.batch_size]
+            eps = rng.standard_normal((len(rows), d))
+            adam_step(theta, _ref_gradient(model, x[rows], eps), adam)
+        out = _ref_forward(model.encoder, x)[-1]
+        mu, var = out[:, :d], np.exp(out[:, d:])
+        eps = rng.standard_normal(mu.shape)
+        emb = LatentEmbedding(mu=mu, var=var, z=mu + np.sqrt(var) * eps, eps=eps)
+        for _ in range(cfg.n_em):
+            model.gmm = em_step(model.gmm, emb, variance_floor=cfg.variance_floor,
+                                gamma=_ref_responsibilities(model.gmm, emb.z))
+
+
+@pytest.mark.parametrize("n,batch_size,k,beta", [(50, 16, 3, 0.1), (30, 7, 2, 0.0)])
+def test_fused_loop_matches_the_per_batch_reference_bit_for_bit(n, batch_size, k, beta):
+    x = np.random.default_rng(11).standard_normal((n, 10))
+    cfg = TrainConfig(epochs=4, batch_size=batch_size, n_em=2, weight_decay=1e-3, lr=3e-3,
+                      seed=12)
+    assert n % batch_size  # a short last batch
+    fused = make_model(seed=13, data_dim=10, k=k, hidden=(8, 5), beta=beta)
+    reference = copy.deepcopy(fused)
+    train(fused, x, cfg)
+    _ref_train(reference, x, cfg)
+    assert pack_params(fused)[0].tobytes() == pack_params(reference)[0].tobytes()
+    for name in ("pi", "means", "variances"):
+        assert getattr(fused.gmm, name).tobytes() == getattr(reference.gmm, name).tobytes()
+
+
+def test_history_holds_the_objective_of_the_re_embed_pass():
+    # n_em = 0 leaves the mixture as it was, so the logged objective is the
+    # ELBO of the trained nets on the re-embed noise, which follows the
+    # epoch's permutation and its one batch-noise block in the stream
+    x = np.random.default_rng(14).standard_normal((20, 6))
+    model = make_model(seed=15)
+    history = train(model, x, TrainConfig(epochs=1, batch_size=8, n_em=0, seed=16))
+    rng = np.random.Generator(np.random.PCG64(16))
+    rng.permutation(20)
+    rng.standard_normal((20, 2))
+    emb = encode(model, x, rng=rng)
+    want = elbo(model, x, emb, responsibilities(model.gmm, emb.z))
+    assert dataclasses.astuple(history.terms[0]) == tuple(v / 20 for v in
+                                                          dataclasses.astuple(want))
+
+
+def _break_after_step(monkeypatch, step, corrupt):
+    """Run `corrupt()` right after the training loop's Adam update number `step`."""
+    real = TRAIN_MODULE.adam_step
+
+    def adam_then_corrupt(theta, grad, state):
+        real(theta, grad, state)
+        if state.step_count == step:
+            corrupt()
+
+    monkeypatch.setattr(TRAIN_MODULE, "adam_step", adam_then_corrupt)
+
+
+def _overflow_latent(model):
+    def corrupt():
+        model.encoder.biases[-1][model.latent_dim:] = 2000.0  # exp(log var) overflows
+    return corrupt
+
+
+def _overflow_gradient(model):
+    def corrupt():
+        model.decoder.biases[-1][:] = 1e307  # (x_hat - x) / decoder_var overflows
+    return corrupt
+
+
+# 20 rows in batches of 8 are 3 Adam steps per epoch: after step 4 (epoch 1's
+# batch 0) epoch 1's batch 1 is the first to fail; after step 3 (epoch 0's
+# last batch) the failure comes in epoch 0's re-embed pass
+BLOW_UPS = [
+    pytest.param(_overflow_latent, 4, "epoch 1, batch 1: encoder produced non-finite latent state",
+                 "(last good epoch 0)", id="latent"),
+    pytest.param(_overflow_gradient, 4, "epoch 1, batch 1: adam_step: non-finite gradient",
+                 "(last good epoch 0)", id="gradient"),
+    pytest.param(_overflow_latent, 3, "epoch 0, re-embed pass: decoder produced non-finite",
+                 "(no completed epoch)", id="re-embed"),
+]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@pytest.mark.parametrize("corruption,step,start,end", BLOW_UPS)
+def test_blow_up_names_its_epoch_batch_and_last_good_epoch(monkeypatch, corruption, step,
+                                                           start, end):
+    model = make_model(seed=17)
+    _break_after_step(monkeypatch, step, corruption(model))
+    x = np.random.default_rng(18).standard_normal((20, 6))
+    with pytest.raises(NumericalError) as info:
+        train(model, x, TrainConfig(epochs=3, batch_size=8, seed=19))
+    assert str(info.value).startswith(start), info.value
+    assert str(info.value).endswith(end), info.value
 
 
 def test_zero_epochs_leaves_model_untouched():

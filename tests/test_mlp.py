@@ -61,6 +61,25 @@ def test_forward_is_deterministic():
         assert np.array_equal(p, q)
 
 
+def test_backward_into_given_arrays_matches_fresh_ones():
+    rng = np.random.default_rng(5)
+    net = Mlp.init([5, 4, 3, 2], rng)
+    acts = net.forward(rng.standard_normal((7, 5)))
+    g = rng.standard_normal((7, 2))
+    dws, dbs, dx = net.backward(acts, g)
+    flat = np.full(net.n_params(), np.nan)
+    out_w, out_b, start = [], [], 0
+    for w, b in zip(net.weights, net.biases):
+        out_w.append(flat[start:start + w.size].reshape(w.shape))
+        out_b.append(flat[start + w.size:start + w.size + b.size])
+        start += w.size + b.size
+    got_w, got_b, got_dx = net.backward(acts, g, out_w, out_b, input_grad=False)
+    assert got_w is out_w and got_b is out_b and got_dx is None
+    assert np.isfinite(flat).all()  # every entry written
+    for p, q in zip(dws + dbs, out_w + out_b):
+        assert p.tobytes() == q.tobytes()
+
+
 def test_forward_shape_mismatch_raises():
     rng = np.random.default_rng(0)
     net = Mlp.init([4, 3], rng)

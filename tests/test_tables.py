@@ -1,5 +1,7 @@
 """CSV schema helpers: exact float round-trips, optional columns, validated reads."""
 
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from gmvlab.tables import (
     write_report_csv,
     write_samples_csv,
     write_spectrum_csv,
+    write_table,
 )
 
 
@@ -26,6 +29,42 @@ def test_fmt_is_17_significant_digits_round_trip():
     rng = np.random.default_rng(0)
     for x in rng.standard_normal(100) * 10.0 ** rng.integers(-12, 12, 100):
         assert float(fmt(x)) == x
+
+
+def test_write_table_bytes_match_the_per_cell_path(tmp_path):
+    rng = np.random.default_rng(2)
+    special = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e300, -1.5, 0.1, np.inf]
+    # 150 rows: the writer formats a few dozen rows at a time, so chunks end mid-table
+    spread = rng.standard_normal(142) * 10.0 ** rng.integers(-300, 300, 142)
+    floats = np.concatenate([special, spread])
+    n = floats.size
+    columns = {
+        "float64_array": floats,
+        "strided_view": np.column_stack([floats, floats[::-1]])[:, 1],
+        "python_floats": floats.tolist(),
+        "numpy_scalars": list(floats),
+        "ints": list(range(n)),
+        "int_array": np.arange(n) - 3,
+        "strings": [f"s{i}" for i in range(n)],
+        "float32_array": rng.standard_normal(n).astype(np.float32),
+    }
+    path = tmp_path / "t.csv"
+    write_table(path, columns)
+
+    def per_cell(v):  # the one-cell-at-a-time rule write_table documents
+        return format(float(v), ".17g") if isinstance(v, float) else str(v)
+
+    want = tmp_path / "want.csv"
+    with open(want, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows(zip(*[[per_cell(v) for v in col] for col in columns.values()]))
+    assert path.read_bytes() == want.read_bytes()
+    rows = list(csv.reader(path.read_text().splitlines()))
+    assert rows[1][0] == "-0" and rows[3][0] == "4.9406564584124654e-324"
+    assert [row[-1] for row in rows[1:]] == [str(v) for v in columns["float32_array"]]
+    with pytest.raises(ValueError, match="lengths differ"):
+        write_table(tmp_path / "ragged.csv", {"a": floats, "b": floats[1:]})
 
 
 def test_embeddings_round_trip_full_schema(tmp_path):
