@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import InputError
 from .ndmath import symmetric_eig
-from .spectral import build_knn
+from .spectral import build_knn, component_labels, squared_distances
 
 
 @dataclass
@@ -41,13 +41,11 @@ class DistanceMatrix:
 @dataclass
 class Embedding2D:
     points: np.ndarray  # (n, dim)
-    method: str
 
 
 def euclidean_distances(x: np.ndarray) -> DistanceMatrix:
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    sq = np.sum(x**2, axis=1)
-    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (x @ x.T), 0.0)
+    d2 = np.maximum(squared_distances(x), 0.0)
     np.fill_diagonal(d2, 0.0)
     d = np.sqrt(d2)
     return DistanceMatrix(0.5 * (d + d.T))
@@ -60,7 +58,7 @@ def stress(d: DistanceMatrix, points: np.ndarray) -> float:
     return float(np.sum(np.triu(diff, 1) ** 2))
 
 
-def classical_mds(d: DistanceMatrix, dim: int, method: str = "mds") -> Embedding2D:
+def classical_mds(d: DistanceMatrix, dim: int) -> Embedding2D:
     """Torgerson's classical MDS: double-center the squared distances,
     eigendecompose, and scale the top eigenvectors.
 
@@ -87,7 +85,7 @@ def classical_mds(d: DistanceMatrix, dim: int, method: str = "mds") -> Embedding
     points = np.zeros((n, dim))
     if use > 0:
         points[:, :use] = v[:, :use] * np.sqrt(w[:use])
-    return Embedding2D(points=points, method=method)
+    return Embedding2D(points=points)
 
 
 def geodesic_distances(points: np.ndarray, k: int) -> DistanceMatrix:
@@ -97,15 +95,15 @@ def geodesic_distances(points: np.ndarray, k: int) -> DistanceMatrix:
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     n = points.shape[0]
-    graph = build_knn(points, k)
-    sizes = graph.component_sizes()
+    adjacency = build_knn(points, k)
+    sizes = sorted(np.bincount(component_labels(adjacency)).tolist(), reverse=True)
     if len(sizes) > 1:
         raise InputError(f"isomap: kNN graph is disconnected (component sizes {sizes}); "
                          "increase k")
     # Floyd-Warshall over the edge weights (inf off-graph): pass `via` relaxes
     # every pair through that node. Its own row and column are fixed points of
     # the pass, so updating in place is exact and keeps the matrix symmetric.
-    g = np.where(graph.adjacency > 0.0, euclidean_distances(points).d, np.inf)
+    g = np.where(adjacency > 0.0, euclidean_distances(points).d, np.inf)
     np.fill_diagonal(g, 0.0)
     for via in range(n):
         np.minimum(g, g[:, via, None] + g[None, via, :], out=g)
@@ -114,5 +112,4 @@ def geodesic_distances(points: np.ndarray, k: int) -> DistanceMatrix:
 
 def isomap(points: np.ndarray, k: int, dim: int) -> Embedding2D:
     """Classical MDS on geodesic distances over the kNN graph."""
-    emb = classical_mds(geodesic_distances(points, k), dim, method="isomap")
-    return emb
+    return classical_mds(geodesic_distances(points, k), dim)

@@ -166,7 +166,7 @@ def cmd_baseline(args) -> int:
     final_stress = baselines.stress(d, emb.points)
     tables.write_embeddings_csv(args.out, range(len(dataset)), dataset.split_names(),
                                 emb.points, true_labels=dataset.labels())
-    print(f"wrote {emb.method} embedding to {args.out} "
+    print(f"wrote {args.method} embedding to {args.out} "
           f"(stress vs. Euclidean distances: {final_stress:.6g})")
     return 0
 

@@ -1,10 +1,11 @@
 """Graph-spectral smoothness metric over latent embeddings.
 
-A kNN graph is built on the embedded points, the unnormalized Laplacian
-L = D - A is eigendecomposed, and a physical quantity evaluated at each
-point is projected onto the eigenbasis. The score eta is the fraction of
-the signal's energy carried by the lowest r% of modes: high eta means the
-quantity varies smoothly across the embedding.
+A kNN graph is built on the embedded points as a plain (n, n) 0/1
+adjacency matrix, its connected components are labelled, the unnormalized
+Laplacian L = D - A is eigendecomposed, and a physical quantity evaluated
+at each point is projected onto the eigenbasis. The score eta is the
+fraction of the signal's energy carried by the lowest r% of modes: high
+eta means the quantity varies smoothly across the embedding.
 """
 
 from __future__ import annotations
@@ -16,34 +17,6 @@ import numpy as np
 
 from .errors import InputError
 from .ndmath import symmetric_eig
-
-
-@dataclass
-class KnnGraph:
-    n: int
-    k: int
-    adjacency: np.ndarray  # (n, n) symmetric 0/1, zero diagonal
-    degrees: np.ndarray    # (n,)
-
-    def component_sizes(self) -> list:
-        """Connected-component sizes, largest first (BFS on the adjacency)."""
-        seen = np.zeros(self.n, dtype=bool)
-        sizes = []
-        for start in range(self.n):
-            if seen[start]:
-                continue
-            stack = [start]
-            seen[start] = True
-            count = 0
-            while stack:
-                u = stack.pop()
-                count += 1
-                for v in np.nonzero(self.adjacency[u])[0]:
-                    if not seen[v]:
-                        seen[v] = True
-                        stack.append(int(v))
-            sizes.append(count)
-        return sorted(sizes, reverse=True)
 
 
 @dataclass
@@ -63,12 +36,19 @@ class SpectralReport:
     eigenvalues: np.ndarray  # the graph's Laplacian spectrum, aligned with coefficients
 
 
-def build_knn(points: np.ndarray, k: int) -> KnnGraph:
-    """kNN graph with union symmetrization and index-order tie breaking.
+def squared_distances(x: np.ndarray) -> np.ndarray:
+    """Pairwise squared Euclidean distances of the rows of x, unclipped."""
+    sq = np.sum(x**2, axis=1)
+    return sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
+
+
+def build_knn(points: np.ndarray, k: int) -> np.ndarray:
+    """kNN adjacency with union symmetrization and index-order tie breaking.
 
     Edge (i, j) exists iff j is among i's k nearest Euclidean neighbors or
-    vice versa; self-edges are excluded. Duplicate points are fine (distance
-    ties resolve by ascending index).
+    vice versa; self-edges are excluded. Returns the (n, n) symmetric 0/1
+    float64 matrix. Duplicate points are fine (distance ties resolve by
+    ascending index).
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     n = points.shape[0]
@@ -78,20 +58,35 @@ def build_knn(points: np.ndarray, k: int) -> KnnGraph:
         raise InputError(f"build_knn: k must be >= 1, got {k}")
     if k >= n:
         raise InputError(f"build_knn: k={k} must be smaller than the number of points n={n}")
-    sq = np.sum(points**2, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (points @ points.T)
+    d2 = squared_distances(points)
     np.fill_diagonal(d2, np.inf)
-    adjacency = np.zeros((n, n))
-    order = np.argsort(d2, axis=1, kind="stable")  # stable: equal distances -> lower index first
-    rows = np.repeat(np.arange(n), k)
-    adjacency[rows, order[:, :k].ravel()] = 1.0
-    adjacency = np.maximum(adjacency, adjacency.T)
-    return KnnGraph(n=n, k=k, adjacency=adjacency, degrees=adjacency.sum(axis=1))
+    # Everything closer than the k-th distance is a neighbour; the ties at the
+    # k-th distance fill the remaining slots lowest index first, which is the
+    # set a stable sort keeps.
+    kth = np.partition(d2, k - 1, axis=1)[:, k - 1, None]
+    closer = d2 < kth
+    tied = d2 == kth
+    slots = k - closer.sum(axis=1, keepdims=True)
+    chosen = closer | (tied & (np.cumsum(tied, axis=1) <= slots))
+    return (chosen | chosen.T).astype(np.float64)
 
 
-def laplacian(g: KnnGraph) -> np.ndarray:
+def laplacian(adjacency: np.ndarray) -> np.ndarray:
     """Unnormalized Laplacian L = D - A; every row sums to zero."""
-    return np.diag(g.degrees) - g.adjacency
+    return np.diag(adjacency.sum(axis=1)) - adjacency
+
+
+def component_labels(adjacency: np.ndarray) -> np.ndarray:
+    """Connected-component label of every node, numbered 0, 1, ... in the
+    order of each component's lowest node (`np.bincount` gives the sizes)."""
+    labels = np.full(adjacency.shape[0], -1)
+    while (unlabelled := np.flatnonzero(labels < 0)).size:
+        reached = frontier = np.arange(labels.size) == unlabelled[0]
+        while frontier.any():
+            frontier = adjacency[frontier].any(axis=0) & ~reached
+            reached = reached | frontier
+        labels[reached] = labels.max() + 1
+    return labels
 
 
 def spectrum(lap: np.ndarray) -> LaplacianSpectrum:
@@ -147,12 +142,13 @@ def interpretability_report(points: np.ndarray, quantities: dict, k: int,
     for name, q in quantities.items():
         if np.asarray(q).ravel().shape[0] != n:
             raise InputError(f"quantity {name!r} has length {np.asarray(q).size}, expected {n}")
-    graph = build_knn(points, k)
-    n_components = len(graph.component_sizes())
+    adjacency = build_knn(points, k)
+    sizes = sorted(np.bincount(component_labels(adjacency)).tolist(), reverse=True)
+    n_components = len(sizes)
     if n_components > 1:
-        warnings.warn(f"kNN graph is disconnected ({n_components} components); "
+        warnings.warn(f"kNN graph is disconnected (component sizes {sizes}); "
                       "eta may be inflated for component-aligned signals")
-    spec = spectrum(laplacian(graph))
+    spec = spectrum(laplacian(adjacency))
     reports = []
     for name, q in quantities.items():
         coeff = project(spec, np.asarray(q, dtype=np.float64).ravel())

@@ -6,6 +6,7 @@ import pytest
 from gmvlab.errors import InputError
 from gmvlab.spectral import (
     build_knn,
+    component_labels,
     eta,
     interpretability_report,
     laplacian,
@@ -40,49 +41,51 @@ def brute_force_eta(points, quantity, k, r_percent):
 
 def test_collinear_points_k1_chain():
     points = np.array([[0.0], [1.0], [2.0]])
-    g = build_knn(points, 1)
+    adj = build_knn(points, 1)
     expected = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float)
-    assert np.array_equal(g.adjacency, expected)
+    assert np.array_equal(adj, expected)
 
 
 def test_k_equals_n_minus_1_gives_complete_graph():
     points = np.random.default_rng(0).standard_normal((6, 2))
-    g = build_knn(points, 5)
-    assert np.array_equal(g.adjacency, np.ones((6, 6)) - np.eye(6))
+    adj = build_knn(points, 5)
+    assert np.array_equal(adj, np.ones((6, 6)) - np.eye(6))
 
 
 def test_matches_brute_force_double_loop():
     rng = np.random.default_rng(1)
-    points = rng.standard_normal((200, 2))
-    g = build_knn(points, 10)
-    n = len(points)
-    adj = np.zeros((n, n))
-    for i in range(n):
-        d = np.sqrt(np.sum((points - points[i]) ** 2, axis=1))
-        order = sorted(range(n), key=lambda j: (d[j], j))
-        for j in [j for j in order if j != i][:10]:
-            adj[i, j] = 1.0
-            adj[j, i] = 1.0
-    assert np.array_equal(g.adjacency, adj)
+    # a shuffled integer grid: at k=6 the cut falls inside a group of equal
+    # distances (sqrt 2 inside the grid, sqrt 5 at its corners)
+    grid = np.argwhere(np.ones((12, 12))).astype(float)[rng.permutation(144)]
+    for points, k in [(rng.standard_normal((200, 2)), 10), (grid, 6)]:
+        n = len(points)
+        adj = np.zeros((n, n))
+        for i in range(n):
+            d = np.sqrt(np.sum((points - points[i]) ** 2, axis=1))
+            order = sorted(range(n), key=lambda j: (d[j], j))
+            for j in [j for j in order if j != i][:k]:
+                adj[i, j] = 1.0
+                adj[j, i] = 1.0
+        assert np.array_equal(build_knn(points, k), adj)
 
 
 def test_duplicate_points_tie_break_by_index():
     points = np.zeros((4, 2))  # all identical: neighbors are the lowest indices
-    g = build_knn(points, 1)
+    adj = build_knn(points, 1)
     # each node picks node 0 (node 0 picks node 1); union symmetrizes
     expected = np.zeros((4, 4))
     expected[0, 1] = expected[1, 0] = 1
     expected[0, 2] = expected[2, 0] = 1
     expected[0, 3] = expected[3, 0] = 1
-    assert np.array_equal(g.adjacency, expected)
+    assert np.array_equal(adj, expected)
 
 
 def test_degree_at_least_k():
     points = np.random.default_rng(3).standard_normal((50, 3))
-    g = build_knn(points, 4)
-    assert g.degrees.min() >= 4
-    assert np.array_equal(g.adjacency, g.adjacency.T)
-    assert np.all(np.diag(g.adjacency) == 0)
+    adj = build_knn(points, 4)
+    assert adj.sum(axis=1).min() >= 4
+    assert np.array_equal(adj, adj.T)
+    assert np.all(np.diag(adj) == 0)
 
 
 def test_k_out_of_range_rejected():
@@ -96,30 +99,58 @@ def test_k_out_of_range_rejected():
 # -------------------------------------------------------------- laplacian
 
 def test_path_graph_laplacian_explicit():
-    g = build_knn(np.array([[0.0], [1.0], [2.0]]), 1)
-    lap = laplacian(g)
+    lap = laplacian(build_knn(np.array([[0.0], [1.0], [2.0]]), 1))
     assert np.array_equal(lap, np.array([[1, -1, 0], [-1, 2, -1], [0, -1, 1]], dtype=float))
     assert np.allclose(lap.sum(axis=1), 0.0)
 
 
 def test_edgeless_graph_laplacian_is_zero():
-    from gmvlab.spectral import KnnGraph
-
-    g = KnnGraph(n=3, k=1, adjacency=np.zeros((3, 3)), degrees=np.zeros(3))
-    assert np.array_equal(laplacian(g), np.zeros((3, 3)))
+    assert np.array_equal(laplacian(np.zeros((3, 3))), np.zeros((3, 3)))
 
 
 def test_complete_k4_eigenvalues():
-    g = build_knn(np.random.default_rng(0).standard_normal((4, 2)), 3)
-    w, _ = np.linalg.eigh(laplacian(g))
+    adj = build_knn(np.random.default_rng(0).standard_normal((4, 2)), 3)
+    w, _ = np.linalg.eigh(laplacian(adj))
     assert np.allclose(np.sort(w), [0.0, 4.0, 4.0, 4.0], atol=1e-12)
+
+
+# ------------------------------------------------------- component labels
+
+def closure_labels(adj):
+    """Independent oracle: boolean transitive closure (Warshall), then each
+    node's component numbered by the rank of its lowest reachable node."""
+    n = len(adj)
+    reach = (adj > 0) | np.eye(n, dtype=bool)
+    for m in range(n):
+        reach |= reach[:, m, None] & reach[None, m, :]
+    lowest = reach.argmax(axis=1)
+    return np.searchsorted(np.unique(lowest), lowest)
+
+
+def test_component_labels_match_transitive_closure():
+    rng = np.random.default_rng(10)
+    graphs = []
+    for n in (1, 2, 7, 30, 60):
+        for density in (0.0, 0.5 / n, 1.5 / n, 4.0 / n):  # sparse: many isolated nodes
+            upper = np.triu(rng.random((n, n)) < density, 1)
+            graphs.append((upper | upper.T).astype(float))
+    # a long path in shuffled node order, whole and cut in two
+    n, order = 300, rng.permutation(300)
+    path = np.zeros((n, n))
+    path[order[:-1], order[1:]] = path[order[1:], order[:-1]] = 1.0
+    cut = path.copy()
+    cut[order[99], order[100]] = cut[order[100], order[99]] = 0.0
+    for adj in graphs + [path, cut]:
+        assert np.array_equal(component_labels(adj), closure_labels(adj))
+    assert np.array_equal(component_labels(np.zeros((5, 5))), np.arange(5))
+    assert sorted(np.bincount(component_labels(cut)).tolist()) == [100, 200]
 
 
 # --------------------------------------------------------------- spectrum
 
 def test_path3_spectrum():
-    g = build_knn(np.array([[0.0], [1.0], [2.0]]), 1)
-    spec = spectrum(laplacian(g))
+    adj = build_knn(np.array([[0.0], [1.0], [2.0]]), 1)
+    spec = spectrum(laplacian(adj))
     assert np.allclose(spec.eigenvalues, [0.0, 1.0, 3.0], atol=1e-12)
     # constant vector spans the zero eigenspace on a connected graph
     v0 = spec.eigenvectors[:, 0]
@@ -128,9 +159,9 @@ def test_path3_spectrum():
 
 def test_two_disconnected_edges_zero_multiplicity():
     points = np.array([[0.0], [0.1], [100.0], [100.1]])
-    g = build_knn(points, 1)
-    assert g.component_sizes() == [2, 2]
-    spec = spectrum(laplacian(g))
+    adj = build_knn(points, 1)
+    assert np.bincount(component_labels(adj)).tolist() == [2, 2]
+    spec = spectrum(laplacian(adj))
     assert np.sum(np.abs(spec.eigenvalues) < 1e-10) == 2
 
 
@@ -151,8 +182,8 @@ def test_spectrum_rejects_nonzero_row_sums():
 # ---------------------------------------------------------------- project
 
 def test_project_eigenvector_is_one_hot():
-    g = build_knn(np.random.default_rng(2).standard_normal((20, 2)), 3)
-    spec = spectrum(laplacian(g))
+    adj = build_knn(np.random.default_rng(2).standard_normal((20, 2)), 3)
+    spec = spectrum(laplacian(adj))
     alpha = project(spec, spec.eigenvectors[:, 7])
     expected = np.zeros(20)
     expected[7] = 1.0
@@ -160,15 +191,15 @@ def test_project_eigenvector_is_one_hot():
 
 
 def test_project_zero_signal():
-    g = build_knn(np.random.default_rng(2).standard_normal((10, 2)), 2)
-    spec = spectrum(laplacian(g))
+    adj = build_knn(np.random.default_rng(2).standard_normal((10, 2)), 2)
+    spec = spectrum(laplacian(adj))
     assert np.array_equal(project(spec, np.zeros(10)), np.zeros(10))
 
 
 def test_project_round_trip_and_parseval():
     rng = np.random.default_rng(4)
-    g = build_knn(rng.standard_normal((50, 2)), 5)
-    spec = spectrum(laplacian(g))
+    adj = build_knn(rng.standard_normal((50, 2)), 5)
+    spec = spectrum(laplacian(adj))
     p = rng.standard_normal(50)
     alpha = project(spec, p)
     assert np.abs(spec.eigenvectors @ alpha - p).max() < 1e-8
@@ -176,8 +207,8 @@ def test_project_round_trip_and_parseval():
 
 
 def test_project_length_mismatch():
-    g = build_knn(np.random.default_rng(2).standard_normal((10, 2)), 2)
-    spec = spectrum(laplacian(g))
+    adj = build_knn(np.random.default_rng(2).standard_normal((10, 2)), 2)
+    spec = spectrum(laplacian(adj))
     with pytest.raises(InputError):
         project(spec, np.ones(9))
 
@@ -185,31 +216,31 @@ def test_project_length_mismatch():
 # -------------------------------------------------------------------- eta
 
 def test_constant_signal_eta_one():
-    g = build_knn(np.random.default_rng(0).standard_normal((30, 2)), 4)
-    assert g.component_sizes() == [30]
-    spec = spectrum(laplacian(g))
+    adj = build_knn(np.random.default_rng(0).standard_normal((30, 2)), 4)
+    assert np.bincount(component_labels(adj)).tolist() == [30]
+    spec = spectrum(laplacian(adj))
     alpha = project(spec, np.full(30, 2.5))
     assert eta(alpha, 100.0 / 30.0) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_highest_mode_eta_zero():
-    g = build_knn(np.random.default_rng(1).standard_normal((25, 2)), 4)
-    spec = spectrum(laplacian(g))
+    adj = build_knn(np.random.default_rng(1).standard_normal((25, 2)), 4)
+    spec = spectrum(laplacian(adj))
     alpha = project(spec, spec.eigenvectors[:, -1])
     assert eta(alpha, 20.0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_r_100_gives_one():
-    g = build_knn(np.random.default_rng(1).standard_normal((25, 2)), 4)
-    spec = spectrum(laplacian(g))
+    adj = build_knn(np.random.default_rng(1).standard_normal((25, 2)), 4)
+    spec = spectrum(laplacian(adj))
     alpha = project(spec, np.random.default_rng(2).standard_normal(25))
     assert eta(alpha, 100.0) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_eta_monotone_in_r():
     rng = np.random.default_rng(6)
-    g = build_knn(rng.standard_normal((40, 2)), 5)
-    spec = spectrum(laplacian(g))
+    adj = build_knn(rng.standard_normal((40, 2)), 5)
+    spec = spectrum(laplacian(adj))
     alpha = project(spec, rng.standard_normal(40))
     values = [eta(alpha, r) for r in np.linspace(1, 100, 25)]
     assert all(b >= a - 1e-15 for a, b in zip(values, values[1:]))
@@ -238,9 +269,9 @@ def test_isometry_invariance():
     rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
     moved = points @ rot.T + np.array([3.0, -1.5])
     q = rng.standard_normal(60)
-    g1, g2 = build_knn(points, 6), build_knn(moved, 6)
-    assert np.array_equal(g1.adjacency, g2.adjacency)
-    s1, s2 = spectrum(laplacian(g1)), spectrum(laplacian(g2))
+    a1, a2 = build_knn(points, 6), build_knn(moved, 6)
+    assert np.array_equal(a1, a2)
+    s1, s2 = spectrum(laplacian(a1)), spectrum(laplacian(a2))
     e1 = eta(project(s1, q), 20.0)
     e2 = eta(project(s2, q), 20.0)
     assert abs(e1 - e2) < 1e-9
@@ -284,6 +315,6 @@ def test_report_noise_eta_near_r_fraction():
 def test_report_warns_on_disconnected_graph():
     points = np.vstack([np.random.default_rng(0).standard_normal((10, 2)),
                         np.random.default_rng(1).standard_normal((10, 2)) + 100.0])
-    with pytest.warns(UserWarning, match="disconnected"):
+    with pytest.warns(UserWarning, match=r"disconnected \(component sizes \[10, 10\]\)"):
         reports = interpretability_report(points, {"q": points[:, 0]}, k=3, r_percent=20.0)
     assert reports[0].n_components == 2
