@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -265,17 +266,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except (InputError, ContractError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except NumericalError as e:
-        print(f"numerical failure: {e}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():  # restores the caller's warning display on return
+        warnings.showwarning = _print_warning
+        try:
+            return args.func(args)
+        except (InputError, ContractError) as e:
+            print(f"error: {e}", file=sys.stderr)
+            return 1
+        except NumericalError as e:
+            print(f"numerical failure: {e}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

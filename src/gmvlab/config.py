@@ -9,7 +9,7 @@ file overrides any subset of keys.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from .errors import InputError
 
@@ -87,12 +87,7 @@ class RunConfig:
                 raise InputError(msg)
 
     def as_dict(self) -> dict:
-        return {
-            "dataset": dict(vars(self.dataset)),
-            "model": dict(vars(self.model)) | {"hidden_dims": list(self.model.hidden_dims)},
-            "training": dict(vars(self.training)),
-            "metric": dict(vars(self.metric)),
-        }
+        return asdict(self)
 
 
 def _parse_hidden_dims(text: str) -> tuple:
@@ -105,14 +100,11 @@ def _parse_hidden_dims(text: str) -> tuple:
     return dims
 
 
+# section -> key -> parser: each key is parsed with its default's type
 _SECTION_FIELDS = {
-    "dataset": {"n_samples": int, "steps": int, "horizon": float, "label_threshold": float,
-                "seed": int, "kappa": float, "substeps": int},
-    "model": {"latent_dim": int, "n_clusters": int, "hidden_dims": _parse_hidden_dims,
-              "decoder_var": float, "beta": float},
-    "training": {"lr": float, "weight_decay": float, "batch_size": int, "epochs": int,
-                 "n_em": int, "variance_floor": float, "seed": int},
-    "metric": {"k": int, "r_percent": float},
+    section.name: {key.name: _parse_hidden_dims if key.name == "hidden_dims" else type(key.default)
+                   for key in fields(section.default_factory)}
+    for section in fields(RunConfig)
 }
 
 
@@ -127,13 +119,13 @@ def load_config(path=None) -> RunConfig:
         for section in parser.sections():
             if section not in _SECTION_FIELDS:
                 raise InputError(f"config: unknown section [{section}]")
-            fields = _SECTION_FIELDS[section]
+            parsers = _SECTION_FIELDS[section]
             block = getattr(cfg, section)
             for key, raw in parser.items(section):
-                if key not in fields:
+                if key not in parsers:
                     raise InputError(f"config: unknown key {key!r} in [{section}]")
                 try:
-                    setattr(block, key, fields[key](raw))
+                    setattr(block, key, parsers[key](raw))
                 except InputError:
                     raise
                 except ValueError:

@@ -15,7 +15,7 @@ from .model import (
     responsibilities,
     sample,
 )
-from .train import TrainHistory, batch_loss, embed_dataset, train
+from .train import batch_loss, embed_dataset, train
 
 __all__ = [
     "FORMAT_TAG",
@@ -35,7 +35,6 @@ __all__ = [
     "responsibilities",
     "sample",
     "TrainConfig",
-    "TrainHistory",
     "batch_loss",
     "embed_dataset",
     "train",

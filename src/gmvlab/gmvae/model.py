@@ -36,13 +36,13 @@ class GmmParams:
     def n_clusters(self) -> int:
         return self.pi.shape[0]
 
-    def validate(self, floor: float = 0.0) -> None:
+    def validate(self) -> None:
         for name in ("pi", "means", "variances"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ContractError(f"mixture {name} must be finite, got {getattr(self, name)}")
         if abs(self.pi.sum() - 1.0) > 1e-12 or np.any(self.pi < 0):
             raise ContractError(f"mixture weights must form a simplex, got {self.pi}")
-        if np.any(self.variances < floor) or np.any(self.variances <= 0):
+        if np.any(self.variances <= 0):
             raise ContractError("cluster variances below the variance floor")
 
     def copy(self) -> "GmmParams":
@@ -51,12 +51,11 @@ class GmmParams:
 
 @dataclass
 class LatentEmbedding:
-    """Batch of posterior Gaussians and their recorded samples (all (n, d))."""
+    """Batch of posterior Gaussians and their samples (all (n, d))."""
 
     mu: np.ndarray
     var: np.ndarray
     z: np.ndarray
-    eps: np.ndarray
 
 
 @dataclass
@@ -72,6 +71,9 @@ class ElboTerms:
     categorical_term: float
     reg: float
 
+    # the objective's history.csv columns: the fields, then total_loss
+    COLUMNS = ("recon", "cluster_kl", "posterior_entropy", "categorical_term", "reg", "total_loss")
+
     @property
     def elbo(self) -> float:
         return self.recon + self.cluster_kl + self.posterior_entropy + self.categorical_term
@@ -79,16 +81,6 @@ class ElboTerms:
     @property
     def total_loss(self) -> float:
         return -self.elbo + self.reg
-
-    def as_dict(self) -> dict:
-        return {
-            "recon": self.recon,
-            "cluster_kl": self.cluster_kl,
-            "posterior_entropy": self.posterior_entropy,
-            "categorical_term": self.categorical_term,
-            "reg": self.reg,
-            "total_loss": self.total_loss,
-        }
 
 
 @dataclass
@@ -143,10 +135,8 @@ def encode(model: GmVae, x: np.ndarray, rng: np.random.Generator | None = None,
         if rng is None:
             raise ContractError("encode needs either rng or eps")
         eps = rng.standard_normal(mu.shape)
-    else:
-        eps = np.broadcast_to(np.asarray(eps, dtype=np.float64), mu.shape).copy()
-    z = mu + np.sqrt(var) * eps
-    return LatentEmbedding(mu=mu, var=var, z=z, eps=eps)
+    z = mu + np.sqrt(var) * np.asarray(eps, dtype=np.float64)
+    return LatentEmbedding(mu=mu, var=var, z=z)
 
 
 def decode(model: GmVae, z: np.ndarray) -> np.ndarray:

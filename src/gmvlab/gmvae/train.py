@@ -14,13 +14,13 @@ A batch computes only what its gradient needs. The objective is evaluated
 once per epoch, on the re-embed pass that feeds EM: the network after the
 epoch's Adam pass, the re-embed noise, and responsibilities under the
 mixture before the epoch's EM pass (the first EM update reuses them).
-`TrainHistory.terms`, and so the history CSV, hold that objective as
-per-sample means over the training set.
+The history that `train` returns, and so the history CSV, holds that
+objective as per-sample means over the training set.
 """
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -39,25 +39,6 @@ from .model import (
     encode,
     responsibilities,
 )
-
-
-@dataclass
-class TrainHistory:
-    """Per-epoch objective terms (per-sample means) and mixture snapshots."""
-
-    terms: list = field(default_factory=list)      # list of ElboTerms
-    pi: list = field(default_factory=list)         # list of (K,) arrays
-    means: list = field(default_factory=list)      # list of (K, d) arrays
-    variances: list = field(default_factory=list)  # list of (K, d) arrays
-
-    def __len__(self):
-        return len(self.terms)
-
-    def append(self, terms: ElboTerms, gmm) -> None:
-        self.terms.append(terms)
-        self.pi.append(gmm.pi.copy())
-        self.means.append(gmm.means.copy())
-        self.variances.append(gmm.variances.copy())
 
 
 @dataclass
@@ -178,8 +159,13 @@ def _last_good(epoch: int) -> str:
 
 
 def train(model: GmVae, x_train: np.ndarray, cfg: TrainConfig,
-          progress=None) -> TrainHistory:
+          progress=None) -> dict[str, np.ndarray]:
     """Train `model` in place on the (n, data_dim) matrix; returns the history.
+
+    The history maps each `history.csv` column group to one array with a
+    row per epoch: the objective terms named in `ElboTerms.COLUMNS`, each
+    (epochs,), then the mixture after the epoch's EM pass as `pi` (epochs,
+    K), `mean` and `var` (epochs, K, d).
 
     Deterministic for a fixed seed: the same permutations, noise draws and
     update order replay exactly. Each epoch draws its permutation, then one
@@ -193,11 +179,15 @@ def train(model: GmVae, x_train: np.ndarray, cfg: TrainConfig,
         raise InputError("train needs a non-empty training set")
     if cfg.batch_size < 1:
         raise InputError(f"batch_size must be >= 1, got {cfg.batch_size}")
+    if cfg.epochs < 0:
+        raise InputError(f"epochs must be >= 0, got {cfg.epochs}")
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     theta, layout = pack_params(model)
     grad = FlatGradient(model)
     adam = AdamState(lr=cfg.lr, weight_decay=cfg.weight_decay, layout=layout)
-    history = TrainHistory()
+    shape = (cfg.epochs, *model.gmm.means.shape)
+    history = {name: np.empty(cfg.epochs) for name in ElboTerms.COLUMNS}
+    history |= {"pi": np.empty(shape[:2]), "mean": np.empty(shape), "var": np.empty(shape)}
 
     for epoch in range(cfg.epochs):
         mix = MixtureConstants.of(model.gmm)  # the mixture changes only in em_step
@@ -224,7 +214,11 @@ def train(model: GmVae, x_train: np.ndarray, cfg: TrainConfig,
                                 gamma=None if i else gamma)
 
         epoch_terms = ElboTerms(*(v / n for v in astuple(terms)))
-        history.append(epoch_terms, model.gmm)
+        for name in ElboTerms.COLUMNS:
+            history[name][epoch] = getattr(epoch_terms, name)
+        gmm = model.gmm
+        history["pi"][epoch], history["mean"][epoch], history["var"][epoch] = \
+            gmm.pi, gmm.means, gmm.variances
         if progress is not None:
             progress(epoch, epoch_terms)
     return history

@@ -10,6 +10,11 @@ import numpy as np
 from ..errors import InputError, NumericalError
 
 
+BETA1 = 0.9  # first-moment decay
+BETA2 = 0.999  # second-moment decay
+EPS = 1e-8  # added to the second-moment root
+
+
 @dataclass
 class AdamState:
     """Hyperparameters, step count and moment vectors of one Adam run.
@@ -19,9 +24,6 @@ class AdamState:
     """
 
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 0.0
     step_count: int = 0
     first_moment: np.ndarray | None = None
@@ -57,11 +59,11 @@ def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
         state.first_moment = np.zeros_like(theta)
         state.second_moment = np.zeros_like(theta)
     m, v = state.first_moment, state.second_moment
-    m *= state.beta1
-    m += (1.0 - state.beta1) * grad
-    v *= state.beta2
-    v += (1.0 - state.beta2) * (grad * grad)
-    update = (m / (1.0 - state.beta1**t)) / (np.sqrt(v / (1.0 - state.beta2**t)) + state.eps)
+    m *= BETA1
+    m += (1.0 - BETA1) * grad
+    v *= BETA2
+    v += (1.0 - BETA2) * (grad * grad)
+    update = (m / (1.0 - BETA1**t)) / (np.sqrt(v / (1.0 - BETA2**t)) + EPS)
     if state.weight_decay > 0.0:
         update += state.weight_decay * theta
     theta -= state.lr * update

@@ -13,7 +13,10 @@ import numpy as np
 from ..errors import InputError, NumericalError
 
 
-def _check_symmetric(m: np.ndarray, tol: float) -> None:
+SYM_TOL = 1e-10  # largest accepted |m - m.T|, relative to the largest entry
+
+
+def _check_symmetric(m: np.ndarray) -> None:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InputError(f"symmetric_eig expects a square matrix, got shape {m.shape}")
     # non-finite entries would slip through the tolerance test below (nan > tol is False)
@@ -21,22 +24,22 @@ def _check_symmetric(m: np.ndarray, tol: float) -> None:
         raise NumericalError("symmetric_eig: matrix has non-finite entries")
     scale = max(1.0, float(np.max(np.abs(m))) if m.size else 0.0)
     asym = float(np.max(np.abs(m - m.T))) if m.size else 0.0
-    if asym > tol * scale:
+    if asym > SYM_TOL * scale:
         raise InputError(f"matrix is not symmetric: max |m - m.T| = {asym:.3e}")
 
 
-def symmetric_eig(m: np.ndarray, sym_tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+def symmetric_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a symmetric matrix.
 
     Returns (eigenvalues ascending, eigenvectors as orthonormal columns),
     so ``m @ v[:, i] == w[i] * v[:, i]``. Each column is signed so that its
     largest-magnitude entry (the first, on ties) is positive. Raises
-    InputError when the input is asymmetric beyond `sym_tol` (relative to
+    InputError when the input is asymmetric beyond `SYM_TOL` (relative to
     the largest entry) and NumericalError on non-finite input or when
     LAPACK fails to converge.
     """
     m = np.asarray(m, dtype=np.float64)
-    _check_symmetric(m, sym_tol)
+    _check_symmetric(m)
     try:
         w, v = np.linalg.eigh(0.5 * (m + m.T))  # kill roundoff asymmetry before solving
     except np.linalg.LinAlgError as e:

@@ -65,21 +65,17 @@ class Mlp:
         """Network output for a batch (the last of `forward`'s activations)."""
         return self.forward(x)[-1]
 
-    def backward(self, acts: list[np.ndarray], grad_out: np.ndarray, dws=None, dbs=None,
+    def backward(self, acts: list[np.ndarray], grad_out: np.ndarray, dws: list, dbs: list,
                  input_grad: bool = True):
         """Backpropagate a loss gradient at the output through the layers.
 
         `acts` are the activations `forward` returned for the batch and
         `grad_out` the loss gradient with respect to the output. dW and db
-        are written into `dws` and `dbs` (one array per layer, e.g. views of
-        a flat gradient vector) when given, else into new arrays. Returns
-        (dws, dbs, gradient with respect to the input, or None when
-        `input_grad` is False).
+        are written into `dws` and `dbs`, one array per layer (e.g. views of
+        a flat gradient vector). Returns (dws, dbs, gradient with respect to
+        the input, or None when `input_grad` is False).
         """
         last = self.n_layers - 1
-        if dws is None:
-            dws = [np.empty_like(w) for w in self.weights]
-            dbs = [np.empty_like(b) for b in self.biases]
         g = grad_out
         for i in range(last, -1, -1):
             if i < last:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, NumericalError
 from .ndmath import symmetric_eig
 
 
@@ -37,9 +37,18 @@ class SpectralReport:
 
 
 def squared_distances(x: np.ndarray) -> np.ndarray:
-    """Pairwise squared Euclidean distances of the rows of x, unclipped."""
-    sq = np.sum(x**2, axis=1)
-    return sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
+    """Pairwise squared Euclidean distances of the rows of x, unclipped.
+
+    Raises NumericalError when one is not finite, as when the coordinates
+    are so large that their squares overflow.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = np.sum(x**2, axis=1)
+        d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
+    if not np.isfinite(d2).all():
+        raise NumericalError("pairwise squared distances are not finite "
+                             f"(largest |coordinate| {np.abs(x).max():.3g})")
+    return d2
 
 
 def build_knn(points: np.ndarray, k: int) -> np.ndarray:

@@ -127,11 +127,11 @@ class Table:
 def write_embeddings_csv(path, sample_ids, splits, mu, var=None, gamma=None,
                          hard_labels=None, true_labels=None) -> None:
     """Embedding table: sample_id, split, mu_*, [var_*], [gamma_*], [hard_label], [true_label]."""
-    columns = {"sample_id": sample_ids, "split": splits} | _numbered("mu_", mu)
+    columns = {"sample_id": sample_ids, "split": splits} | _numbered("mu", mu)
     if var is not None:
-        columns |= _numbered("var_", var)
+        columns |= _numbered("var", var)
     if gamma is not None:
-        columns |= _numbered("gamma_", gamma)
+        columns |= _numbered("gamma", gamma)
     if hard_labels is not None:
         columns["hard_label"] = hard_labels
     if true_labels is not None:
@@ -139,9 +139,13 @@ def write_embeddings_csv(path, sample_ids, splits, mu, var=None, gamma=None,
     write_table(path, columns)
 
 
-def _numbered(prefix: str, block) -> dict:
-    block = np.atleast_2d(block)
-    return {f"{prefix}{j + 1}": block[:, j] for j in range(block.shape[1])}
+def _numbered(name: str, block) -> dict:
+    """The columns of an array with one row per table row: `name` for a 1-d
+    array, else `name_i`, `name_i_j`, ... for each entry of a row, with
+    1-based indices in C order."""
+    block = np.asarray(block)
+    return {"_".join([name, *(str(i + 1) for i in index)]): block[(slice(None), *index)]
+            for index in np.ndindex(block.shape[1:])}
 
 
 def read_embeddings_csv(path) -> dict:
@@ -162,18 +166,12 @@ def read_embeddings_csv(path) -> dict:
     }
 
 
-def write_history_csv(path, history) -> None:
-    """Per-epoch objective terms plus mixture parameters."""
-    terms = ("recon", "cluster_kl", "posterior_entropy", "categorical_term", "reg", "total_loss")
-    columns = {"epoch": range(len(history))} | {
-        name: [float(getattr(t, name)) for t in history.terms] for name in terms}
-    if len(history):
-        k, d = history.means[0].shape
-        means, variances = np.array(history.means), np.array(history.variances)
-        columns |= _numbered("pi_", np.array(history.pi))
-        columns |= {f"mean_{c + 1}_{j + 1}": means[:, c, j] for c in range(k) for j in range(d)}
-        columns |= {f"var_{c + 1}_{j + 1}": variances[:, c, j]
-                    for c in range(k) for j in range(d)}
+def write_history_csv(path, history: dict) -> None:
+    """The per-epoch history `train` returns: epoch, then each array's columns
+    (see `_numbered`), e.g. total_loss, pi_1, mean_1_2."""
+    columns = {"epoch": range(len(next(iter(history.values()))))}
+    for name, values in history.items():
+        columns |= _numbered(name, values)
     write_table(path, columns)
 
 

@@ -168,7 +168,7 @@ def test_em_monotonicity():
                         rng.normal(centers[1], 0.4, size=(n - n // 2, 2))])
         var = rng.uniform(1e-4, 1e-2, size=mu.shape)
         z = mu + np.sqrt(var) * rng.standard_normal(mu.shape)
-        emb = LatentEmbedding(mu=mu, var=var, z=z, eps=np.zeros_like(mu))
+        emb = LatentEmbedding(mu=mu, var=var, z=z)
         pi = rng.dirichlet(np.ones(2))
         gmm = GmmParams(pi=pi, means=rng.uniform(-1, 1, size=(2, 2)),
                         variances=np.ones((2, 2)))

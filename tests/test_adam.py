@@ -5,6 +5,7 @@ import pytest
 
 from gmvlab.errors import NumericalError
 from gmvlab.ndmath import AdamState, adam_step
+from gmvlab.ndmath.adam import EPS
 
 
 def test_zero_gradient_leaves_params_unchanged():
@@ -33,7 +34,7 @@ def test_first_step_magnitude_is_lr():
     state = AdamState(lr=lr)
     theta = np.array([1.0])
     adam_step(theta, np.array([g]), state)
-    expected = 1.0 - lr * g / (abs(g) + state.eps)
+    expected = 1.0 - lr * g / (abs(g) + EPS)
     assert abs(theta[0] - expected) < 1e-15
     assert abs((1.0 - theta[0]) - lr) < 1e-6
 

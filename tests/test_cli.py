@@ -3,12 +3,13 @@
 import csv
 import json
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from gmvlab.cli import main
-from gmvlab.tables import read_embeddings_csv
+from gmvlab.tables import read_embeddings_csv, write_embeddings_csv, write_table
 
 
 @pytest.fixture(scope="module")
@@ -173,6 +174,35 @@ def test_metric_constant_quantity_eta_one(workdir, tmp_path):
     assert float(rows[0][3]) == pytest.approx(1.0, abs=1e-10)
 
 
+def _metric_inputs(tmp_path, points):
+    """Embeddings and quantities CSVs for the given (n, 2) points."""
+    emb, quant = tmp_path / "points.csv", tmp_path / "quant.csv"
+    write_embeddings_csv(emb, range(len(points)), ["train"] * len(points), points)
+    write_table(quant, {"sample_id": range(len(points)), "q": points[:, 0]})
+    return ["metric", "--embeddings", str(emb), "--quantities", str(quant), "--k", "2",
+            "--out", str(tmp_path / "report.csv")]
+
+
+@pytest.mark.filterwarnings("default:kNN graph is disconnected")
+def test_metric_warning_is_one_line_without_source(tmp_path, capsys):
+    points = np.vstack([np.zeros((4, 2)), np.full((4, 2), 100.0)])
+    points[:, 0] += np.arange(8)
+    shown_by = warnings.showwarning
+    assert main(_metric_inputs(tmp_path, points)) == 0
+    err = capsys.readouterr().err
+    assert "warning: kNN graph is disconnected (component sizes [" in err
+    assert ".py:" not in err
+    assert warnings.showwarning is shown_by  # an in-process caller keeps its own display
+
+
+def test_metric_on_overflowing_embeddings_gives_exit_2(tmp_path, capsys):
+    points = np.random.default_rng(10).standard_normal((6, 2)) * 1e160
+    assert main(_metric_inputs(tmp_path, points)) == 2
+    assert "numerical failure: pairwise squared distances are not finite" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "report.csv").exists()
+
+
 def test_metric_misaligned_ids_fail(workdir, tmp_path):
     qpath = tmp_path / "short.csv"
     with open(qpath, "w", newline="") as fh:
@@ -288,6 +318,13 @@ def test_train_zero_epochs_writes_initial_checkpoint(workdir, tmp_path):
     assert (out / "checkpoint.json").is_file()
     header, rows = read_rows(out / "history.csv")
     assert rows == []
+    # the schema does not depend on the run length
+    ini.write_text(ini.read_text().replace("epochs = 0", "epochs = 1"))
+    assert main(["train", "--config", str(ini), "--dataset", str(workdir["data"]),
+                 "--out", str(tmp_path / "run1"), "--quiet"]) == 0
+    header1, rows1 = read_rows(tmp_path / "run1" / "history.csv")
+    assert len(rows1) == 1
+    assert header == header1
     assert header[0] == "epoch"
     emb = read_embeddings_csv(out / "embeddings.csv")
     assert emb["mu"].shape == (80, 2)
@@ -461,8 +498,6 @@ def test_metric_reads_k_and_r_from_config(workdir, tmp_path):
     ini = tmp_path / "metric.ini"
     ini.write_text("[metric]\nk = 6\nr_percent = 50\n")
     out = tmp_path / "report.csv"
-    import warnings
-
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         assert main(["metric", "--config", str(ini),

@@ -52,7 +52,8 @@ def test_encode_deterministic_for_fixed_seed():
     a = encode(model, x, rng=np.random.Generator(np.random.PCG64(42)))
     b = encode(model, x, rng=np.random.Generator(np.random.PCG64(42)))
     assert np.array_equal(a.z, b.z)
-    assert np.array_equal(a.eps, b.eps)
+    noise = np.random.Generator(np.random.PCG64(42)).standard_normal((5, 2))
+    assert np.array_equal(a.z, a.mu + np.sqrt(a.var) * noise)
 
 
 # ---------------------------------------------------- responsibilities
@@ -146,8 +147,7 @@ def test_elbo_matches_scalar_reference(seed, k):
 def test_unit_posterior_has_zero_regularizer():
     model = make_model()
     n, d = 3, 2
-    emb = LatentEmbedding(mu=np.zeros((n, d)), var=np.ones((n, d)),
-                          z=np.zeros((n, d)), eps=np.zeros((n, d)))
+    emb = LatentEmbedding(mu=np.zeros((n, d)), var=np.ones((n, d)), z=np.zeros((n, d)))
     gamma = responsibilities(model.gmm, emb.z)
     terms = elbo(model, np.zeros((n, 6)), emb, gamma)
     assert terms.reg == 0.0
@@ -183,7 +183,7 @@ def embedding_of(mu, var=None, z=None):
     mu = np.atleast_2d(mu)
     var = np.full_like(mu, 1e-10) if var is None else np.broadcast_to(var, mu.shape).copy()
     z = mu.copy() if z is None else z
-    return LatentEmbedding(mu=mu, var=var, z=z, eps=np.zeros_like(mu))
+    return LatentEmbedding(mu=mu, var=var, z=z)
 
 
 def test_hard_responsibilities_average_assigned_means():
@@ -239,7 +239,7 @@ def test_em_log_likelihood_nondecreasing_on_z():
     mu = np.vstack([rng.normal(-2, 0.3, size=(25, 2)), rng.normal(2, 0.3, size=(25, 2))])
     var = np.full_like(mu, 1e-12)
     z = mu + np.sqrt(var) * rng.standard_normal(mu.shape)
-    emb = LatentEmbedding(mu=mu, var=var, z=z, eps=np.zeros_like(mu))
+    emb = LatentEmbedding(mu=mu, var=var, z=z)
     gmm = GmmParams(pi=np.array([0.5, 0.5]),
                     means=rng.uniform(-1, 1, size=(2, 2)), variances=np.ones((2, 2)))
     ll = gmm_log_likelihood(gmm, z)

@@ -9,8 +9,9 @@ import sys
 import numpy as np
 import pytest
 
-from gmvlab.errors import NumericalError
+from gmvlab.errors import InputError, NumericalError
 from gmvlab.gmvae import (
+    ElboTerms,
     GmVae,
     TrainConfig,
     batch_loss,
@@ -160,7 +161,7 @@ def _ref_train(model, x, cfg):
         out = _ref_forward(model.encoder, x)[-1]
         mu, var = out[:, :d], np.exp(out[:, d:])
         eps = rng.standard_normal(mu.shape)
-        emb = LatentEmbedding(mu=mu, var=var, z=mu + np.sqrt(var) * eps, eps=eps)
+        emb = LatentEmbedding(mu=mu, var=var, z=mu + np.sqrt(var) * eps)
         for _ in range(cfg.n_em):
             model.gmm = em_step(model.gmm, emb, variance_floor=cfg.variance_floor,
                                 gamma=_ref_responsibilities(model.gmm, emb.z))
@@ -193,8 +194,9 @@ def test_history_holds_the_objective_of_the_re_embed_pass():
     rng.standard_normal((20, 2))
     emb = encode(model, x, rng=rng)
     want = elbo(model, x, emb, responsibilities(model.gmm, emb.z))
-    assert dataclasses.astuple(history.terms[0]) == tuple(v / 20 for v in
-                                                          dataclasses.astuple(want))
+    want = ElboTerms(*(v / 20 for v in dataclasses.astuple(want)))
+    assert [history[name][0] for name in ElboTerms.COLUMNS] == [getattr(want, name)
+                                                                for name in ElboTerms.COLUMNS]
 
 
 def _break_after_step(monkeypatch, step, corrupt):
@@ -253,10 +255,20 @@ def test_zero_epochs_leaves_model_untouched():
     gmm_before = copy.deepcopy(model.gmm)
     history = train(model, np.random.default_rng(0).standard_normal((10, 6)),
                     TrainConfig(epochs=0, batch_size=4, seed=1))
-    assert len(history) == 0
+    assert all(len(values) == 0 for values in history.values())
     for a, b in zip(before, model_arrays(model)):
         assert np.array_equal(a, b)
     assert np.array_equal(gmm_before.pi, model.gmm.pi)
+
+
+@pytest.mark.parametrize("rows,cfg,match", [
+    (0, TrainConfig(epochs=1), "non-empty"),
+    (10, TrainConfig(epochs=1, batch_size=0), "batch_size"),
+    (10, TrainConfig(epochs=-1), "epochs"),
+])
+def test_train_rejects_bad_arguments(rows, cfg, match):
+    with pytest.raises(InputError, match=match):
+        train(make_model(), np.zeros((rows, 6)), cfg)
 
 
 def test_zero_lr_moves_only_gmm():
@@ -282,18 +294,21 @@ def test_training_is_deterministic_for_fixed_seed():
     for a, b in zip(model_arrays(m1), model_arrays(m2)):
         assert np.array_equal(a, b)
     assert np.array_equal(m1.gmm.pi, m2.gmm.pi)
-    for t1, t2 in zip(h1.terms, h2.terms):
-        assert t1.total_loss == t2.total_loss
+    for name in h1:
+        assert h1[name].tobytes() == h2[name].tobytes(), name
 
 
 def test_history_length_and_recorded_snapshots():
     model = make_model()
     x = np.random.default_rng(1).standard_normal((12, 6))
     history = train(model, x, TrainConfig(epochs=5, batch_size=4, seed=2))
-    assert len(history) == 5
-    assert history.pi[-1].shape == (2,)
-    assert history.means[-1].shape == (2, 2)
-    assert np.array_equal(history.pi[-1], model.gmm.pi)
+    assert list(history) == [*ElboTerms.COLUMNS, "pi", "mean", "var"]
+    assert all(history[name].shape == (5,) for name in ElboTerms.COLUMNS)
+    assert history["pi"].shape == (5, 2)
+    assert history["mean"].shape == history["var"].shape == (5, 2, 2)
+    assert np.array_equal(history["pi"][-1], model.gmm.pi)
+    assert np.array_equal(history["mean"][-1], model.gmm.means)
+    assert np.array_equal(history["var"][-1], model.gmm.variances)
 
 
 def test_loss_decreases_on_easy_reconstruction_task():
@@ -301,8 +316,8 @@ def test_loss_decreases_on_easy_reconstruction_task():
     x = np.vstack([rng.normal(-1, 0.05, size=(20, 6)), rng.normal(1, 0.05, size=(20, 6))])
     model = make_model(seed=6, decoder_var=1e-2)
     history = train(model, x, TrainConfig(epochs=60, batch_size=10, lr=3e-3, seed=3))
-    first = np.mean([t.total_loss for t in history.terms[:5]])
-    last = np.mean([t.total_loss for t in history.terms[-5:]])
+    first = np.mean(history["total_loss"][:5])
+    last = np.mean(history["total_loss"][-5:])
     assert last < first
 
 

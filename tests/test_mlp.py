@@ -23,6 +23,12 @@ def central_diff(f, x, h=1e-5):
     return g
 
 
+def backward(net, acts, grad_out):
+    """`net.backward` into freshly allocated dW and db arrays."""
+    return net.backward(acts, grad_out, [np.empty_like(w) for w in net.weights],
+                        [np.empty_like(b) for b in net.biases])
+
+
 def rel_err(a, b):
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-8)
     return np.max(np.abs(a - b) / denom)
@@ -38,7 +44,7 @@ def test_mlp_mse_gradient_matches_finite_differences():
         return np.sum(out * out) / out.size
 
     acts = net.forward(x)
-    dws, dbs, dx = net.backward(acts, 2.0 * acts[-1] / acts[-1].size)
+    dws, dbs, dx = backward(net, acts, 2.0 * acts[-1] / acts[-1].size)
     for i in range(net.n_layers):
         for name, g, arr in ((f"w{i}", dws[i], net.weights[i]), (f"b{i}", dbs[i], net.biases[i])):
             fd = central_diff(loss, arr)
@@ -54,7 +60,7 @@ def test_forward_is_deterministic():
 
     def run():
         acts = net.forward(x)
-        return acts, net.backward(acts, acts[-1])
+        return acts, backward(net, acts, acts[-1])
 
     (a1, (w1, b1, x1)), (a2, (w2, b2, x2)) = run(), run()
     for p, q in zip(a1 + w1 + b1 + [x1], a2 + w2 + b2 + [x2]):
@@ -66,7 +72,7 @@ def test_backward_into_given_arrays_matches_fresh_ones():
     net = Mlp.init([5, 4, 3, 2], rng)
     acts = net.forward(rng.standard_normal((7, 5)))
     g = rng.standard_normal((7, 2))
-    dws, dbs, dx = net.backward(acts, g)
+    dws, dbs, dx = backward(net, acts, g)
     flat = np.full(net.n_params(), np.nan)
     out_w, out_b, start = [], [], 0
     for w, b in zip(net.weights, net.biases):

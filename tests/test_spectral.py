@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gmvlab.errors import InputError
+from gmvlab.errors import InputError, NumericalError
 from gmvlab.spectral import (
     build_knn,
     component_labels,
@@ -318,3 +318,20 @@ def test_report_warns_on_disconnected_graph():
     with pytest.warns(UserWarning, match=r"disconnected \(component sizes \[10, 10\]\)"):
         reports = interpretability_report(points, {"q": points[:, 0]}, k=3, r_percent=20.0)
     assert reports[0].n_components == 2
+
+
+def overflowing_points():
+    """Six finite points whose squared distances overflow to inf and NaN."""
+    return np.random.default_rng(10).standard_normal((6, 2)) * 1e160
+
+
+def test_build_knn_rejects_overflowing_distances():
+    # a NaN distance would make a point its own neighbour, a self-loop in the graph
+    with pytest.raises(NumericalError, match="not finite"):
+        build_knn(overflowing_points(), 2)
+
+
+def test_report_rejects_overflowing_distances():
+    points = overflowing_points()
+    with pytest.raises(NumericalError, match="not finite"):
+        interpretability_report(points, {"q": points[:, 0]}, k=2, r_percent=20.0)

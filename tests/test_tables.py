@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from gmvlab import datagen
 from gmvlab.errors import InputError
-from gmvlab.gmvae import ElboTerms, GmmParams, TrainHistory
+from gmvlab.gmvae import ElboTerms
 from gmvlab.spectral import SpectralReport
 from gmvlab.tables import (
     Table,
@@ -139,22 +139,23 @@ def test_quantities_missing_requested_column(tmp_path):
 
 def test_history_round_trip(tmp_path):
     rng = np.random.default_rng(2)
-    history = TrainHistory()
-    for _ in range(3):
-        history.append(ElboTerms(*rng.standard_normal(5)),
-                       GmmParams(pi=rng.dirichlet(np.ones(2)), means=rng.standard_normal((2, 3)),
-                                 variances=rng.uniform(0.1, 1.0, (2, 3))))
+    history = {name: rng.standard_normal(3) for name in ElboTerms.COLUMNS}
+    history |= {"pi": rng.dirichlet(np.ones(2), size=3), "mean": rng.standard_normal((3, 2, 3)),
+                "var": rng.uniform(0.1, 1.0, (3, 2, 3))}
     path = tmp_path / "history.csv"
     write_history_csv(path, history)
     table = Table(path)
     assert table.column("epoch") == ["0", "1", "2"]
     terms = table.floats(["recon", "cluster_kl", "posterior_entropy", "categorical_term",
                           "reg", "total_loss"])
-    assert np.array_equal(terms, [[*vars(t).values(), t.total_loss] for t in history.terms])
-    assert np.array_equal(table.block("pi_"), history.pi)
-    for prefix, snapshots in (("mean", history.means), ("var", history.variances)):
-        names = [f"{prefix}_{c + 1}_{j + 1}" for c in range(2) for j in range(3)]
-        assert np.array_equal(table.floats(names), np.reshape(snapshots, (3, 6)))
+    assert np.array_equal(terms, np.column_stack([history[name] for name in ElboTerms.COLUMNS]))
+    assert np.array_equal(table.block("pi_"), history["pi"])
+    names = {prefix: [f"{prefix}_{c + 1}_{j + 1}" for c in range(2) for j in range(3)]
+             for prefix in ("mean", "var")}
+    for prefix in ("mean", "var"):
+        assert np.array_equal(table.floats(names[prefix]), np.reshape(history[prefix], (3, 6)))
+    assert table.header == ["epoch", *ElboTerms.COLUMNS, "pi_1", "pi_2", *names["mean"],
+                            *names["var"]]
 
 
 def _reports():
