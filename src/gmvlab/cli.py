@@ -1,7 +1,7 @@
 """Command-line front end for the whole pipeline.
 
 Subcommands: generate, train, embed, sample, metric, baseline, align.
-Exit codes: 0 success, 1 validation error, 2 numerical failure.
+Exit codes: 0 success, 1 usage or validation error, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .config import load_config
 from .errors import ContractError, InputError, NumericalError
 from .gmvae import (
     GmVae,
-    cluster_assign,
     embed_dataset,
     load_checkpoint,
     permutation_accuracy,
@@ -57,13 +56,14 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _write_embeddings(model, dataset, out_path) -> None:
-    x = dataset.matrix()
-    emb, gamma = embed_dataset(model, x)
+def _write_embeddings(model, dataset, out_path) -> np.ndarray:
+    """Write the posterior-mean embeddings of every row; returns their hard labels."""
+    emb, gamma = embed_dataset(model, dataset.matrix())
     hard = np.argmax(gamma, axis=1)
     tables.write_embeddings_csv(out_path, range(len(dataset)), dataset.split_names(), emb.mu,
                                 var=emb.var, gamma=gamma, hard_labels=hard,
                                 true_labels=dataset.labels())
+    return hard
 
 
 def cmd_train(args) -> int:
@@ -93,12 +93,15 @@ def cmd_train(args) -> int:
 
     digest = save_checkpoint(model, out_dir / "checkpoint.json", config=cfg.as_dict())
     tables.write_history_csv(out_dir / "history.csv", history)
-    _write_embeddings(model, dataset, out_dir / "embeddings.csv")
+    hard = _write_embeddings(model, dataset, out_dir / "embeddings.csv")
 
-    x_test = dataset.matrix("test")
-    acc, mapping = permutation_accuracy(cluster_assign(model, x_test), dataset.labels("test"))
     print(f"checkpoint digest: {digest}")
-    print(f"test clustering accuracy (best permutation): {acc:.4f} via {mapping}")
+    test = dataset.split["test"]
+    if len(test):
+        acc, mapping = permutation_accuracy(hard[test], dataset.labels("test"))
+        print(f"test clustering accuracy (best permutation): {acc:.4f} via {mapping}")
+    else:
+        print("test split is empty: no clustering accuracy")
     print(f"final pi: {np.array2string(model.gmm.pi, precision=4)}")
     return 0
 
@@ -202,14 +205,33 @@ def cmd_align(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error with exit code 1 (argparse uses 2, which here means
+    numerical failure); subcommand parsers inherit this class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _seed(text: str) -> int:
+    """argparse type of the --seed flags: numpy seeds must be integers >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be an integer >= 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="gmvlab",
-                                     description="Mixture-prior VAE laboratory")
+    parser = _Parser(prog="gmvlab", description="Mixture-prior VAE laboratory")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
         p.add_argument("--config", default=None, help="INI config file")
-        p.add_argument("--seed", type=int, default=None, help="override the relevant seed")
+        p.add_argument("--seed", type=_seed, default=None, help="override the relevant seed")
 
     p = sub.add_parser("generate", help="simulate the reaction dataset")
     common(p)
@@ -233,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--cluster", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sample)
 

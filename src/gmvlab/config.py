@@ -67,6 +67,7 @@ class RunConfig:
             (0 < d.label_threshold < 1, f"dataset.label_threshold must be in (0, 1), got {d.label_threshold}"),
             (d.substeps >= 1, f"dataset.substeps must be >= 1, got {d.substeps}"),
             (d.kappa >= 0, f"dataset.kappa must be >= 0, got {d.kappa}"),
+            (d.seed >= 0, f"dataset.seed must be >= 0, got {d.seed}"),
             (m.latent_dim >= 1, f"model.latent_dim must be >= 1, got {m.latent_dim}"),
             (m.n_clusters >= 1, f"model.n_clusters must be >= 1, got {m.n_clusters}"),
             (all(h >= 1 for h in m.hidden_dims) and len(m.hidden_dims) >= 1,
@@ -79,6 +80,7 @@ class RunConfig:
             (t.epochs >= 0, f"training.epochs must be >= 0, got {t.epochs}"),
             (t.n_em >= 0, f"training.n_em must be >= 0, got {t.n_em}"),
             (t.variance_floor > 0, f"training.variance_floor must be > 0, got {t.variance_floor}"),
+            (t.seed >= 0, f"training.seed must be >= 0, got {t.seed}"),
             (k.k >= 1, f"metric.k must be >= 1, got {k.k}"),
             (0 < k.r_percent <= 100, f"metric.r_percent must be in (0, 100], got {k.r_percent}"),
         ]

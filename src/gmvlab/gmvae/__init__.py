@@ -5,7 +5,6 @@ from .model import (
     GmmParams,
     GmVae,
     LatentEmbedding,
-    cluster_assign,
     decode,
     elbo,
     em_step,
@@ -15,7 +14,7 @@ from .model import (
     responsibilities,
     sample,
 )
-from .train import batch_loss, embed_dataset, train
+from .train import batch_loss, cluster_assign, embed_dataset, train
 
 __all__ = [
     "FORMAT_TAG",

@@ -116,12 +116,11 @@ class GmVae:
         return self.encoder.layer_dims[0]
 
 
-def encode(model: GmVae, x: np.ndarray, rng: np.random.Generator | None = None,
-           eps: np.ndarray | None = None) -> LatentEmbedding:
-    """Posterior parameters and a reparameterized sample for a batch.
+def encode(model: GmVae, x: np.ndarray, eps: np.ndarray | float) -> LatentEmbedding:
+    """Posterior parameters and the reparameterized sample z = mu + sqrt(var) * eps.
 
-    Exactly one of `rng` (fresh standard-normal noise) or `eps` (caller-fixed
-    noise, e.g. zeros) must be given.
+    `eps` broadcasts against (n, latent_dim): the caller's standard-normal
+    draw, or 0.0 for z = mu.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     out = model.encoder.infer(x)
@@ -131,10 +130,6 @@ def encode(model: GmVae, x: np.ndarray, rng: np.random.Generator | None = None,
     mu = out[:, :d]
     logvar = out[:, d:]
     var = np.exp(logvar)
-    if eps is None:
-        if rng is None:
-            raise ContractError("encode needs either rng or eps")
-        eps = rng.standard_normal(mu.shape)
     z = mu + np.sqrt(var) * np.asarray(eps, dtype=np.float64)
     return LatentEmbedding(mu=mu, var=var, z=z)
 
@@ -309,12 +304,6 @@ def sample(model: GmVae, count: int, rng: np.random.Generator,
     return decode(model, z), ids
 
 
-def cluster_assign(model: GmVae, x: np.ndarray) -> np.ndarray:
-    """Hard cluster labels: argmax responsibility of the posterior-mean embedding."""
-    emb = encode(model, x, eps=np.zeros(1))
-    return np.argmax(responsibilities(model.gmm, emb.mu), axis=1)
-
-
 def permutation_accuracy(pred_clusters: np.ndarray, true_labels) -> tuple[float, dict]:
     """Best accuracy over injective cluster -> label assignments.
 
@@ -328,6 +317,8 @@ def permutation_accuracy(pred_clusters: np.ndarray, true_labels) -> tuple[float,
     clusters = sorted(set(int(c) for c in pred_clusters))
     labels = sorted(set(true_labels.tolist()))
     n = len(true_labels)
+    if n == 0:
+        raise InputError("permutation_accuracy needs at least one sample")
     best_acc, best_map = -1.0, {}
     for perm in permutations(labels, min(len(clusters), len(labels))):
         mapping = dict(zip(clusters, perm))

@@ -202,7 +202,7 @@ def train(model: GmVae, x_train: np.ndarray, cfg: TrainConfig,
                 raise NumericalError(f"epoch {epoch}, batch {batch}: {e} ({_last_good(epoch)})")
 
         try:
-            emb = encode(model, x_train, rng=rng)
+            emb = encode(model, x_train, rng.standard_normal((n, model.latent_dim)))
             gamma = _responsibilities(mix, emb.z)
             terms = elbo(model, x_train, emb, gamma)
         except NumericalError as e:
@@ -225,7 +225,11 @@ def train(model: GmVae, x_train: np.ndarray, cfg: TrainConfig,
 
 
 def embed_dataset(model: GmVae, x: np.ndarray) -> tuple[LatentEmbedding, np.ndarray]:
-    """Deterministic posterior-mean embeddings plus their responsibilities."""
-    emb = encode(model, x, eps=np.zeros(1))
-    gamma = responsibilities(model.gmm, emb.mu)
-    return emb, gamma
+    """Deterministic posterior-mean embeddings (z = mu) plus their responsibilities."""
+    emb = encode(model, x, 0.0)
+    return emb, responsibilities(model.gmm, emb.mu)
+
+
+def cluster_assign(model: GmVae, x: np.ndarray) -> np.ndarray:
+    """Hard cluster labels: the argmax of `embed_dataset`'s responsibilities."""
+    return np.argmax(embed_dataset(model, x)[1], axis=1)

@@ -1,6 +1,8 @@
 """End-to-end CLI runs over a small configuration."""
 
+import contextlib
 import csv
+import io
 import json
 import sys
 import warnings
@@ -8,7 +10,9 @@ import warnings
 import numpy as np
 import pytest
 
+from gmvlab import datagen
 from gmvlab.cli import main
+from gmvlab.gmvae import cluster_assign, load_checkpoint, permutation_accuracy
 from gmvlab.tables import read_embeddings_csv, write_embeddings_csv, write_table
 
 
@@ -30,9 +34,12 @@ def workdir(tmp_path_factory, small_ini):
     data = root / "data.csv"
     out = root / "train"
     assert main(["generate", "--config", small_ini, "--out", str(data)]) == 0
-    assert main(["train", "--config", small_ini, "--dataset", str(data),
-                 "--out", str(out), "--quiet"]) == 0
-    return {"root": root, "data": data, "train": out, "ini": small_ini}
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert main(["train", "--config", small_ini, "--dataset", str(data),
+                     "--out", str(out), "--quiet"]) == 0
+    return {"root": root, "data": data, "train": out, "ini": small_ini,
+            "train_stdout": stdout.getvalue()}
 
 
 def read_rows(path):
@@ -79,6 +86,31 @@ def test_train_outputs_exist_and_parse(workdir):
     assert emb["mu"].shape == (80, 2)
     assert emb["gamma"].shape == (80, 2)
     assert set(emb["splits"]) == {"train", "val", "test"}
+
+
+def test_train_accuracy_line_matches_the_reloaded_checkpoint(workdir):
+    model, _, _ = load_checkpoint(workdir["train"] / "checkpoint.json")
+    dataset = datagen.load_csv(workdir["data"])
+    acc, mapping = permutation_accuracy(cluster_assign(model, dataset.matrix("test")),
+                                        dataset.labels("test"))
+    line = f"test clustering accuracy (best permutation): {acc:.4f} via {mapping}\n"
+    assert line in workdir["train_stdout"]
+
+
+def test_train_with_an_empty_test_split_skips_the_accuracy(workdir, tmp_path, capsys):
+    lines = workdir["data"].read_text().splitlines(keepends=True)
+    data = tmp_path / "no_test.csv"
+    data.write_text("".join(line.replace(",test\n", ",val\n") for line in lines))
+    ini = tmp_path / "short.ini"
+    ini.write_text("[model]\nhidden_dims = 12, 6\n[training]\nepochs = 2\nbatch_size = 16\n")
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(ini), "--dataset", str(data), "--out", str(out),
+                 "--quiet"]) == 0
+    stdout = capsys.readouterr().out
+    assert "test split is empty: no clustering accuracy" in stdout
+    assert "test clustering accuracy" not in stdout
+    for name in ("checkpoint.json", "history.csv", "embeddings.csv"):
+        assert (out / name).is_file()
 
 
 def test_embed_matches_train_export(workdir, tmp_path):
@@ -336,6 +368,48 @@ def test_missing_input_file_gives_exit_1(tmp_path):
     assert main(["metric", "--embeddings", str(tmp_path / "nope.csv"),
                  "--quantities", str(tmp_path / "nope2.csv"),
                  "--out", str(tmp_path / "r.csv")]) == 1
+
+
+def _exit_code(argv) -> int:
+    """`main`'s return code, or the code argparse exits with on a usage error."""
+    try:
+        return main(argv)
+    except SystemExit as e:
+        return e.code
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["generate", "--seed", "-1"], None),
+    (["train", "--seed", "-3", "--dataset", "{data}"], None),
+    (["sample", "--checkpoint", "{ckpt}", "--count", "3", "--seed", "-2"], None),
+    (["generate"], "[dataset]\nseed = -5\n"),
+    (["train", "--dataset", "{data}"], "[training]\nseed = -5\n"),
+], ids=["generate-flag", "train-flag", "sample-flag", "dataset-key", "training-key"])
+def test_negative_seed_gives_exit_1(workdir, tmp_path, capsys, argv, config):
+    fill = {"{data}": str(workdir["data"]), "{ckpt}": str(workdir["train"] / "checkpoint.json")}
+    argv = [fill.get(a, a) for a in argv] + ["--out", str(tmp_path / "out")]
+    if config is not None:
+        (tmp_path / "neg.ini").write_text(config)
+        argv += ["--config", str(tmp_path / "neg.ini")]
+    assert _exit_code(argv) == 1
+    err = capsys.readouterr().err
+    assert "seed must be" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["baseline", "--config", "run.ini", "--method", "mds", "--dataset", "d.csv", "--out", "o"],
+    ["sample", "--checkpoint", "c.json", "--count", "abc", "--out", "o.csv"],
+    ["frobnicate"],
+], ids=["unknown-flag", "bad-int", "unknown-subcommand"])
+def test_usage_error_gives_exit_1_with_argparse_message(argv, capsys):
+    assert _exit_code(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: gmvlab") and "error: " in err
+
+
+def test_help_exits_0(capsys):
+    assert _exit_code(["train", "--help"]) == 0
+    assert "--dataset" in capsys.readouterr().out
 
 
 def test_invalid_config_gives_exit_1(tmp_path):

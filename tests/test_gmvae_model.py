@@ -13,6 +13,7 @@ from gmvlab.gmvae import (
     decode,
     elbo,
     em_step,
+    embed_dataset,
     encode,
     gmm_log_likelihood,
     permutation_accuracy,
@@ -33,7 +34,7 @@ def make_model(seed=0, data_dim=6, latent_dim=2, k=2, hidden=(5, 4),
 def test_encode_with_zero_eps_returns_posterior_mean():
     model = make_model()
     x = np.random.default_rng(1).standard_normal((4, 6))
-    emb = encode(model, x, eps=np.zeros(1))
+    emb = encode(model, x, 0.0)
     assert np.array_equal(emb.z, emb.mu)
 
 
@@ -41,7 +42,7 @@ def test_zero_weight_encoder_gives_standard_posterior():
     model = make_model()
     model.encoder.weights = [np.zeros_like(w) for w in model.encoder.weights]
     model.encoder.biases = [np.zeros_like(b) for b in model.encoder.biases]
-    emb = encode(model, np.ones((3, 6)), eps=np.zeros(1))
+    emb = encode(model, np.ones((3, 6)), 0.0)
     assert np.array_equal(emb.mu, np.zeros((3, 2)))
     assert np.array_equal(emb.var, np.ones((3, 2)))
 
@@ -49,10 +50,10 @@ def test_zero_weight_encoder_gives_standard_posterior():
 def test_encode_deterministic_for_fixed_seed():
     model = make_model()
     x = np.random.default_rng(2).standard_normal((5, 6))
-    a = encode(model, x, rng=np.random.Generator(np.random.PCG64(42)))
-    b = encode(model, x, rng=np.random.Generator(np.random.PCG64(42)))
-    assert np.array_equal(a.z, b.z)
     noise = np.random.Generator(np.random.PCG64(42)).standard_normal((5, 2))
+    a = encode(model, x, noise)
+    b = encode(model, x, noise.copy())
+    assert np.array_equal(a.z, b.z)
     assert np.array_equal(a.z, a.mu + np.sqrt(a.var) * noise)
 
 
@@ -132,7 +133,7 @@ def test_elbo_matches_scalar_reference(seed, k):
     rng = np.random.default_rng(seed * 10 + k)
     model = make_model(seed=seed, k=k)
     x = rng.standard_normal((3, 6))
-    emb = encode(model, x, rng=rng)
+    emb = encode(model, x, rng.standard_normal((3, 2)))
     gamma = responsibilities(model.gmm, emb.z)
     terms = elbo(model, x, emb, gamma)
     recon, clus, ent, cat, reg = scalar_elbo_reference(model, x, emb, gamma)
@@ -161,7 +162,7 @@ def test_k1_unit_prior_reduces_to_standard_vae_kl():
                           variances=np.ones((1, 2)))
     rng = np.random.default_rng(5)
     x = rng.standard_normal((4, 6))
-    emb = encode(model, x, rng=rng)
+    emb = encode(model, x, rng.standard_normal((4, 2)))
     gamma = np.ones((4, 1))
     terms = elbo(model, x, emb, gamma)
     kl = 0.5 * np.sum(emb.mu**2 + emb.var - 1.0 - np.log(emb.var))
@@ -172,7 +173,7 @@ def test_k1_unit_prior_reduces_to_standard_vae_kl():
 def test_elbo_rejects_bad_gamma():
     model = make_model()
     x = np.zeros((2, 6))
-    emb = encode(model, x, eps=np.zeros(1))
+    emb = encode(model, x, 0.0)
     with pytest.raises(ContractError):
         elbo(model, x, emb, np.full((2, 2), 0.9))
 
@@ -337,13 +338,21 @@ def test_single_cluster_accuracy_is_majority_fraction():
     assert acc == pytest.approx(0.7)
 
 
+def test_permutation_accuracy_rejects_empty_input():
+    with pytest.raises(InputError, match="at least one sample"):
+        permutation_accuracy(np.zeros(0, dtype=int), np.array([], dtype=str))
+
+
 def test_cluster_assign_uses_posterior_mean():
     model = make_model()
     model.gmm = GmmParams(pi=np.array([0.5, 0.5]),
                           means=np.array([[-5.0, 0.0], [5.0, 0.0]]),
                           variances=np.ones((2, 2)))
     x = np.random.default_rng(4).standard_normal((6, 6))
-    emb = encode(model, x, eps=np.zeros(1))
+    emb = encode(model, x, 0.0)
     got = cluster_assign(model, x)
     expected = np.argmax(responsibilities(model.gmm, emb.mu), axis=1)
     assert np.array_equal(got, expected)
+    mean_emb, gamma = embed_dataset(model, x)
+    assert np.array_equal(mean_emb.mu, emb.mu) and np.array_equal(mean_emb.z, emb.mu)
+    assert np.array_equal(got, np.argmax(gamma, axis=1))
