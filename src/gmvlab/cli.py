@@ -143,11 +143,15 @@ def _join_on_sample_id(embeddings, other, what: str, columns):
 
 def cmd_metric(args) -> int:
     cfg = load_config(args.config)
-    k = cfg.metric.k if args.k is None else args.k
-    r = cfg.metric.r_percent if args.r is None else args.r
+    if args.k is not None:
+        cfg.metric.k = args.k
+    if args.r is not None:
+        cfg.metric.r_percent = args.r
+    cfg.validate()
     emb, aligned = _join_on_sample_id(args.embeddings, args.quantities, "quantities CSV",
                                       args.columns)
-    reports = spectral.interpretability_report(emb["mu"], aligned, k=k, r_percent=r)
+    reports = spectral.interpretability_report(emb["mu"], aligned, k=cfg.metric.k,
+                                               r_percent=cfg.metric.r_percent)
     tables.write_report_csv(args.out, reports)
     if args.spectrum_out:
         tables.write_spectrum_csv(args.spectrum_out, reports)

@@ -169,7 +169,8 @@ def save_csv(dataset: Dataset, path) -> None:
 
 def load_csv(path) -> Dataset:
     """Inverse of save_csv."""
-    table = tables.Table(path)
+    table = tables.Table(path, floats=_PARAM_NAMES, blocks=("rho_",),
+                         text=("sample_id", "label", "split"))
     for i, sid in enumerate(table.sample_ids()):
         if sid != i:
             raise InputError(f"{path}, line {i + 2}: sample_id {sid}, expected {i}")

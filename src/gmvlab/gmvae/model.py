@@ -116,14 +116,16 @@ class GmVae:
         return self.encoder.layer_dims[0]
 
 
-def encode(model: GmVae, x: np.ndarray, eps: np.ndarray | float) -> LatentEmbedding:
+def encode(model: GmVae, x: np.ndarray, eps: np.ndarray | float,
+           out: list | None = None) -> LatentEmbedding:
     """Posterior parameters and the reparameterized sample z = mu + sqrt(var) * eps.
 
     `eps` broadcasts against (n, latent_dim): the caller's standard-normal
-    draw, or 0.0 for z = mu.
+    draw, or 0.0 for z = mu. `out`, if given, receives the encoder's
+    activations (see `Mlp.forward`), and `mu` is a view of the last of them.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    out = model.encoder.infer(x)
+    out = model.encoder.infer(x, out)
     if not np.all(np.isfinite(out)):
         raise NumericalError("encoder produced non-finite output")
     d = model.latent_dim
@@ -134,9 +136,10 @@ def encode(model: GmVae, x: np.ndarray, eps: np.ndarray | float) -> LatentEmbedd
     return LatentEmbedding(mu=mu, var=var, z=z)
 
 
-def decode(model: GmVae, z: np.ndarray) -> np.ndarray:
-    """Decoded reconstruction means for a batch of latent points."""
-    out = model.decoder.infer(np.atleast_2d(np.asarray(z, dtype=np.float64)))
+def decode(model: GmVae, z: np.ndarray, out: list | None = None) -> np.ndarray:
+    """Decoded reconstruction means for a batch of latent points; `out`, if
+    given, receives the decoder's activations (see `Mlp.forward`)."""
+    out = model.decoder.infer(np.atleast_2d(np.asarray(z, dtype=np.float64)), out)
     if not np.all(np.isfinite(out)):
         raise NumericalError("decoder produced non-finite output")
     return out
@@ -203,11 +206,13 @@ def _check_gamma(gamma: np.ndarray, n: int, k: int) -> None:
         raise ContractError("gamma rows must sum to 1")
 
 
-def elbo(model: GmVae, x: np.ndarray, emb: LatentEmbedding, gamma: np.ndarray) -> ElboTerms:
-    """Batch-summed ELBO terms for given embeddings and fixed responsibilities."""
+def elbo(model: GmVae, x: np.ndarray, emb: LatentEmbedding, gamma: np.ndarray,
+         decoder_out: list | None = None) -> ElboTerms:
+    """Batch-summed ELBO terms for given embeddings and fixed responsibilities;
+    `decoder_out` is passed to `decode` as its `out`."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     _check_gamma(gamma, x.shape[0], model.gmm.n_clusters)
-    return _objective_terms(model, x, decode(model, emb.z), emb.mu, emb.var,
+    return _objective_terms(model, x, decode(model, emb.z, decoder_out), emb.mu, emb.var,
                             np.log(emb.var), gamma)
 
 
@@ -319,6 +324,9 @@ def permutation_accuracy(pred_clusters: np.ndarray, true_labels) -> tuple[float,
     n = len(true_labels)
     if n == 0:
         raise InputError("permutation_accuracy needs at least one sample")
+    if len(pred_clusters) != n:
+        raise InputError(f"permutation_accuracy: {len(pred_clusters)} predictions "
+                         f"for {n} labels")
     best_acc, best_map = -1.0, {}
     for perm in permutations(labels, min(len(clusters), len(labels))):
         mapping = dict(zip(clusters, perm))

@@ -185,6 +185,9 @@ def train(model: GmVae, x_train: np.ndarray, cfg: TrainConfig,
     theta, layout = pack_params(model)
     grad = FlatGradient(model)
     adam = AdamState(lr=cfg.lr, weight_decay=cfg.weight_decay, layout=layout)
+    # the re-embed pass writes every epoch's activations into the same arrays
+    enc_out, dec_out = ([np.empty((n, width)) for width in net.layer_dims[1:]]
+                        for net in (model.encoder, model.decoder))
     shape = (cfg.epochs, *model.gmm.means.shape)
     history = {name: np.empty(cfg.epochs) for name in ElboTerms.COLUMNS}
     history |= {"pi": np.empty(shape[:2]), "mean": np.empty(shape), "var": np.empty(shape)}
@@ -202,9 +205,9 @@ def train(model: GmVae, x_train: np.ndarray, cfg: TrainConfig,
                 raise NumericalError(f"epoch {epoch}, batch {batch}: {e} ({_last_good(epoch)})")
 
         try:
-            emb = encode(model, x_train, rng.standard_normal((n, model.latent_dim)))
+            emb = encode(model, x_train, rng.standard_normal((n, model.latent_dim)), enc_out)
             gamma = _responsibilities(mix, emb.z)
-            terms = elbo(model, x_train, emb, gamma)
+            terms = elbo(model, x_train, emb, gamma, dec_out)
         except NumericalError as e:
             raise NumericalError(f"epoch {epoch}, re-embed pass: {e} ({_last_good(epoch)})")
         if not np.isfinite(terms.total_loss):

@@ -44,8 +44,14 @@ class Mlp:
     def n_params(self) -> int:
         return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
 
-    def forward(self, x: np.ndarray) -> list[np.ndarray]:
-        """Activations [input, hidden tanh outputs..., output] of a batch."""
+    def forward(self, x: np.ndarray, out: list | None = None) -> list[np.ndarray]:
+        """Activations [input, hidden tanh outputs..., output] of a batch.
+
+        `out`, if given, holds one (n, width) array per layer, and each
+        layer's output is written into it (the returned list holds those
+        arrays), so a caller that runs the same batch size again allocates
+        nothing.
+        """
         h = np.asarray(x, dtype=np.float64)
         if h.shape[-1] != self.layer_dims[0]:
             raise InputError(
@@ -54,16 +60,16 @@ class Mlp:
         acts = [h]
         last = self.n_layers - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w.T
+            h = h @ w.T if out is None else np.matmul(h, w.T, out=out[i])
             h += b
             if i < last:
                 np.tanh(h, out=h)
             acts.append(h)
         return acts
 
-    def infer(self, x: np.ndarray) -> np.ndarray:
+    def infer(self, x: np.ndarray, out: list | None = None) -> np.ndarray:
         """Network output for a batch (the last of `forward`'s activations)."""
-        return self.forward(x)[-1]
+        return self.forward(x, out)[-1]
 
     def backward(self, acts: list[np.ndarray], grad_out: np.ndarray, dws: list, dbs: list,
                  input_grad: bool = True):

@@ -1,16 +1,24 @@
 """The package's one CSV layer: every table it reads or writes goes through here.
 
 `write_table` writes a header and equal-length columns, floats with 17
-significant digits so files round-trip exactly. `Table` reads one back and
-validates what its callers take from it, raising InputError that names the
-file, and the line and column where one applies. Embeddings, history,
-report, spectrum and samples tables are mapped onto them here; the dataset
-in `datagen` and the aligned coordinates in the CLI.
+significant digits so files round-trip exactly, in the bytes `csv.writer`
+would write. `Table` streams one back and keeps only the columns its caller
+declares: numeric ones as float64 blocks, text ones as strings. It takes
+`csv.reader` rows a chunk at a time and drops every other cell as it passes,
+so a read holds about 8 B per numeric cell plus one chunk of text, not one
+Python string (about 70 B) per cell of the file. It validates what it keeps
+and raises InputError for the first defect in file order, naming the file,
+and the line and column where one applies. Embeddings, history, report,
+spectrum and samples tables are mapped onto them here; the dataset in
+`datagen` and the aligned coordinates in the CLI.
 """
 
 from __future__ import annotations
 
 import csv
+import math
+import re
+from itertools import islice
 
 import numpy as np
 
@@ -21,107 +29,198 @@ def fmt(x) -> str:
     return format(float(x), ".17g")
 
 
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
+
+
+def _quoted(text: str) -> str:
+    """`text` as `csv.writer`'s default dialect (QUOTE_MINIMAL) writes a field."""
+    if _NEEDS_QUOTES.search(text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _cell(v) -> str:
-    return fmt(v) if isinstance(v, float) else str(v)
+    if isinstance(v, float):
+        return fmt(v)
+    return _quoted(v) if isinstance(v, str) else str(v)
 
 
 def _cells(col):
-    """A column's cells as strings; a float64 array is formatted in one pass,
+    """A column's cells as field text; a float64 array is formatted in one pass,
     to the same text `_cell` gives each of its entries."""
     if isinstance(col, np.ndarray) and col.dtype == np.float64:
         return map("{:.17g}".format, col.tolist())
     return map(_cell, col)
 
 
-_ROWS_PER_CHUNK = 64  # rows formatted at a time, so few Python floats are alive at once
+_ROWS_PER_CHUNK = 64  # rows formatted or parsed at a time, so few Python objects are alive at once
+
+
+def _lines(rows, n_columns: int) -> str:
+    """One or more rows of field text as CSV lines ending in CRLF. As
+    `csv.writer` does, a row whose only field is empty is written as '""'."""
+    lines = map(",".join, rows)
+    if n_columns == 1:
+        lines = (line or '""' for line in lines)
+    return "\r\n".join(lines) + "\r\n"
 
 
 def write_table(path, columns: dict) -> None:
     """Write a header of the column names, then one row per position of the
-    equal-length columns: floats through `fmt`, everything else through `str`."""
+    equal-length columns: floats through `fmt`, everything else through `str`,
+    and `str` values quoted where `csv.writer` would quote them."""
     cols = list(columns.values())
     n = len(cols[0]) if cols else 0
     if any(len(col) != n for col in cols):
         raise ValueError(f"write_table: column lengths differ: {[len(c) for c in cols]}")
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
+        fh.write(_lines([map(_cell, columns)], len(cols)))
         for start in range(0, n, _ROWS_PER_CHUNK):
             stop = start + _ROWS_PER_CHUNK
-            writer.writerows(zip(*(_cells(col[start:stop]) for col in cols)))
+            fh.write(_lines(zip(*(_cells(col[start:stop]) for col in cols)), len(cols)))
 
 
 class Table:
-    """A CSV file with a header row and at least one data row, of the header's width."""
+    """The declared columns of a CSV file with a header row and at least one
+    data row, every row of the header's width.
 
-    def __init__(self, path):
+    `floats` names the columns kept as finite float64 numbers; each must
+    exist. It may instead be a function of (header, first data row) that
+    returns those names. `blocks` gives prefixes: the columns `prefix`1,
+    `prefix`2, ... are kept as one float64 block, in numeric order of their
+    suffixes, and a prefix may match no column. `text` names the columns kept
+    as strings, each when the file has it; a kept `sample_id` column must hold
+    distinct integers. Every other column is dropped as the file streams.
+    """
+
+    def __init__(self, path, floats=(), blocks=(), text=()):
         self.path = path
         try:
             with open(path, newline="") as fh:
-                rows = list(csv.reader(fh))
+                reader = csv.reader(fh)
+                self.header = next(reader, [])
+                rows = list(islice(reader, _ROWS_PER_CHUNK))
+                if not rows:
+                    raise InputError(f"{path}: needs a header row and at least one data row")
+                if callable(floats):
+                    self._check_width(rows[0], 0)
+                    floats = floats(self.header, rows[0])
+                self._declare(floats, blocks, text)
+                n = 0
+                while rows:
+                    self._take(rows, n)
+                    n += len(rows)
+                    rows = list(islice(reader, _ROWS_PER_CHUNK))
         except (csv.Error, UnicodeDecodeError) as e:
             raise InputError(f"{path}: not a readable CSV file ({e})") from None
-        if len(rows) < 2:
-            raise InputError(f"{path}: needs a header row and at least one data row")
-        self.header = rows.pop(0)
-        self.rows = rows
-        width = len(self.header)
-        for i, row in enumerate(rows):
-            if len(row) != width:
-                raise InputError(f"{path}, line {i + 2}: {len(row)} cells, header has {width}")
-        self._index = {name: j for j, name in enumerate(self.header)}
+        self._blocks = {key: np.concatenate(parts) for key, parts in self._parts.items()}
+        del self._parts
+
+    def _declare(self, floats, blocks, text) -> None:
+        """Resolve the declared columns against the header."""
+        index = {name: j for j, name in enumerate(self.header)}
+        self.float_names = list(floats)
+        for name in self.float_names:
+            if name not in index:
+                raise InputError(f"{self.path}: missing column {name!r}")
+        groups = {None: [index[name] for name in self.float_names]}  # None: the named floats
+        for prefix in blocks:
+            names = [name for name in self.header if name.startswith(prefix)]
+            for name in names:
+                if not name[len(prefix):].isdecimal():
+                    raise InputError(f"{self.path}: column {name!r} is not {prefix}<number>")
+            if names:
+                groups[prefix] = [index[name] for name in
+                                  sorted(names, key=lambda name: int(name[len(prefix):]))]
+        self._groups = groups
+        self._parts = {key: [] for key in groups}
+        self._text = {name: (index[name], []) for name in text if name in index}
+        self._id = self._text["sample_id"][0] if "sample_id" in self._text else None
+        self._line_of = {}  # sample_id -> its line
+        # the checks of a row in header order: (position, whether it is the sample_id check)
+        checks = {(j, False) for idx in groups.values() for j in idx}
+        self._checks = sorted(checks | ({(self._id, True)} if self._id is not None else set()))
 
     def _at(self, i: int, name: str) -> str:
         return f"{self.path}, line {i + 2}, column {name!r}"
 
-    def _col(self, name: str) -> int:
-        if name not in self._index:
-            raise InputError(f"{self.path}: missing column {name!r}")
-        return self._index[name]
+    def _check_width(self, row, i: int) -> None:
+        if len(row) != len(self.header):
+            raise InputError(f"{self.path}, line {i + 2}: {len(row)} cells, "
+                             f"header has {len(self.header)}")
+
+    def _take(self, rows, start: int) -> None:
+        """Keep the declared cells of data rows start, start+1, ...; a chunk
+        with any defect is rescanned row by row to name the first."""
+        width = len(self.header)
+        try:
+            if any(len(row) != width for row in rows):
+                raise ValueError
+            parsed = {}
+            for key, idx in self._groups.items():
+                cells = [row[j] for row in rows for j in idx]
+                block = np.array(cells, dtype=np.float64).reshape(len(rows), len(idx))
+                if not np.isfinite(block).all():
+                    raise ValueError
+                parsed[key] = block
+            if self._id is not None:
+                ids = {int(row[self._id]): i + 2 for i, row in enumerate(rows, start)}
+                if len(ids) < len(rows) or not ids.keys().isdisjoint(self._line_of):
+                    raise ValueError
+        except ValueError:
+            self._raise_first_defect(rows, start)
+        for key, block in parsed.items():
+            self._parts[key].append(block)
+        if self._id is not None:
+            self._line_of |= ids
+        for j, cells in self._text.values():
+            cells.extend(row[j] for row in rows)
+
+    def _raise_first_defect(self, rows, start: int):
+        line_of = dict(self._line_of)
+        for i, row in enumerate(rows, start):
+            self._check_width(row, i)
+            for j, is_id in self._checks:
+                cell, name = row[j], self.header[j]
+                if is_id:
+                    try:
+                        sid = int(cell)
+                    except ValueError:
+                        raise InputError(f"{self._at(i, name)}: not an integer {cell!r}") from None
+                    if sid in line_of:
+                        raise InputError(f"{self._at(i, name)}: {sid} repeats line {line_of[sid]}")
+                    line_of[sid] = i + 2
+                    continue
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise InputError(f"{self._at(i, name)}: not a number {cell!r}") from None
+                if not math.isfinite(value):
+                    raise InputError(f"{self._at(i, name)}: non-finite value {cell!r}")
+        raise AssertionError(f"{self.path}: rows from line {start + 2} failed to parse "
+                             "but no cell is at fault")
 
     def column(self, name: str) -> list:
-        """The named column's cells as strings."""
-        j = self._col(name)
-        return [row[j] for row in self.rows]
+        """A declared text column's cells as strings."""
+        if name not in self._text:
+            raise InputError(f"{self.path}: missing column {name!r}")
+        return self._text[name][1]
 
     def floats(self, names) -> np.ndarray:
-        """The named columns as an (n_rows, len(names)) float64 array of finite numbers."""
-        idx = [self._col(name) for name in names]
-        values = np.empty((len(self.rows), len(idx)))
-        for k, j in enumerate(idx):  # one column at a time keeps the temporary lists small
-            cells = [row[j] for row in self.rows]
-            try:
-                values[:, k] = np.array(cells, dtype=np.float64)
-            except ValueError:
-                i = next(i for i, cell in enumerate(cells) if not _is_float(cell))
-                raise InputError(f"{self._at(i, names[k])}: not a number {cells[i]!r}") from None
-        if not np.isfinite(values).all():
-            i, k = np.argwhere(~np.isfinite(values))[0]
-            raise InputError(f"{self._at(i, names[k])}: non-finite value "
-                             f"{self.rows[i][idx[k]]!r}")
-        return values
+        """Named float columns, declared in `floats`, as an (n_rows, len(names)) array."""
+        pos = {name: k for k, name in enumerate(self.float_names)}
+        return self._blocks[None][:, [pos[name] for name in names]]
 
     def block(self, prefix: str) -> np.ndarray | None:
-        """Columns `prefix`1, `prefix`2, ... as one float array in numeric order of
-        their suffixes; None when the file has no such column."""
-        names = [name for name in self.header if name.startswith(prefix)]
-        for name in names:
-            if not name[len(prefix):].isdecimal():
-                raise InputError(f"{self.path}: column {name!r} is not {prefix}<number>")
-        return self.floats(sorted(names, key=lambda n: int(n[len(prefix):]))) if names else None
+        """The block of a prefix declared in `blocks`; None when the file has no
+        such column."""
+        return self._blocks.get(prefix)
 
     def sample_ids(self) -> list:
-        """The sample_id column as distinct integers, in row order."""
-        line_of = {}
-        for i, cell in enumerate(self.column("sample_id")):
-            try:
-                sid = int(cell)
-            except ValueError:
-                raise InputError(f"{self._at(i, 'sample_id')}: not an integer {cell!r}") from None
-            if sid in line_of:
-                raise InputError(f"{self._at(i, 'sample_id')}: {sid} repeats line {line_of[sid]}")
-            line_of[sid] = i + 2
-        return list(line_of)
+        """The sample_id column, declared in `text`, as distinct integers in row order."""
+        if self._id is None:
+            raise InputError(f"{self.path}: missing column 'sample_id'")
+        return list(self._line_of)
 
 
 def write_embeddings_csv(path, sample_ids, splits, mu, var=None, gamma=None,
@@ -151,7 +250,8 @@ def _numbered(name: str, block) -> dict:
 def read_embeddings_csv(path) -> dict:
     """Read any embedding-shaped table; returns sample_ids, splits, mu and
     whatever optional columns are present."""
-    table = Table(path)
+    table = Table(path, blocks=("mu_", "var_", "gamma_"),
+                  text=("sample_id", "split", "hard_label", "true_label"))
     mu = table.block("mu_")
     if mu is None:
         raise InputError(f"{path}: no mu_* columns found")
@@ -182,15 +282,17 @@ def read_quantities_csv(path, columns=None) -> tuple[list, dict]:
     otherwise every column whose first row parses as a float and that is
     not an identifier, a rho_* curve value, or a label/split tag.
     """
-    table = Table(path)
-    if columns is None:
+    def numeric(header, first_row):
         skip = {"sample_id", "label", "split", "hard_label", "true_label"}
-        columns = [name for name, cell in zip(table.header, table.rows[0])
-                   if name not in skip and not name.startswith("rho_") and _is_float(cell)]
-        if not columns:
+        names = [name for name, cell in zip(header, first_row)
+                 if name not in skip and not name.startswith("rho_") and _is_float(cell)]
+        if not names:
             raise InputError(f"{path}: no numeric quantity columns")
-    values = table.floats(columns)
-    return table.sample_ids(), {name: values[:, j] for j, name in enumerate(columns)}
+        return names
+
+    table = Table(path, floats=numeric if columns is None else columns, text=("sample_id",))
+    values = table.floats(table.float_names)
+    return table.sample_ids(), {name: values[:, j] for j, name in enumerate(table.float_names)}
 
 
 def _is_float(text: str) -> bool:

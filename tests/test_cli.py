@@ -412,6 +412,21 @@ def test_help_exits_0(capsys):
     assert "--dataset" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--r", "0", "metric.r_percent must be in (0, 100], got 0.0"),
+    ("--k", "0", "metric.k must be >= 1, got 0"),
+])
+def test_metric_rejects_bad_k_or_r_before_reading(workdir, tmp_path, capsys, flag, value,
+                                                  message):
+    # rejected before the graph is built: no disconnected-graph warning, no eta error
+    code = main(["metric", "--embeddings", str(workdir["train"] / "embeddings.csv"),
+                 "--quantities", str(workdir["data"]), "--columns", "alpha", flag, value,
+                 "--out", str(tmp_path / "report.csv")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "report.csv").exists()
+
+
 def test_invalid_config_gives_exit_1(tmp_path):
     bad = tmp_path / "bad.ini"
     bad.write_text("[training]\nepochs = -3\n")

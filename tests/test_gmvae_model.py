@@ -343,6 +343,15 @@ def test_permutation_accuracy_rejects_empty_input():
         permutation_accuracy(np.zeros(0, dtype=int), np.array([], dtype=str))
 
 
+@pytest.mark.parametrize("pred, true", [
+    ([0, 1, 0, 1, 1, 1], ["a", "b"]),  # zip would score 2 pairs out of 2: 1.0
+    ([0, 1], ["a", "b", "a", "b"]),     # zip would score 2 pairs out of 4: 0.5
+], ids=["more-predictions", "more-labels"])
+def test_permutation_accuracy_rejects_different_lengths(pred, true):
+    with pytest.raises(InputError, match=f"{len(pred)} predictions for {len(true)} labels"):
+        permutation_accuracy(np.array(pred), np.array(true))
+
+
 def test_cluster_assign_uses_posterior_mean():
     model = make_model()
     model.gmm = GmmParams(pi=np.array([0.5, 0.5]),

@@ -1,6 +1,7 @@
 """CSV schema helpers: exact float round-trips, optional columns, validated reads."""
 
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -46,23 +47,36 @@ def test_write_table_bytes_match_the_per_cell_path(tmp_path):
         "ints": list(range(n)),
         "int_array": np.arange(n) - 3,
         "strings": [f"s{i}" for i in range(n)],
+        # cells csv.writer quotes: the delimiter, the quote character, CR and LF
+        "quoted, \"header\"": (["a,b", 'say "hi"', "cr\rhere", "lf\nhere", "", '"', ",", "\r\n"]
+                               * n)[:n],
+        "label_array": np.array(["stable", "re,active"] * (n // 2)),
         "float32_array": rng.standard_normal(n).astype(np.float32),
     }
-    path = tmp_path / "t.csv"
-    write_table(path, columns)
 
     def per_cell(v):  # the one-cell-at-a-time rule write_table documents
         return format(float(v), ".17g") if isinstance(v, float) else str(v)
 
-    want = tmp_path / "want.csv"
-    with open(want, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        writer.writerows(zip(*[[per_cell(v) for v in col] for col in columns.values()]))
-    assert path.read_bytes() == want.read_bytes()
-    rows = list(csv.reader(path.read_text().splitlines()))
+    def csv_writer_bytes(columns):
+        want = tmp_path / "want.csv"
+        with open(want, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(columns)
+            writer.writerows(zip(*[[per_cell(v) for v in col] for col in columns.values()]))
+        return want.read_bytes()
+
+    path = tmp_path / "t.csv"
+    write_table(path, columns)
+    assert path.read_bytes() == csv_writer_bytes(columns)
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
     assert rows[1][0] == "-0" and rows[3][0] == "4.9406564584124654e-324"
     assert [row[-1] for row in rows[1:]] == [str(v) for v in columns["float32_array"]]
+    assert [row[-3] for row in rows[1:]] == columns["quoted, \"header\""]
+    # one column: csv.writer writes a row whose only cell is empty as ""
+    for one in ({"only": ["x", "", "y,z", ""]}, {"": ["", "a"]}, {"empty": []}):
+        write_table(path, one)
+        assert path.read_bytes() == csv_writer_bytes(one)
     with pytest.raises(ValueError, match="lengths differ"):
         write_table(tmp_path / "ragged.csv", {"a": floats, "b": floats[1:]})
 
@@ -144,14 +158,15 @@ def test_history_round_trip(tmp_path):
                 "var": rng.uniform(0.1, 1.0, (3, 2, 3))}
     path = tmp_path / "history.csv"
     write_history_csv(path, history)
-    table = Table(path)
+    names = {prefix: [f"{prefix}_{c + 1}_{j + 1}" for c in range(2) for j in range(3)]
+             for prefix in ("mean", "var")}
+    table = Table(path, floats=[*ElboTerms.COLUMNS, *names["mean"], *names["var"]],
+                  blocks=["pi_"], text=["epoch"])
     assert table.column("epoch") == ["0", "1", "2"]
     terms = table.floats(["recon", "cluster_kl", "posterior_entropy", "categorical_term",
                           "reg", "total_loss"])
     assert np.array_equal(terms, np.column_stack([history[name] for name in ElboTerms.COLUMNS]))
     assert np.array_equal(table.block("pi_"), history["pi"])
-    names = {prefix: [f"{prefix}_{c + 1}_{j + 1}" for c in range(2) for j in range(3)]
-             for prefix in ("mean", "var")}
     for prefix in ("mean", "var"):
         assert np.array_equal(table.floats(names[prefix]), np.reshape(history[prefix], (3, 6)))
     assert table.header == ["epoch", *ElboTerms.COLUMNS, "pi_1", "pi_2", *names["mean"],
@@ -170,7 +185,7 @@ def test_report_round_trip(tmp_path):
     reports = _reports()
     path = tmp_path / "report.csv"
     write_report_csv(path, reports)
-    table = Table(path)
+    table = Table(path, floats=["k", "r_percent", "eta", "n_components"], text=["quantity"])
     assert table.column("quantity") == ["alpha", "gamma"]
     assert np.array_equal(table.floats(["k", "r_percent", "eta", "n_components"]),
                           [[r.k, r.r_percent, r.eta, r.n_components] for r in reports])
@@ -180,7 +195,7 @@ def test_spectrum_round_trip(tmp_path):
     reports = _reports()
     path = tmp_path / "spectrum.csv"
     write_spectrum_csv(path, reports)
-    table = Table(path)
+    table = Table(path, floats=["eigenvalue", "alpha"], text=["quantity", "mode"])
     assert table.column("quantity") == ["alpha"] * 4 + ["gamma"] * 4
     assert table.column("mode") == ["0", "1", "2", "3"] * 2
     values = table.floats(["eigenvalue", "alpha"])
@@ -194,7 +209,7 @@ def test_samples_round_trip(tmp_path):
     clusters = np.array([0, 1, 1, 0, 1])
     path = tmp_path / "samples.csv"
     write_samples_csv(path, curves, clusters)
-    table = Table(path)
+    table = Table(path, blocks=["rho_"], text=["sample_id", "cluster"])
     assert table.sample_ids() == [0, 1, 2, 3, 4]
     assert np.array_equal(table.block("rho_"), curves)
     assert table.column("cluster") == ["0", "1", "1", "0", "1"]
@@ -243,3 +258,114 @@ def test_mutated_files_load_or_raise_input_error(valid_files, kind, data):
             reader(path)
         except InputError as e:
             assert str(path) in str(e)
+
+
+def test_reading_a_dataset_peaks_at_a_small_multiple_of_its_floats(tmp_path):
+    # the README's 1280-row dataset: 50 coverage columns and 4 parameters kept as
+    # float64, three text columns; a reader that first held every cell as a
+    # Python string peaked at 11.4 times the float block
+    path = tmp_path / "data.csv"
+    datagen.save_csv(datagen.generate(seed=0), path)
+    tracemalloc.start()
+    try:
+        dataset = datagen.load_csv(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    floats = dataset.rho.nbytes + sum(v.nbytes for v in dataset.params.values())
+    assert dataset.rho.shape == (1280, 50)
+    assert peak < 4 * floats, (peak, floats)
+
+
+# the schema the oracle test reads: header order, with one column that no caller keeps
+_ORACLE_HEADER = ["sample_id", "v_2", "a", "skip", "v_1", "tag", "b", "v_10"]
+_ORACLE_FLOATS = ["b", "a"]
+_ORACLE_BLOCK = ["v_1", "v_2", "v_10"]
+
+
+def _oracle(path):
+    """csv.reader and float(): the kept arrays, or (line, column) of the first
+    defect in file order."""
+    with open(path, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    if not rows:
+        return None
+    seen = set()
+    for line, row in enumerate(rows, 2):
+        for name, cell in zip(header, row):
+            if name == "sample_id":
+                try:
+                    sid = int(cell)
+                except ValueError:
+                    return line, name
+                if sid in seen:
+                    return line, name
+                seen.add(sid)
+            elif name in _ORACLE_FLOATS or name in _ORACLE_BLOCK:
+                try:
+                    value = float(cell)
+                except ValueError:
+                    return line, name
+                if not np.isfinite(value):
+                    return line, name
+
+    def column(name):
+        return [row[header.index(name)] for row in rows]
+
+    return {"ids": [int(c) for c in column("sample_id")], "tag": column("tag"),
+            "floats": np.array([[float(c) for c in column(name)] for name in _ORACLE_FLOATS]).T,
+            "block": np.array([[float(c) for c in column(name)] for name in _ORACLE_BLOCK]).T}
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(n=st.sampled_from([0, 1, 63, 64, 65, 129]), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_streamed_read_matches_a_csv_reader_oracle(tmp_path_factory, n, seed, data):
+    # 64 rows are parsed at a time: 63, 64, 65 and 129 rows end a chunk early,
+    # exactly, just after, and one row into a third chunk
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((n, 5)) * 10.0 ** rng.integers(-300, 300, (n, 5))
+    rows = [[str(i), fmt(v[0]), fmt(v[1]), f"x{i},{rng.integers(9)}", fmt(v[2]), f"t{i}",
+             fmt(v[3]), fmt(v[4])] for i, v in enumerate(values)]
+    if n:  # one corrupted cell, in any chunk, row and column
+        chunk = data.draw(st.integers(0, (n - 1) // 64))
+        i = chunk * 64 + data.draw(st.integers(0, min(63, n - 1 - chunk * 64)))
+        j = data.draw(st.integers(0, len(_ORACLE_HEADER) - 1))
+        bad = ["abc", "", "nan", "-inf", "1e400", "0x1", "7", "1_000"]
+        if j == 0:  # a sample_id: also a float, or another row's id
+            bad = ["abc", "", "2.5", "1_000", rows[data.draw(st.integers(0, n - 1))][0]]
+        rows[i][j] = data.draw(st.sampled_from(bad))
+    path = tmp_path_factory.mktemp("oracle") / "t.csv"
+    write_table(path, dict(zip(_ORACLE_HEADER, map(list, zip(*rows))))
+                if n else {name: [] for name in _ORACLE_HEADER})
+    want = _oracle(path)
+    try:
+        table = Table(path, floats=_ORACLE_FLOATS, blocks=["v_"], text=["sample_id", "tag"])
+    except InputError as e:
+        assert not isinstance(want, dict), e
+        assert str(path) in str(e)
+        if want is not None:
+            line, name = want
+            assert f"line {line}, column {name!r}" in str(e), (want, e)
+        return
+    assert isinstance(want, dict), want
+    assert table.sample_ids() == want["ids"] and table.column("tag") == want["tag"]
+    assert table.floats(_ORACLE_FLOATS).tobytes() == want["floats"].tobytes()
+    assert table.block("v_").tobytes() == want["block"].tobytes()
+
+
+@pytest.mark.parametrize("defects, first", [
+    ({(3, "sample_id"): "2.5", (3, "a"): "abc"}, (3, "sample_id")),    # same row: header order
+    ({(3, "v_10"): "nan", (5, "b"): "x"}, (3, "v_10")),                # the earlier row
+    ({(80, "a"): "x", (100, "sample_id"): "0"}, (80, "a")),            # a later chunk
+    ({(2, "b"): "inf", (90, "v_1"): "x"}, (2, "b")),                   # the first chunk
+], ids=["one-row", "two-rows", "later-chunk", "two-chunks"])
+def test_the_first_defect_in_file_order_is_reported(tmp_path, defects, first):
+    rows = [[str(i), "1", "2", "s", "3", "t", "4", "5"] for i in range(129)]
+    for (line, name), cell in defects.items():
+        rows[line - 2][_ORACLE_HEADER.index(name)] = cell
+    path = tmp_path / "t.csv"
+    write_table(path, dict(zip(_ORACLE_HEADER, map(list, zip(*rows)))))
+    assert _oracle(path) == first
+    with pytest.raises(InputError, match=f"line {first[0]}, column '{first[1]}'"):
+        Table(path, floats=_ORACLE_FLOATS, blocks=["v_"], text=["sample_id", "tag"])
