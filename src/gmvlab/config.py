@@ -9,6 +9,7 @@ file overrides any subset of keys.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import asdict, dataclass, field, fields
 
 from .errors import InputError
@@ -60,7 +61,9 @@ class RunConfig:
 
     def validate(self) -> None:
         d, m, t, k = self.dataset, self.model, self.training, self.metric
-        checks = [
+        checks = [(math.isfinite(value), f"{section}.{key} must be finite, got {value}")
+                  for section, block in vars(self).items() for key, value in vars(block).items()
+                  if isinstance(value, float)] + [
             (d.n_samples >= 10, f"dataset.n_samples must be >= 10, got {d.n_samples}"),
             (d.steps >= 2, f"dataset.steps must be >= 2, got {d.steps}"),
             (d.horizon > 0, f"dataset.horizon must be > 0, got {d.horizon}"),

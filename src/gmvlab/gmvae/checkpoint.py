@@ -36,8 +36,10 @@ def _array(value, what: str) -> np.ndarray:
 def _mlp_from_dict(d, what: str) -> Mlp:
     if not isinstance(d, dict) or not {"layer_dims", "weights", "biases"} <= set(d):
         raise InputError(f"{what} needs layer_dims, weights and biases")
+    dims = d["layer_dims"]
+    if not isinstance(dims, list) or not all(type(v) is int for v in dims):
+        raise InputError(f"{what} layer_dims must be a list of integers, got {dims!r}")
     try:
-        dims = [int(v) for v in d["layer_dims"]]
         weights = [_array(w, f"{what} weights") for w in d["weights"]]
         biases = [_array(b, f"{what} biases") for b in d["biases"]]
     except (TypeError, ValueError, OverflowError):

@@ -116,30 +116,29 @@ class GmVae:
         return self.encoder.layer_dims[0]
 
 
-def encode(model: GmVae, x: np.ndarray, eps: np.ndarray | float,
-           out: list | None = None) -> LatentEmbedding:
+def _posterior(model: GmVae, out: np.ndarray, eps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(mu, var, sqrt(var) * eps) from the encoder output [mu, log var]; mu is a view."""
+    d = model.latent_dim
+    var = np.exp(out[:, d:])
+    return out[:, :d], var, np.sqrt(var) * eps
+
+
+def encode(model: GmVae, x: np.ndarray, eps: np.ndarray | float) -> LatentEmbedding:
     """Posterior parameters and the reparameterized sample z = mu + sqrt(var) * eps.
 
     `eps` broadcasts against (n, latent_dim): the caller's standard-normal
-    draw, or 0.0 for z = mu. `out`, if given, receives the encoder's
-    activations (see `Mlp.forward`), and `mu` is a view of the last of them.
+    draw, or 0.0 for z = mu.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    out = model.encoder.infer(x, out)
+    out = model.encoder.infer(np.atleast_2d(np.asarray(x, dtype=np.float64)))
     if not np.all(np.isfinite(out)):
         raise NumericalError("encoder produced non-finite output")
-    d = model.latent_dim
-    mu = out[:, :d]
-    logvar = out[:, d:]
-    var = np.exp(logvar)
-    z = mu + np.sqrt(var) * np.asarray(eps, dtype=np.float64)
-    return LatentEmbedding(mu=mu, var=var, z=z)
+    mu, var, std_eps = _posterior(model, out, np.asarray(eps, dtype=np.float64))
+    return LatentEmbedding(mu=mu, var=var, z=mu + std_eps)
 
 
-def decode(model: GmVae, z: np.ndarray, out: list | None = None) -> np.ndarray:
-    """Decoded reconstruction means for a batch of latent points; `out`, if
-    given, receives the decoder's activations (see `Mlp.forward`)."""
-    out = model.decoder.infer(np.atleast_2d(np.asarray(z, dtype=np.float64)), out)
+def decode(model: GmVae, z: np.ndarray) -> np.ndarray:
+    """Decoded reconstruction means for a batch of latent points."""
+    out = model.decoder.infer(np.atleast_2d(np.asarray(z, dtype=np.float64)))
     if not np.all(np.isfinite(out)):
         raise NumericalError("decoder produced non-finite output")
     return out
@@ -206,13 +205,11 @@ def _check_gamma(gamma: np.ndarray, n: int, k: int) -> None:
         raise ContractError("gamma rows must sum to 1")
 
 
-def elbo(model: GmVae, x: np.ndarray, emb: LatentEmbedding, gamma: np.ndarray,
-         decoder_out: list | None = None) -> ElboTerms:
-    """Batch-summed ELBO terms for given embeddings and fixed responsibilities;
-    `decoder_out` is passed to `decode` as its `out`."""
+def elbo(model: GmVae, x: np.ndarray, emb: LatentEmbedding, gamma: np.ndarray) -> ElboTerms:
+    """Batch-summed ELBO terms for given embeddings and fixed responsibilities."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     _check_gamma(gamma, x.shape[0], model.gmm.n_clusters)
-    return _objective_terms(model, x, decode(model, emb.z, decoder_out), emb.mu, emb.var,
+    return _objective_terms(model, x, decode(model, emb.z), emb.mu, emb.var,
                             np.log(emb.var), gamma)
 
 

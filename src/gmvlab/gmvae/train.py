@@ -5,17 +5,18 @@ beta-KL regularizer, then re-embeds the full training set and applies the
 scheduled number of EM updates to the mixture parameters. Within a batch
 the responsibilities are held fixed, so the objective has a closed-form
 gradient with respect to the decoded sample, the posterior mean and the
-posterior log-variance (through the reparameterization z = mu + sigma *
-eps); `backward` chains it through the decoder and encoder. All network
+posterior log-variance (through the reparameterization z = mu + sqrt(var)
+* eps); `backward` chains it through the decoder and encoder. All network
 parameters live in one flat vector that Adam updates in place; the
 gradient is written into one preallocated vector of the same layout.
 
-A batch computes only what its gradient needs. The objective is evaluated
-once per epoch, on the re-embed pass that feeds EM: the network after the
-epoch's Adam pass, the re-embed noise, and responsibilities under the
-mixture before the epoch's EM pass (the first EM update reuses them).
-The history that `train` returns, and so the history CSV, holds that
-objective as per-sample means over the training set.
+`batch_loss` is the only forward pass: each batch runs it for its gradient,
+and the re-embed pass that feeds EM runs it once per epoch on the whole
+training set. Only that pass evaluates the objective (`batch_terms`): the
+network after the epoch's Adam pass, the re-embed noise, responsibilities
+under the mixture before the epoch's EM pass (the first EM update reuses
+them) and the encoder's raw log-variance output. The history that `train`
+returns, and so the history CSV, holds it as per-sample means.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from .model import (
     LatentEmbedding,
     MixtureConstants,
     _objective_terms,
+    _posterior,
     _responsibilities,
-    elbo,
     em_step,
     encode,
     responsibilities,
@@ -55,29 +56,24 @@ class BatchCache:
 
 
 def batch_loss(model: GmVae, x: np.ndarray, eps: np.ndarray, mix: MixtureConstants,
-               gamma: np.ndarray | None = None) -> BatchCache:
-    """Forward pass of the training objective for one batch; returns its cache.
+               out: tuple[list, list] | None = None) -> BatchCache:
+    """The training forward pass for one batch; returns its cache.
 
-    Runs encoder -> reparameterized z -> decoder. `mix` is
-    `MixtureConstants.of(model.gmm)`. Responsibilities are evaluated at the
-    sampled z and held fixed (no gradient flows through them) unless a fixed
-    `gamma` is supplied. The objective is `batch_terms(model, cache)` and its
-    gradient `backward(model, cache, out)`; training needs only the gradient.
+    Runs encoder -> z = mu + sqrt(var) * eps -> decoder (z is `dec_acts[0]`)
+    under `mix = MixtureConstants.of(model.gmm)`, with responsibilities at z
+    held fixed (no gradient flows through them). `out`, if given, is the
+    (encoder, decoder) pair of activation lists `Mlp.forward` writes into.
+    The objective is `batch_terms(model, cache)`, its gradient `backward`.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    d = model.latent_dim
-    enc_acts = model.encoder.forward(x)
-    mu = enc_acts[-1][:, :d]
-    logvar = enc_acts[-1][:, d:]
-    var = np.exp(logvar)
-    std_eps = np.exp(0.5 * logvar) * eps
+    enc_out, dec_out = out or (None, None)
+    enc_acts = model.encoder.forward(x, enc_out)
+    mu, var, std_eps = _posterior(model, enc_acts[-1], eps)
     z = mu + std_eps
     if not np.isfinite(z).all():
         raise NumericalError("encoder produced non-finite latent state")
-    if gamma is None:
-        gamma = _responsibilities(mix, z)
-    return BatchCache(x=x, gamma=gamma, var=var, std_eps=std_eps, enc_acts=enc_acts,
-                      dec_acts=model.decoder.forward(z), mix=mix)
+    return BatchCache(x=x, gamma=_responsibilities(mix, z), var=var, std_eps=std_eps,
+                      enc_acts=enc_acts, dec_acts=model.decoder.forward(z, dec_out), mix=mix)
 
 
 def batch_terms(model: GmVae, cache: BatchCache) -> ElboTerms:
@@ -186,8 +182,8 @@ def train(model: GmVae, x_train: np.ndarray, cfg: TrainConfig,
     grad = FlatGradient(model)
     adam = AdamState(lr=cfg.lr, weight_decay=cfg.weight_decay, layout=layout)
     # the re-embed pass writes every epoch's activations into the same arrays
-    enc_out, dec_out = ([np.empty((n, width)) for width in net.layer_dims[1:]]
-                        for net in (model.encoder, model.decoder))
+    bufs = tuple([np.empty((n, width)) for width in net.layer_dims[1:]]
+                 for net in (model.encoder, model.decoder))
     shape = (cfg.epochs, *model.gmm.means.shape)
     history = {name: np.empty(cfg.epochs) for name in ElboTerms.COLUMNS}
     history |= {"pi": np.empty(shape[:2]), "mean": np.empty(shape), "var": np.empty(shape)}
@@ -205,16 +201,17 @@ def train(model: GmVae, x_train: np.ndarray, cfg: TrainConfig,
                 raise NumericalError(f"epoch {epoch}, batch {batch}: {e} ({_last_good(epoch)})")
 
         try:
-            emb = encode(model, x_train, rng.standard_normal((n, model.latent_dim)), enc_out)
-            gamma = _responsibilities(mix, emb.z)
-            terms = elbo(model, x_train, emb, gamma, dec_out)
+            cache = batch_loss(model, x_train, rng.standard_normal(noise.shape), mix, bufs)
         except NumericalError as e:
             raise NumericalError(f"epoch {epoch}, re-embed pass: {e} ({_last_good(epoch)})")
+        terms = batch_terms(model, cache)
         if not np.isfinite(terms.total_loss):
             raise NumericalError(f"non-finite objective at epoch {epoch} ({_last_good(epoch)})")
+        emb = LatentEmbedding(mu=cache.enc_acts[-1][:, :model.latent_dim], var=cache.var,
+                              z=cache.dec_acts[0])
         for i in range(cfg.n_em):
             model.gmm = em_step(model.gmm, emb, variance_floor=cfg.variance_floor,
-                                gamma=None if i else gamma)
+                                gamma=None if i else cache.gamma)
 
         epoch_terms = ElboTerms(*(v / n for v in astuple(terms)))
         for name in ElboTerms.COLUMNS:

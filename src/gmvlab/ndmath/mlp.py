@@ -67,9 +67,9 @@ class Mlp:
             acts.append(h)
         return acts
 
-    def infer(self, x: np.ndarray, out: list | None = None) -> np.ndarray:
+    def infer(self, x: np.ndarray) -> np.ndarray:
         """Network output for a batch (the last of `forward`'s activations)."""
-        return self.forward(x, out)[-1]
+        return self.forward(x)[-1]
 
     def backward(self, acts: list[np.ndarray], grad_out: np.ndarray, dws: list, dbs: list,
                  input_grad: bool = True):

@@ -8,6 +8,7 @@ configuration, gated at 100% accuracy on at least 2 of 3 seeds and >= 99%
 on all of them (about 14 minutes on a 2-core machine).
 """
 
+import dataclasses
 import math
 import os
 import warnings
@@ -122,9 +123,11 @@ def test_gradient_correctness():
         theta, _ = pack_params(model)
 
         def loss_value():
-            return batch_terms(model, batch_loss(model, x, eps, mix, gamma=gamma)).total_loss
+            return batch_terms(model, dataclasses.replace(batch_loss(model, x, eps, mix),
+                                                          gamma=gamma)).total_loss
 
-        grad = backward(model, batch_loss(model, x, eps, mix, gamma=gamma), FlatGradient(model))
+        grad = backward(model, dataclasses.replace(batch_loss(model, x, eps, mix), gamma=gamma),
+                        FlatGradient(model))
         for i, g in enumerate(grad):
             orig = theta[i]
             theta[i] = orig + h

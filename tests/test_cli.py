@@ -6,12 +6,14 @@ import io
 import json
 import sys
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from gmvlab import datagen
 from gmvlab.cli import main
+from gmvlab.config import RunConfig
 from gmvlab.gmvae import cluster_assign, load_checkpoint, permutation_accuracy
 from gmvlab.tables import read_embeddings_csv, write_embeddings_csv, write_table
 
@@ -433,6 +435,20 @@ def test_invalid_config_gives_exit_1(tmp_path):
     assert main(["generate", "--config", str(bad), "--out", str(tmp_path / "d.csv")]) == 1
 
 
+FLOAT_KEYS = [(section.name, key.name) for section in fields(RunConfig)
+              for key in fields(section.default_factory) if type(key.default) is float]
+
+
+@pytest.mark.parametrize("section, key", FLOAT_KEYS, ids=[f"{s}.{k}" for s, k in FLOAT_KEYS])
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_non_finite_config_number_gives_exit_1(tmp_path, capsys, section, key, value):
+    ini = tmp_path / "bad.ini"
+    ini.write_text(f"[{section}]\n{key} = {value}\n")
+    assert main(["generate", "--config", str(ini), "--out", str(tmp_path / "d.csv")]) == 1
+    assert capsys.readouterr().err == f"error: {section}.{key} must be finite, got {value}\n"
+    assert not (tmp_path / "d.csv").exists()
+
+
 def test_corrupt_dataset_fails_validation_with_exit_1(workdir, tmp_path, capsys):
     text = workdir["data"].read_text().splitlines()
     parts = text[1].split(",")
@@ -622,6 +638,8 @@ BAD_CHECKPOINTS = {
     "nan-weight": lambda c: c["encoder"]["weights"][0][0].__setitem__(0, float("nan")),
     "decoder-input-width": _widen_decoder_input,
     "decoder-output-width": _drop_last_decoder_layer,
+    "layer-dims-float": lambda c: c["encoder"]["layer_dims"].__setitem__(0, 50.0),
+    "layer-dims-string": lambda c: c["encoder"]["layer_dims"].__setitem__(0, "50"),
 }
 
 

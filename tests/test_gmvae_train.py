@@ -15,11 +15,10 @@ from gmvlab.gmvae import (
     GmVae,
     TrainConfig,
     batch_loss,
-    elbo,
     em_step,
+    embed_dataset,
     encode,
     load_checkpoint,
-    responsibilities,
     save_checkpoint,
     train,
 )
@@ -28,6 +27,7 @@ from gmvlab.gmvae.train import FlatGradient, backward, batch_terms, pack_params
 from gmvlab.ndmath import AdamState, adam_step
 
 TRAIN_MODULE = sys.modules["gmvlab.gmvae.train"]
+MODEL_MODULE = sys.modules["gmvlab.gmvae.model"]
 
 
 def make_model(seed=0, data_dim=6, latent_dim=2, k=2, hidden=(5, 4),
@@ -61,9 +61,11 @@ def test_total_loss_gradients_match_finite_differences(seed, k, beta):
     names = [name for name, size in layout for _ in range(size)]
 
     def loss_value():
-        return batch_terms(model, batch_loss(model, x, eps, mix, gamma=gamma)).total_loss
+        return batch_terms(model, dataclasses.replace(batch_loss(model, x, eps, mix),
+                                                      gamma=gamma)).total_loss
 
-    grad = backward(model, batch_loss(model, x, eps, mix, gamma=gamma), FlatGradient(model))
+    grad = backward(model, dataclasses.replace(batch_loss(model, x, eps, mix), gamma=gamma),
+                    FlatGradient(model))
     assert grad.shape == theta.shape
 
     h = 1e-5
@@ -133,7 +135,7 @@ def _ref_gradient(model, x, eps):
     enc_acts = _ref_forward(model.encoder, x)
     mu, logvar = enc_acts[-1][:, :d], enc_acts[-1][:, d:]
     var = np.exp(logvar)
-    std_eps = np.exp(0.5 * logvar) * eps
+    std_eps = np.sqrt(var) * eps
     z = mu + std_eps
     gamma = _ref_responsibilities(gmm, z)
     dec_acts = _ref_forward(model.decoder, z)
@@ -192,11 +194,57 @@ def test_history_holds_the_objective_of_the_re_embed_pass():
     rng = np.random.Generator(np.random.PCG64(16))
     rng.permutation(20)
     rng.standard_normal((20, 2))
-    emb = encode(model, x, rng.standard_normal((20, 2)))
-    want = elbo(model, x, emb, responsibilities(model.gmm, emb.z))
+    eps = rng.standard_normal((20, 2))
+    want = batch_terms(model, batch_loss(model, x, eps, MixtureConstants.of(model.gmm)))
     want = ElboTerms(*(v / 20 for v in dataclasses.astuple(want)))
     assert [history[name][0] for name in ElboTerms.COLUMNS] == [getattr(want, name)
                                                                 for name in ElboTerms.COLUMNS]
+
+
+def test_encode_samples_the_z_that_batch_loss_decodes():
+    rng = np.random.default_rng(20)
+    model = make_model(seed=21)
+    x = rng.standard_normal((9, 6))
+    eps = rng.standard_normal((9, 2))
+    cache = batch_loss(model, x, eps, MixtureConstants.of(model.gmm))
+    emb = encode(model, x, eps)
+    assert cache.dec_acts[0].tobytes() == emb.z.tobytes()
+    assert cache.var.tobytes() == emb.var.tobytes()
+
+
+def test_embed_dataset_is_the_posterior_mean_and_its_responsibilities():
+    # a plain transcription of the posterior-mean embedding: mu, exp(log var),
+    # z = mu + sqrt(var) * 0.0 and the responsibilities at mu
+    x = np.random.default_rng(22).standard_normal((30, 6))
+    model = make_model(seed=23)
+    train(model, x, TrainConfig(epochs=3, batch_size=8, seed=24))
+    emb, gamma = embed_dataset(model, x)
+    out = _ref_forward(model.encoder, x)[-1]
+    mu, var = out[:, :2], np.exp(out[:, 2:])
+    for got, want in ((emb.mu, mu), (emb.var, var), (emb.z, mu + np.sqrt(var) * 0.0),
+                      (gamma, _ref_responsibilities(model.gmm, mu))):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_train_runs_only_batch_loss_forward(monkeypatch):
+    # 1024 rows in batches of 64: 16 Adam batches and the re-embed pass per epoch
+    sizes = []
+    real = TRAIN_MODULE.batch_loss
+
+    def counted(model, x, *args, **kwargs):
+        sizes.append(x.shape[0])
+        return real(model, x, *args, **kwargs)
+
+    def never(*args, **kwargs):
+        raise AssertionError("train ran an evaluation-API forward pass")
+
+    monkeypatch.setattr(TRAIN_MODULE, "batch_loss", counted)
+    for module in (TRAIN_MODULE, MODEL_MODULE):
+        for name in ("encode", "decode", "elbo"):
+            monkeypatch.setattr(module, name, never, raising=False)
+    x = np.random.default_rng(25).standard_normal((1024, 6))
+    train(make_model(seed=26), x, TrainConfig(epochs=2, batch_size=64, seed=27))
+    assert sizes == ([64] * 16 + [1024]) * 2
 
 
 def _break_after_step(monkeypatch, step, corrupt):
@@ -231,8 +279,11 @@ BLOW_UPS = [
                  "(last good epoch 0)", id="latent"),
     pytest.param(_overflow_gradient, 4, "epoch 1, batch 1: adam_step: non-finite gradient",
                  "(last good epoch 0)", id="gradient"),
-    pytest.param(_overflow_latent, 3, "epoch 0, re-embed pass: decoder produced non-finite",
+    pytest.param(_overflow_latent, 3,
+                 "epoch 0, re-embed pass: encoder produced non-finite latent state",
                  "(no completed epoch)", id="re-embed"),
+    pytest.param(_overflow_gradient, 3, "non-finite objective at epoch 0",
+                 "(no completed epoch)", id="re-embed-decoder"),
 ]
 
 
