@@ -40,10 +40,7 @@ def cmd_generate(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg.dataset.seed = args.seed
-    d = cfg.dataset
-    dataset = datagen.generate(seed=d.seed, n=d.n_samples, steps=d.steps, horizon=d.horizon,
-                               label_threshold=d.label_threshold, kappa=d.kappa,
-                               substeps=d.substeps)
+    dataset = datagen.generate(cfg.dataset)
     datagen.save_csv(dataset, args.out)
     labels = dataset.labels()
     n_reactive = sum(1 for v in labels if v == datagen.LABEL_REACTIVE)
@@ -76,12 +73,8 @@ def cmd_train(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     x_train = dataset.matrix("train")
-    m = cfg.model
-    rng = np.random.Generator(np.random.PCG64(cfg.training.seed))
-    model = GmVae.init(data_dim=x_train.shape[1], latent_dim=m.latent_dim,
-                       n_clusters=m.n_clusters, hidden_dims=m.hidden_dims,
-                       decoder_var=m.decoder_var, beta=m.beta, rng=rng)
     tc = cfg.training
+    model = GmVae.init(x_train.shape[1], cfg.model, np.random.Generator(np.random.PCG64(tc.seed)))
     say_every = max(1, tc.epochs // 20)
 
     def progress(epoch, terms):
@@ -147,7 +140,7 @@ def cmd_metric(args) -> int:
         cfg.metric.k = args.k
     if args.r is not None:
         cfg.metric.r_percent = args.r
-    cfg.validate()
+    cfg.metric.validate()
     emb, aligned = _join_on_sample_id(args.embeddings, args.quantities, "quantities CSV",
                                       args.columns)
     reports = spectral.interpretability_report(emb["mu"], aligned, k=cfg.metric.k,

@@ -4,6 +4,11 @@ Built-in defaults reproduce the linear-architecture setup (hidden dims
 [32, 16, 8], lr 1e-3, 20000 epochs, batch 64, one EM pass per epoch,
 beta 0.1, decoder variance 1e-5, 1280 samples split 1024/128/128); a config
 file overrides any subset of keys.
+
+Each section's range rules live here, once: `validate` on a section checks
+that its float fields are finite and its fields in range, and the library
+entry points that take a section (`datagen.generate`, `datagen.integrate`,
+`GmVae.init`, `train`) call it instead of checking fields themselves.
 """
 
 from __future__ import annotations
@@ -11,12 +16,30 @@ from __future__ import annotations
 import configparser
 import math
 from dataclasses import asdict, dataclass, field, fields
+from typing import ClassVar
 
 from .errors import InputError
 
 
+class _Section:
+    """A config section. `validate` raises InputError for the first float field
+    that is not finite, then for the first field that breaks its range rule."""
+
+    NAME: ClassVar[str]  # the section's INI name and message prefix
+    RULES: ClassVar[dict]  # field -> (the rule as its message states it, its test)
+
+    def validate(self) -> None:
+        for key, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise InputError(f"{self.NAME}.{key} must be finite, got {value}")
+        for key, (rule, holds) in self.RULES.items():
+            value = getattr(self, key)
+            if not holds(value):
+                raise InputError(f"{self.NAME}.{key} must be {rule}, got {value}")
+
+
 @dataclass
-class DatasetConfig:
+class DatasetConfig(_Section):
     n_samples: int = 1280
     steps: int = 50
     horizon: float = 50.0
@@ -25,18 +48,38 @@ class DatasetConfig:
     kappa: float = 10.0
     substeps: int = 10
 
+    NAME = "dataset"
+    RULES = {
+        "n_samples": (">= 10", lambda v: v >= 10),
+        "steps": (">= 2", lambda v: v >= 2),
+        "horizon": ("> 0", lambda v: v > 0),
+        "label_threshold": ("in (0, 1)", lambda v: 0 < v < 1),
+        "substeps": (">= 1", lambda v: v >= 1),
+        "kappa": (">= 0", lambda v: v >= 0),
+        "seed": (">= 0", lambda v: v >= 0),
+    }
+
 
 @dataclass
-class ModelConfig:
+class ModelConfig(_Section):
     latent_dim: int = 2
     n_clusters: int = 2
     hidden_dims: tuple = (32, 16, 8)
     decoder_var: float = 1e-5
     beta: float = 0.1
 
+    NAME = "model"
+    RULES = {
+        "latent_dim": (">= 1", lambda v: v >= 1),
+        "n_clusters": (">= 1", lambda v: v >= 1),
+        "hidden_dims": ("positive ints", lambda v: len(v) >= 1 and all(h >= 1 for h in v)),
+        "decoder_var": ("> 0", lambda v: v > 0),
+        "beta": (">= 0", lambda v: v >= 0),
+    }
+
 
 @dataclass
-class TrainConfig:
+class TrainConfig(_Section):
     lr: float = 1e-3
     weight_decay: float = 0.0
     batch_size: int = 64
@@ -45,11 +88,28 @@ class TrainConfig:
     variance_floor: float = 1e-6
     seed: int = 1
 
+    NAME = "training"
+    RULES = {
+        "lr": (">= 0", lambda v: v >= 0),
+        "weight_decay": (">= 0", lambda v: v >= 0),
+        "batch_size": (">= 1", lambda v: v >= 1),
+        "epochs": (">= 0", lambda v: v >= 0),
+        "n_em": (">= 0", lambda v: v >= 0),
+        "variance_floor": ("> 0", lambda v: v > 0),
+        "seed": (">= 0", lambda v: v >= 0),
+    }
+
 
 @dataclass
-class MetricConfig:
+class MetricConfig(_Section):
     k: int = 10
     r_percent: float = 20.0
+
+    NAME = "metric"
+    RULES = {
+        "k": (">= 1", lambda v: v >= 1),
+        "r_percent": ("in (0, 100]", lambda v: 0 < v <= 100),
+    }
 
 
 @dataclass
@@ -60,36 +120,8 @@ class RunConfig:
     metric: MetricConfig = field(default_factory=MetricConfig)
 
     def validate(self) -> None:
-        d, m, t, k = self.dataset, self.model, self.training, self.metric
-        checks = [(math.isfinite(value), f"{section}.{key} must be finite, got {value}")
-                  for section, block in vars(self).items() for key, value in vars(block).items()
-                  if isinstance(value, float)] + [
-            (d.n_samples >= 10, f"dataset.n_samples must be >= 10, got {d.n_samples}"),
-            (d.steps >= 2, f"dataset.steps must be >= 2, got {d.steps}"),
-            (d.horizon > 0, f"dataset.horizon must be > 0, got {d.horizon}"),
-            (0 < d.label_threshold < 1, f"dataset.label_threshold must be in (0, 1), got {d.label_threshold}"),
-            (d.substeps >= 1, f"dataset.substeps must be >= 1, got {d.substeps}"),
-            (d.kappa >= 0, f"dataset.kappa must be >= 0, got {d.kappa}"),
-            (d.seed >= 0, f"dataset.seed must be >= 0, got {d.seed}"),
-            (m.latent_dim >= 1, f"model.latent_dim must be >= 1, got {m.latent_dim}"),
-            (m.n_clusters >= 1, f"model.n_clusters must be >= 1, got {m.n_clusters}"),
-            (all(h >= 1 for h in m.hidden_dims) and len(m.hidden_dims) >= 1,
-             f"model.hidden_dims must be positive ints, got {m.hidden_dims}"),
-            (m.decoder_var > 0, f"model.decoder_var must be > 0, got {m.decoder_var}"),
-            (m.beta >= 0, f"model.beta must be >= 0, got {m.beta}"),
-            (t.lr >= 0, f"training.lr must be >= 0, got {t.lr}"),
-            (t.weight_decay >= 0, f"training.weight_decay must be >= 0, got {t.weight_decay}"),
-            (t.batch_size >= 1, f"training.batch_size must be >= 1, got {t.batch_size}"),
-            (t.epochs >= 0, f"training.epochs must be >= 0, got {t.epochs}"),
-            (t.n_em >= 0, f"training.n_em must be >= 0, got {t.n_em}"),
-            (t.variance_floor > 0, f"training.variance_floor must be > 0, got {t.variance_floor}"),
-            (t.seed >= 0, f"training.seed must be >= 0, got {t.seed}"),
-            (k.k >= 1, f"metric.k must be >= 1, got {k.k}"),
-            (0 < k.r_percent <= 100, f"metric.r_percent must be in (0, 100], got {k.r_percent}"),
-        ]
-        for ok, msg in checks:
-            if not ok:
-                raise InputError(msg)
+        for section in vars(self).values():
+            section.validate()
 
     def as_dict(self) -> dict:
         return asdict(self)

@@ -13,9 +13,8 @@ family; the terminal value against a threshold gives the class label.
 
 Randomness uses numpy's PCG64 generator (ziggurat normal sampling); each
 trajectory draws from its own SeedSequence-spawned stream, so serial and
-parallel generation produce identical datasets. The remaining keyword
-defaults (steps, horizon, substeps, kappa, label threshold) are
-`config.DatasetConfig`'s.
+parallel generation produce identical datasets. `generate` and `integrate`
+take a `config.DatasetConfig`, whose `validate` holds the range rules.
 
 A `Dataset` is a set of columns: the (n, steps) coverage matrix, one (n,)
 array per parameter draw, the (n,) labels and the split indices.
@@ -80,25 +79,19 @@ def params_from_xi(xi1, xi2) -> dict:
             "alpha": 0.1 + np.exp(0.05 * xi1), "gamma": 0.001 + 0.01 * np.exp(0.05 * xi2)}
 
 
-def integrate(alpha, gamma, kappa: float = DatasetConfig.kappa, steps: int = DatasetConfig.steps,
-              horizon: float = DatasetConfig.horizon,
-              substeps: int = DatasetConfig.substeps) -> np.ndarray:
+def integrate(alpha, gamma, cfg: DatasetConfig) -> np.ndarray:
     """Classic RK4 on a uniform grid, vectorized over m parameter draws.
 
-    Integrates `substeps` internal stages per stored interval; returns the
-    (m, steps) array of stored samples starting at RHO0.
+    Integrates `cfg.substeps` internal stages per stored interval; returns
+    the (m, cfg.steps) array of stored samples starting at RHO0.
     """
-    if steps < 2:
-        raise InputError(f"integrate needs steps >= 2, got {steps}")
-    if not horizon > 0:
-        raise InputError(f"integrate needs horizon > 0, got {horizon}")
-    if substeps < 1:
-        raise InputError(f"integrate needs substeps >= 1, got {substeps}")
+    cfg.validate()
+    kappa, steps, substeps = cfg.kappa, cfg.steps, cfg.substeps
     alpha = np.atleast_1d(np.asarray(alpha, dtype=np.float64))
     gamma = np.atleast_1d(np.asarray(gamma, dtype=np.float64))
     m = alpha.shape[0]
 
-    h = horizon / (steps - 1) / substeps
+    h = cfg.horizon / (steps - 1) / substeps
     out = np.empty((m, steps))
     rho = np.full(m, RHO0)
     out[:, 0] = rho
@@ -127,20 +120,16 @@ def split_sizes(n: int) -> tuple[int, int, int]:
     return n_train, n_val, n - n_train - n_val
 
 
-def generate(seed: int, n: int = DatasetConfig.n_samples, steps: int = DatasetConfig.steps,
-             horizon: float = DatasetConfig.horizon,
-             label_threshold: float = DatasetConfig.label_threshold,
-             kappa: float = DatasetConfig.kappa,
-             substeps: int = DatasetConfig.substeps) -> Dataset:
-    """Sample n parameter draws, integrate, label, and split train/val/test."""
-    if n < 10:
-        raise InputError(f"generate needs n >= 10, got {n}")
-    children = np.random.SeedSequence(seed).spawn(n + 1)
+def generate(cfg: DatasetConfig) -> Dataset:
+    """Sample cfg.n_samples parameter draws, integrate, label, and split train/val/test."""
+    cfg.validate()
+    n = cfg.n_samples
+    children = np.random.SeedSequence(cfg.seed).spawn(n + 1)
     xi = np.empty((n, 2))
     for i in range(n):
         xi[i] = np.random.Generator(np.random.PCG64(children[i])).standard_normal(2)
     params = params_from_xi(xi[:, 0], xi[:, 1])
-    rho = integrate(params["alpha"], params["gamma"], kappa, steps, horizon, substeps)
+    rho = integrate(params["alpha"], params["gamma"], cfg)
     if rho.min() < 0.0 or rho.max() > 1.0 + 1e-9:
         raise NumericalError(
             f"generated coverage out of [0, 1]: min={rho.min():.6g} max={rho.max():.6g}"
@@ -154,7 +143,8 @@ def generate(seed: int, n: int = DatasetConfig.n_samples, steps: int = DatasetCo
         "val": np.sort(perm[n_train:n_train + n_val]),
         "test": np.sort(perm[n_train + n_val:]),
     }
-    return Dataset(rho=rho, params=params, label=label(rho[:, -1], label_threshold), split=split)
+    return Dataset(rho=rho, params=params, label=label(rho[:, -1], cfg.label_threshold),
+                   split=split)
 
 
 def save_csv(dataset: Dataset, path) -> None:

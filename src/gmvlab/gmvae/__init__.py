@@ -6,7 +6,6 @@ from .model import (
     GmVae,
     LatentEmbedding,
     decode,
-    elbo,
     em_step,
     encode,
     gmm_log_likelihood,
@@ -26,7 +25,6 @@ __all__ = [
     "LatentEmbedding",
     "cluster_assign",
     "decode",
-    "elbo",
     "em_step",
     "encode",
     "gmm_log_likelihood",

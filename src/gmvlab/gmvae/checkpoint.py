@@ -7,6 +7,7 @@ import json
 
 import numpy as np
 
+from ..config import ModelConfig
 from ..errors import ContractError, InputError
 from ..ndmath import Mlp
 from .model import GmmParams, GmVae
@@ -61,8 +62,7 @@ def _model_from_payload(payload: dict) -> GmVae:
     latent_dim = _number(payload, "latent_dim", int)
     decoder_var = float(_number(payload, "decoder_var"))
     beta = float(_number(payload, "beta"))
-    if latent_dim < 1 or not decoder_var > 0 or not beta >= 0:
-        raise InputError("invalid latent_dim/decoder_var/beta")
+    ModelConfig(latent_dim=latent_dim, decoder_var=decoder_var, beta=beta).validate()
     encoder = _mlp_from_dict(payload["encoder"], "encoder")
     decoder = _mlp_from_dict(payload["decoder"], "decoder")
     if encoder.layer_dims[-1] != 2 * latent_dim:

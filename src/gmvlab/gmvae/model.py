@@ -1,4 +1,4 @@
-"""Mixture-prior VAE: model types, ELBO terms, responsibilities, EM update.
+"""Mixture-prior VAE: model types, responsibilities, EM update, sampling.
 
 The generative model is c ~ Cat(pi), z | c ~ N(mean_c, diag var_c),
 x | z ~ N(decoder(z), decoder_var * I). The encoder emits [mu, log var]
@@ -7,7 +7,8 @@ and sampling uses the reparameterization z = mu + sqrt(var) * eps.
 The per-sample objective has four ELBO terms (reconstruction log-density,
 responsibility-weighted cluster term, posterior entropy, categorical term)
 plus a beta-weighted KL pull toward the standard normal; training minimizes
--(ELBO) + regularizer summed over the batch.
+-(ELBO) + regularizer summed over the batch. `train.batch_terms` evaluates
+it from a training forward pass (`train.batch_loss`).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..config import TrainConfig
+from ..config import ModelConfig, TrainConfig
 from ..errors import ContractError, InputError, NumericalError
 from ..ndmath import Mlp
 
@@ -93,23 +94,16 @@ class GmVae:
     gmm: GmmParams
 
     @classmethod
-    def init(cls, data_dim: int, latent_dim: int, n_clusters: int, hidden_dims,
-             decoder_var: float, beta: float, rng: np.random.Generator) -> "GmVae":
+    def init(cls, data_dim: int, cfg: ModelConfig, rng: np.random.Generator) -> "GmVae":
         """Fresh model: Glorot nets, cluster means uniform in [-1, 1], unit variances."""
-        if decoder_var <= 0:
-            raise InputError(f"decoder_var must be > 0, got {decoder_var}")
-        if beta < 0:
-            raise InputError(f"beta must be >= 0, got {beta}")
-        hidden = list(hidden_dims)
-        encoder = Mlp.init([data_dim] + hidden + [2 * latent_dim], rng)
-        decoder = Mlp.init([latent_dim] + hidden[::-1] + [data_dim], rng)
-        gmm = GmmParams(
-            pi=np.full(n_clusters, 1.0 / n_clusters),
-            means=rng.uniform(-1.0, 1.0, size=(n_clusters, latent_dim)),
-            variances=np.ones((n_clusters, latent_dim)),
-        )
-        return cls(encoder=encoder, decoder=decoder, latent_dim=latent_dim,
-                   decoder_var=float(decoder_var), beta=float(beta), gmm=gmm)
+        cfg.validate()
+        hidden, d, k = list(cfg.hidden_dims), cfg.latent_dim, cfg.n_clusters
+        encoder = Mlp.init([data_dim] + hidden + [2 * d], rng)
+        decoder = Mlp.init([d] + hidden[::-1] + [data_dim], rng)
+        gmm = GmmParams(pi=np.full(k, 1.0 / k), means=rng.uniform(-1.0, 1.0, size=(k, d)),
+                        variances=np.ones((k, d)))
+        return cls(encoder=encoder, decoder=decoder, latent_dim=d,
+                   decoder_var=float(cfg.decoder_var), beta=float(cfg.beta), gmm=gmm)
 
     @property
     def data_dim(self) -> int:
@@ -198,55 +192,6 @@ def gmm_log_likelihood(gmm: GmmParams, z: np.ndarray) -> float:
     return float(np.sum(_log_joint(MixtureConstants.of(gmm), _as_rows(z))[1]))
 
 
-def _check_gamma(gamma: np.ndarray, n: int, k: int) -> None:
-    if gamma.shape != (n, k):
-        raise ContractError(f"gamma shape {gamma.shape}, expected {(n, k)}")
-    if np.max(np.abs(gamma.sum(axis=1) - 1.0)) > 1e-9:
-        raise ContractError("gamma rows must sum to 1")
-
-
-def elbo(model: GmVae, x: np.ndarray, emb: LatentEmbedding, gamma: np.ndarray) -> ElboTerms:
-    """Batch-summed ELBO terms for given embeddings and fixed responsibilities."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    _check_gamma(gamma, x.shape[0], model.gmm.n_clusters)
-    return _objective_terms(model, x, decode(model, emb.z), emb.mu, emb.var,
-                            np.log(emb.var), gamma)
-
-
-def _objective_terms(model: GmVae, x: np.ndarray, x_hat: np.ndarray, mu: np.ndarray,
-                     var: np.ndarray, logvar: np.ndarray, gamma: np.ndarray) -> ElboTerms:
-    """Batch-summed objective terms from one forward pass.
-
-    `x_hat` is the decoded sample, `mu`/`var`/`logvar` the posterior
-    parameters and `gamma` the responsibilities, all for the batch `x`.
-    Both `elbo` and the training step evaluate the objective here.
-    """
-    n, data_dim = x.shape
-    gmm = model.gmm
-    err = x - x_hat
-    err *= err
-    sq_err = err.sum()
-    recon = -0.5 * (n * data_dim * (LOG_2PI + np.log(model.decoder_var))
-                    + sq_err / model.decoder_var)
-
-    # responsibility-weighted expected log-density under each cluster
-    mu_diff = mu[:, None, :] - gmm.means[None, :, :]
-    inner = (np.log(gmm.variances)[None, :, :] + LOG_2PI
-             + (var[:, None, :] + mu_diff**2) / gmm.variances[None, :, :])
-    cluster_kl = -0.5 * float(np.sum(gamma * inner.sum(axis=2)))
-
-    posterior_entropy = 0.5 * float(np.sum(logvar + LOG_2PI + 1.0))
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cat = gamma * (np.log(gmm.pi)[None, :] - np.log(gamma))
-    categorical_term = float(np.sum(np.where(gamma > 0.0, cat, 0.0)))
-
-    reg = 0.5 * model.beta * float(np.sum(mu**2 + var - 1.0 - logvar))
-    return ElboTerms(recon=float(recon), cluster_kl=cluster_kl,
-                     posterior_entropy=posterior_entropy,
-                     categorical_term=categorical_term, reg=reg)
-
-
 def em_step(gmm: GmmParams, emb: LatentEmbedding,
             variance_floor: float = TrainConfig.variance_floor,
             gamma: np.ndarray | None = None) -> GmmParams:
@@ -264,8 +209,10 @@ def em_step(gmm: GmmParams, emb: LatentEmbedding,
     gmm.validate()
     if gamma is None:
         gamma = responsibilities(gmm, emb.z)  # (n, K)
-    else:
-        _check_gamma(gamma, n, gmm.n_clusters)
+    elif gamma.shape != (n, gmm.n_clusters):
+        raise ContractError(f"gamma shape {gamma.shape}, expected {(n, gmm.n_clusters)}")
+    elif np.max(np.abs(gamma.sum(axis=1) - 1.0)) > 1e-9:
+        raise ContractError("gamma rows must sum to 1")
     mass = gamma.sum(axis=0)  # (K,)
     new = gmm.copy()
     for c in range(gmm.n_clusters):

@@ -29,11 +29,11 @@ from ..config import TrainConfig
 from ..errors import InputError, NumericalError
 from ..ndmath import AdamState, adam_step
 from .model import (
+    LOG_2PI,
     ElboTerms,
     GmVae,
     LatentEmbedding,
     MixtureConstants,
-    _objective_terms,
     _posterior,
     _responsibilities,
     em_step,
@@ -81,8 +81,31 @@ def batch_terms(model: GmVae, cache: BatchCache) -> ElboTerms:
     returns the gradient of their `total_loss`."""
     out = cache.enc_acts[-1]
     d = model.latent_dim
-    return _objective_terms(model, cache.x, cache.dec_acts[-1], out[:, :d], cache.var,
-                            out[:, d:], cache.gamma)
+    mu, var, logvar, gamma = out[:, :d], cache.var, out[:, d:], cache.gamma
+    n, data_dim = cache.x.shape
+    gmm = model.gmm
+    err = cache.x - cache.dec_acts[-1]
+    err *= err
+    sq_err = err.sum()
+    recon = -0.5 * (n * data_dim * (LOG_2PI + np.log(model.decoder_var))
+                    + sq_err / model.decoder_var)
+
+    # responsibility-weighted expected log-density under each cluster
+    mu_diff = mu[:, None, :] - gmm.means[None, :, :]
+    inner = (np.log(gmm.variances)[None, :, :] + LOG_2PI
+             + (var[:, None, :] + mu_diff**2) / gmm.variances[None, :, :])
+    cluster_kl = -0.5 * float(np.sum(gamma * inner.sum(axis=2)))
+
+    posterior_entropy = 0.5 * float(np.sum(logvar + LOG_2PI + 1.0))
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cat = gamma * (np.log(gmm.pi)[None, :] - np.log(gamma))
+    categorical_term = float(np.sum(np.where(gamma > 0.0, cat, 0.0)))
+
+    reg = 0.5 * model.beta * float(np.sum(mu**2 + var - 1.0 - logvar))
+    return ElboTerms(recon=float(recon), cluster_kl=cluster_kl,
+                     posterior_entropy=posterior_entropy,
+                     categorical_term=categorical_term, reg=reg)
 
 
 def _layer_views(model: GmVae, flat: np.ndarray) -> list[tuple[list, list]]:
@@ -169,14 +192,11 @@ def train(model: GmVae, x_train: np.ndarray, cfg: TrainConfig,
     `progress`, if given, is called as progress(epoch, terms) after each
     epoch, with the epoch's objective (see the module docstring).
     """
+    cfg.validate()
     x_train = np.atleast_2d(np.asarray(x_train, dtype=np.float64))
     n = x_train.shape[0]
     if n == 0:
         raise InputError("train needs a non-empty training set")
-    if cfg.batch_size < 1:
-        raise InputError(f"batch_size must be >= 1, got {cfg.batch_size}")
-    if cfg.epochs < 0:
-        raise InputError(f"epochs must be >= 0, got {cfg.epochs}")
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     theta, layout = pack_params(model)
     grad = FlatGradient(model)

@@ -19,19 +19,17 @@ import pytest
 from gmvlab import datagen
 from gmvlab.align import apply_map, fit_affine
 from gmvlab.baselines import classical_mds, euclidean_distances, isomap
+from gmvlab.config import DatasetConfig, ModelConfig
 from gmvlab.gmvae import (
     GmmParams,
     GmVae,
     TrainConfig,
     batch_loss,
     cluster_assign,
-    elbo,
     em_step,
     embed_dataset,
-    encode,
     gmm_log_likelihood,
     permutation_accuracy,
-    responsibilities,
     sample,
     train,
 )
@@ -52,7 +50,7 @@ def report(name: str, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def dataset():
-    return datagen.generate(seed=DATA_SEED, n=1280)
+    return datagen.generate(DatasetConfig(seed=DATA_SEED, n_samples=1280))
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +60,7 @@ def trained_runs(dataset):
     runs = []
     for seed in SEEDS:
         rng = np.random.Generator(np.random.PCG64(seed))
-        model = GmVae.init(50, 2, 2, (32, 16, 8), 1e-5, 0.1, rng)
+        model = GmVae.init(50, ModelConfig(2, 2, (32, 16, 8), 1e-5, 0.1), rng)
         cfg = TrainConfig(epochs=EPOCHS, batch_size=64, lr=1e-3, weight_decay=0.0,
                           n_em=1, variance_floor=1e-6, seed=seed)
         history = train(model, x_train, cfg)
@@ -86,7 +84,7 @@ def test_bifurcation_clustering(dataset, trained_runs):
 
 
 def test_elbo_oracle_equivalence():
-    from test_gmvae_model import scalar_elbo_reference
+    from test_gmvae_model import forward, scalar_elbo_reference
 
     worst = 0.0
     count = 0
@@ -95,12 +93,11 @@ def test_elbo_oracle_equivalence():
         k = int(rng_top.integers(1, 4))
         seed = int(rng_top.integers(0, 10_000))
         rng = np.random.default_rng(seed)
-        model = GmVae.init(6, 2, k, (5, 4), 10 ** rng.uniform(-5, 0), 0.1, rng)
+        model = GmVae.init(6, ModelConfig(2, k, (5, 4), 10 ** rng.uniform(-5, 0), 0.1), rng)
         x = rng.standard_normal((3, 6))
-        emb = encode(model, x, rng.standard_normal((3, 2)))
-        gamma = responsibilities(model.gmm, emb.z)
-        terms = elbo(model, x, emb, gamma)
-        ref = scalar_elbo_reference(model, x, emb, gamma)
+        cache, emb = forward(model, x, rng.standard_normal((3, 2)))
+        terms = batch_terms(model, cache)
+        ref = scalar_elbo_reference(model, x, emb, cache.gamma)
         scale = max(1.0, abs(terms.total_loss))
         for got, want in zip([terms.recon, terms.cluster_kl, terms.posterior_entropy,
                               terms.categorical_term, terms.reg], ref):
@@ -115,7 +112,7 @@ def test_gradient_correctness():
     worst = 0.0
     for seed in range(5):
         rng = np.random.default_rng(seed)
-        model = GmVae.init(6, 2, 2, (5, 4), 1e-2, 0.1, np.random.default_rng(seed))
+        model = GmVae.init(6, ModelConfig(2, 2, (5, 4), 1e-2, 0.1), np.random.default_rng(seed))
         x = rng.standard_normal((4, 6))
         eps = rng.standard_normal((4, 2))  # fixed noise for the whole check
         mix = MixtureConstants.of(model.gmm)
@@ -188,15 +185,17 @@ def test_em_monotonicity():
 
 
 def test_k1_reduces_to_standard_vae():
+    from test_gmvae_model import forward
+
     worst = 0.0
     for seed in range(10):
         rng = np.random.default_rng(seed)
-        model = GmVae.init(6, 2, 1, (5, 4), 1e-3, 0.1, rng)
+        model = GmVae.init(6, ModelConfig(2, 1, (5, 4), 1e-3, 0.1), rng)
         model.gmm = GmmParams(pi=np.array([1.0]), means=np.zeros((1, 2)),
                               variances=np.ones((1, 2)))
         x = rng.standard_normal((4, 6))
-        emb = encode(model, x, rng.standard_normal((4, 2)))
-        terms = elbo(model, x, emb, np.ones((4, 1)))
+        cache, emb = forward(model, x, rng.standard_normal((4, 2)))
+        terms = batch_terms(model, dataclasses.replace(cache, gamma=np.ones((4, 1))))
         kl = 0.5 * np.sum(emb.mu**2 + emb.var - 1.0 - np.log(emb.var))
         standard_vae_elbo = terms.recon - kl
         worst = max(worst, abs(terms.elbo - standard_vae_elbo))
@@ -318,11 +317,11 @@ def test_baselines():
 
 
 def test_data_generator(dataset):
-    fine = datagen.generate(seed=DATA_SEED, n=1280, substeps=100)
+    fine = datagen.generate(DatasetConfig(seed=DATA_SEED, n_samples=1280, substeps=100))
     flips = sum(1 for a, b in zip(dataset.labels(), fine.labels()) if a != b)
     stable_rate = 1.0 - flips / 1280
 
-    oracle = datagen.generate(seed=777, n=10000)
+    oracle = datagen.generate(DatasetConfig(seed=777, n_samples=10000))
     frac = np.mean([v == datagen.LABEL_REACTIVE for v in dataset.labels()])
     frac_oracle = np.mean([v == datagen.LABEL_REACTIVE for v in oracle.labels()])
     ok = stable_rate >= 0.995 and abs(frac - frac_oracle) <= 0.03

@@ -14,6 +14,7 @@ import pytest
 from gmvlab import datagen
 from gmvlab.cli import main
 from gmvlab.config import RunConfig
+from gmvlab.errors import InputError
 from gmvlab.gmvae import cluster_assign, load_checkpoint, permutation_accuracy
 from gmvlab.tables import read_embeddings_csv, write_embeddings_csv, write_table
 
@@ -447,6 +448,11 @@ def test_non_finite_config_number_gives_exit_1(tmp_path, capsys, section, key, v
     assert main(["generate", "--config", str(ini), "--out", str(tmp_path / "d.csv")]) == 1
     assert capsys.readouterr().err == f"error: {section}.{key} must be finite, got {value}\n"
     assert not (tmp_path / "d.csv").exists()
+    # the section's own rule, which the library entry points taking it call
+    block = getattr(RunConfig(), section)
+    setattr(block, key, float(value))
+    with pytest.raises(InputError, match=f"^{section}.{key} must be finite, got {value}$"):
+        block.validate()
 
 
 def test_corrupt_dataset_fails_validation_with_exit_1(workdir, tmp_path, capsys):
@@ -640,6 +646,9 @@ BAD_CHECKPOINTS = {
     "decoder-output-width": _drop_last_decoder_layer,
     "layer-dims-float": lambda c: c["encoder"]["layer_dims"].__setitem__(0, 50.0),
     "layer-dims-string": lambda c: c["encoder"]["layer_dims"].__setitem__(0, "50"),
+    # json.dumps writes these as the token Infinity, which json.loads reads back
+    "decoder-var-inf": lambda c: c.update(decoder_var=float("inf")),
+    "beta-inf": lambda c: c.update(beta=float("inf")),
 }
 
 

@@ -56,22 +56,24 @@ def test_param_formulas_are_elementwise():
 
 
 def test_degenerate_zero_rhs_gives_constant_trajectory():
-    rho = integrate(0.0, 0.0, kappa=0.0, steps=50, horizon=50.0)
+    rho = integrate(0.0, 0.0, DatasetConfig(kappa=0.0, steps=50, horizon=50.0))
     assert rho.shape == (1, 50)
     assert np.array_equal(rho[0], np.full(50, datagen.RHO0))
 
 
 def test_initial_value_exact():
     p = params_from_xi(np.array([0.7, -2.0]), np.array([-0.3, 1.5]))
-    rho = integrate(p["alpha"], p["gamma"])
+    rho = integrate(p["alpha"], p["gamma"], DatasetConfig())
     assert rho.shape == (2, DatasetConfig.steps)
     assert np.all(rho[:, 0] == datagen.RHO0)
 
 
 def test_integrate_matches_fine_step_reference():
     p = params_from_xi(0.0, 0.0)
-    coarse = integrate(p["alpha"], p["gamma"], KAPPA, steps=50, horizon=50.0, substeps=10)
-    fine = integrate(p["alpha"], p["gamma"], KAPPA, steps=50, horizon=50.0, substeps=1000)
+    coarse = integrate(p["alpha"], p["gamma"],
+                       DatasetConfig(kappa=KAPPA, steps=50, horizon=50.0, substeps=10))
+    fine = integrate(p["alpha"], p["gamma"],
+                     DatasetConfig(kappa=KAPPA, steps=50, horizon=50.0, substeps=1000))
     assert abs(coarse[0, -1] - fine[0, -1]) < 1e-6
 
 
@@ -80,10 +82,10 @@ def test_integrate_validates_arguments():
     bad = [{"steps": 1}, {"horizon": 0.0}, {"horizon": -5.0}, {"substeps": 0}]
     for kwargs in bad:
         with pytest.raises(InputError):
-            integrate(p["alpha"], p["gamma"], **kwargs)
+            integrate(p["alpha"], p["gamma"], DatasetConfig(**kwargs))
     for kwargs in [{"steps": 1}, {"horizon": -5.0}, {"substeps": 0}]:
         with pytest.raises(InputError):
-            generate(seed=1, n=20, **kwargs)
+            generate(DatasetConfig(seed=1, n_samples=20, **kwargs))
 
 
 def test_label_thresholding():
@@ -94,13 +96,13 @@ def test_label_thresholding():
 
 
 def test_generate_is_deterministic():
-    a = generate(seed=123, n=32)
-    b = generate(seed=123, n=32)
+    a = generate(DatasetConfig(seed=123, n_samples=32))
+    b = generate(DatasetConfig(seed=123, n_samples=32))
     assert np.array_equal(a.rho, b.rho)
     assert np.array_equal(a.labels(), b.labels())
     for name in datagen.SPLIT_NAMES:
         assert np.array_equal(a.split[name], b.split[name])
-    c = generate(seed=124, n=32)
+    c = generate(DatasetConfig(seed=124, n_samples=32))
     assert not np.array_equal(a.rho[0], c.rho[0])
 
 
@@ -110,39 +112,40 @@ def test_split_sizes_follow_80_10_10():
 
 
 def test_generate_split_partitions_indices():
-    ds = generate(seed=5, n=100)
+    ds = generate(DatasetConfig(seed=5, n_samples=100))
     merged = np.concatenate([ds.split[name] for name in datagen.SPLIT_NAMES])
     assert np.array_equal(np.sort(merged), np.arange(100))
 
 
 def test_generate_rejects_tiny_n():
     with pytest.raises(InputError):
-        generate(seed=0, n=5)
+        generate(DatasetConfig(seed=0, n_samples=5))
 
 
 def test_generated_coverage_stays_physical():
-    ds = generate(seed=11, n=128)
+    ds = generate(DatasetConfig(seed=11, n_samples=128))
     rho = ds.matrix()
     assert rho.min() >= 0.0
     assert rho.max() <= 1.0 + 1e-9
 
 
 def test_generate_produces_both_labels():
-    ds = generate(seed=2, n=200)
+    ds = generate(DatasetConfig(seed=2, n_samples=200))
     labels = set(ds.labels())
     assert labels == {LABEL_STABLE, LABEL_REACTIVE}
 
 
 def test_labels_stable_under_grid_refinement_small():
     n = 200
-    ds = generate(seed=7, n=n, substeps=10)
-    fine = generate(seed=7, n=n, substeps=100)  # same draws, 10x finer integration grid
+    ds = generate(DatasetConfig(seed=7, n_samples=n, substeps=10))
+    # same draws, 10x finer integration grid
+    fine = generate(DatasetConfig(seed=7, n_samples=n, substeps=100))
     flips = sum(1 for a, b in zip(ds.labels(), fine.labels()) if a != b)
     assert flips / n <= 0.005
 
 
 def test_csv_roundtrip(tmp_path):
-    ds = generate(seed=9, n=20)
+    ds = generate(DatasetConfig(seed=9, n_samples=20))
     path = tmp_path / "data.csv"
     datagen.save_csv(ds, path)
     back = datagen.load_csv(path)
@@ -159,6 +162,6 @@ def test_csv_roundtrip(tmp_path):
 
 def test_csv_bytes_identical_for_same_seed(tmp_path):
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    datagen.save_csv(generate(seed=3, n=16), p1)
-    datagen.save_csv(generate(seed=3, n=16), p2)
+    datagen.save_csv(generate(DatasetConfig(seed=3, n_samples=16)), p1)
+    datagen.save_csv(generate(DatasetConfig(seed=3, n_samples=16)), p2)
     assert p1.read_bytes() == p2.read_bytes()

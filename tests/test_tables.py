@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gmvlab import datagen
+from gmvlab.config import DatasetConfig
 from gmvlab.errors import InputError
 from gmvlab.gmvae import ElboTerms
 from gmvlab.spectral import SpectralReport
@@ -237,7 +238,8 @@ def _mutated(text, draw):
 def valid_files(tmp_path_factory):
     directory = tmp_path_factory.mktemp("valid")
     dataset, embeddings = directory / "dataset.csv", directory / "embeddings.csv"
-    datagen.save_csv(datagen.generate(seed=0, n=10, steps=5, horizon=5.0), dataset)
+    small = DatasetConfig(seed=0, n_samples=10, steps=5, horizon=5.0)
+    datagen.save_csv(datagen.generate(small), dataset)
     rng = np.random.default_rng(5)
     write_embeddings_csv(embeddings, list(range(4)), ["train"] * 4, rng.standard_normal((4, 2)),
                          var=rng.uniform(0.1, 1.0, (4, 2)),
@@ -265,7 +267,7 @@ def test_reading_a_dataset_peaks_at_a_small_multiple_of_its_floats(tmp_path):
     # float64, three text columns; a reader that first held every cell as a
     # Python string peaked at 11.4 times the float block
     path = tmp_path / "data.csv"
-    datagen.save_csv(datagen.generate(seed=0), path)
+    datagen.save_csv(datagen.generate(DatasetConfig(seed=0)), path)
     tracemalloc.start()
     try:
         dataset = datagen.load_csv(path)
