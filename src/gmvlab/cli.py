@@ -140,17 +140,16 @@ def cmd_metric(args) -> int:
         cfg.metric.k = args.k
     if args.r is not None:
         cfg.metric.r_percent = args.r
-    cfg.metric.validate()
+    cfg.metric.validate()  # a bad --k or --r exits before the inputs are read
     emb, aligned = _join_on_sample_id(args.embeddings, args.quantities, "quantities CSV",
                                       args.columns)
-    reports = spectral.interpretability_report(emb["mu"], aligned, k=cfg.metric.k,
-                                               r_percent=cfg.metric.r_percent)
-    tables.write_report_csv(args.out, reports)
+    report = spectral.interpretability_report(emb["mu"], aligned, cfg.metric)
+    tables.write_report_csv(args.out, report)
     if args.spectrum_out:
-        tables.write_spectrum_csv(args.spectrum_out, reports)
-    for rep in reports:
-        print(f"eta[{rep.quantity_name}] = {rep.eta:.6f} "
-              f"(k={rep.k}, r={rep.r_percent:g}%, components={rep.n_components})")
+        tables.write_spectrum_csv(args.spectrum_out, report)
+    for name, value in report.eta.items():
+        print(f"eta[{name}] = {value:.6f} (k={report.k}, r={report.r_percent:g}%, "
+              f"components={len(report.component_sizes)})")
     print(f"wrote report to {args.out}")
     return 0
 

@@ -129,12 +129,9 @@ class RunConfig:
 
 def _parse_hidden_dims(text: str) -> tuple:
     try:
-        dims = tuple(int(part) for part in text.replace(" ", "").split(",") if part)
+        return tuple(int(part) for part in text.replace(" ", "").split(",") if part)
     except ValueError:
         raise InputError(f"config: cannot parse hidden_dims {text!r} (want e.g. '32,16,8')")
-    if not dims:
-        raise InputError("config: hidden_dims must name at least one width")
-    return dims
 
 
 # section -> key -> parser: each key is parsed with its default's type

@@ -1,4 +1,3 @@
-from ..config import TrainConfig
 from .checkpoint import FORMAT_TAG, load_checkpoint, save_checkpoint
 from .model import (
     ElboTerms,
@@ -31,7 +30,6 @@ __all__ = [
     "permutation_accuracy",
     "responsibilities",
     "sample",
-    "TrainConfig",
     "batch_loss",
     "embed_dataset",
     "train",

@@ -1,11 +1,13 @@
 """Graph-spectral smoothness metric over latent embeddings.
 
-A kNN graph is built on the embedded points as a plain (n, n) 0/1
-adjacency matrix, its connected components are labelled, the unnormalized
-Laplacian L = D - A is eigendecomposed, and a physical quantity evaluated
-at each point is projected onto the eigenbasis. The score eta is the
-fraction of the signal's energy carried by the lowest r% of modes: high
-eta means the quantity varies smoothly across the embedding.
+`interpretability_report` takes the metric section (`MetricConfig`), builds
+one kNN graph on the embedded points as a plain (n, n) 0/1 adjacency matrix,
+labels its connected components, eigendecomposes the unnormalized Laplacian
+L = D - A once, and projects each physical quantity evaluated at the points
+onto that eigenbasis. A quantity's eta is the fraction of its energy carried
+by the lowest r% of modes: high eta means it varies smoothly across the
+embedding. The one `SpectralReport` holds the graph's facts once and each
+quantity's coefficients and eta by name.
 """
 
 from __future__ import annotations
@@ -15,25 +17,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import MetricConfig
 from .errors import InputError, NumericalError
 from .ndmath import symmetric_eig
 
 
 @dataclass
-class LaplacianSpectrum:
-    eigenvalues: np.ndarray   # ascending
-    eigenvectors: np.ndarray  # orthonormal columns, aligned with eigenvalues
-
-
-@dataclass
 class SpectralReport:
-    quantity_name: str
-    coefficients: np.ndarray
-    eta: float
-    r_percent: float
     k: int
-    n_components: int
-    eigenvalues: np.ndarray  # the graph's Laplacian spectrum, aligned with coefficients
+    r_percent: float
+    component_sizes: list     # the graph's connected components, largest first
+    eigenvalues: np.ndarray   # the graph's Laplacian spectrum, ascending
+    coefficients: dict        # quantity name -> its coefficients, aligned with eigenvalues
+    eta: dict                 # quantity name -> its eta, in the caller's order
 
 
 def squared_distances(x: np.ndarray) -> np.ndarray:
@@ -98,27 +94,23 @@ def component_labels(adjacency: np.ndarray) -> np.ndarray:
     return labels
 
 
-def spectrum(lap: np.ndarray) -> LaplacianSpectrum:
-    """Ascending eigenpairs of a Laplacian matrix."""
+def spectrum(lap: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and orthonormal eigenvector columns of a
+    Laplacian matrix, as `symmetric_eig` returns them."""
     lap = np.asarray(lap, dtype=np.float64)
     row_sums = np.abs(lap.sum(axis=1)).max() if lap.size else 0.0
     if row_sums > 1e-10 * max(1.0, float(np.abs(lap).max())):
         raise InputError(f"spectrum: rows must sum to zero (max |row sum| = {row_sums:.3e})")
-    w, v = symmetric_eig(lap)
-    return LaplacianSpectrum(eigenvalues=w, eigenvectors=v)
+    return symmetric_eig(lap)
 
 
-def project(spec: LaplacianSpectrum, p: np.ndarray) -> np.ndarray:
+def project(eigenvectors: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Spectral coefficients alpha_i = v_i . p of a signal on the graph."""
     p = np.asarray(p, dtype=np.float64).ravel()
-    if p.shape[0] != spec.eigenvectors.shape[0]:
+    if p.shape[0] != eigenvectors.shape[0]:
         raise InputError(
-            f"project: signal length {p.shape[0]} != node count {spec.eigenvectors.shape[0]}")
-    return spec.eigenvectors.T @ p
-
-
-def low_mode_count(n: int, r_percent: float) -> int:
-    return int(np.ceil(r_percent * n / 100.0))
+            f"project: signal length {p.shape[0]} != node count {eigenvectors.shape[0]}")
+    return eigenvectors.T @ p
 
 
 def eta(coefficients: np.ndarray, r_percent: float) -> float:
@@ -126,44 +118,39 @@ def eta(coefficients: np.ndarray, r_percent: float) -> float:
 
     Coefficients arrive in ascending-eigenvalue order (as `project` returns
     them), so the low set is simply the first ceil(r * n / 100) of them;
-    ties keep the solver's return order.
+    ties keep the solver's return order. `MetricConfig` holds r's range.
     """
-    if not (0.0 < r_percent <= 100.0):
-        raise InputError(f"eta: r_percent must be in (0, 100], got {r_percent}")
     alpha2 = np.asarray(coefficients, dtype=np.float64) ** 2
     total = alpha2.sum()
     if total <= 0.0:
         raise InputError("eta is undefined for a zero-energy signal")
-    m = low_mode_count(alpha2.shape[0], r_percent)
+    m = int(np.ceil(r_percent * alpha2.shape[0] / 100.0))
     return float(alpha2[:m].sum() / total)
 
 
-def interpretability_report(points: np.ndarray, quantities: dict, k: int,
-                            r_percent: float) -> list:
-    """Score each named quantity over one shared kNN graph.
+def interpretability_report(points: np.ndarray, quantities: dict,
+                            cfg: MetricConfig) -> SpectralReport:
+    """Score each named quantity over one kNN graph, built with `cfg.k`
+    neighbours and scored at `cfg.r_percent`, after `cfg.validate()`.
 
     `quantities` maps name -> length-n array evaluated at the embedded
     points. Disconnected graphs are allowed but warned about: extra zero
     modes inflate eta for component-indicator signals.
     """
+    cfg.validate()
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     n = points.shape[0]
     for name, q in quantities.items():
         if np.asarray(q).ravel().shape[0] != n:
             raise InputError(f"quantity {name!r} has length {np.asarray(q).size}, expected {n}")
-    adjacency = build_knn(points, k)
+    adjacency = build_knn(points, cfg.k)
     sizes = sorted(np.bincount(component_labels(adjacency)).tolist(), reverse=True)
-    n_components = len(sizes)
-    if n_components > 1:
+    if len(sizes) > 1:
         warnings.warn(f"kNN graph is disconnected (component sizes {sizes}); "
                       "eta may be inflated for component-aligned signals")
-    spec = spectrum(laplacian(adjacency))
-    reports = []
-    for name, q in quantities.items():
-        coeff = project(spec, np.asarray(q, dtype=np.float64).ravel())
-        reports.append(SpectralReport(
-            quantity_name=name, coefficients=coeff,
-            eta=eta(coeff, r_percent),
-            r_percent=float(r_percent), k=int(k), n_components=n_components,
-            eigenvalues=spec.eigenvalues))
-    return reports
+    eigenvalues, eigenvectors = spectrum(laplacian(adjacency))
+    coefficients = {name: project(eigenvectors, q) for name, q in quantities.items()}
+    return SpectralReport(
+        k=int(cfg.k), r_percent=float(cfg.r_percent), component_sizes=sizes,
+        eigenvalues=eigenvalues, coefficients=coefficients,
+        eta={name: eta(c, cfg.r_percent) for name, c in coefficients.items()})

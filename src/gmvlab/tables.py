@@ -80,9 +80,18 @@ def write_table(path, columns: dict) -> None:
             fh.write(_lines(zip(*(_cells(col[start:stop]) for col in cols)), len(cols)))
 
 
+def _check_distinct(names, what: str) -> None:
+    """Raise InputError naming the first of `names` that repeats an earlier one."""
+    seen = set()
+    for name in names:
+        if name in seen:
+            raise InputError(f"{what} {name!r} appears twice")
+        seen.add(name)
+
+
 class Table:
-    """The declared columns of a CSV file with a header row and at least one
-    data row, every row of the header's width.
+    """The declared columns of a CSV file with a header row of distinct names
+    and at least one data row, every row of the header's width.
 
     `floats` names the columns kept as finite float64 numbers; each must
     exist. It may instead be a function of (header, first data row) that
@@ -99,6 +108,7 @@ class Table:
             with open(path, newline="") as fh:
                 reader = csv.reader(fh)
                 self.header = next(reader, [])
+                _check_distinct(self.header, f"{path}: column")
                 rows = list(islice(reader, _ROWS_PER_CHUNK))
                 if not rows:
                     raise InputError(f"{path}: needs a header row and at least one data row")
@@ -278,9 +288,9 @@ def write_history_csv(path, history: dict) -> None:
 def read_quantities_csv(path, columns=None) -> tuple[list, dict]:
     """Numeric per-sample quantities keyed by sample_id.
 
-    Returns (sample_ids, {name: array}). Picks `columns` when given,
-    otherwise every column whose first row parses as a float and that is
-    not an identifier, a rho_* curve value, or a label/split tag.
+    Returns (sample_ids, {name: array}). Picks `columns` when given, each
+    named once, otherwise every column whose first row parses as a float and
+    that is not an identifier, a rho_* curve value, or a label/split tag.
     """
     def numeric(header, first_row):
         skip = {"sample_id", "label", "split", "hard_label", "true_label"}
@@ -290,6 +300,8 @@ def read_quantities_csv(path, columns=None) -> tuple[list, dict]:
             raise InputError(f"{path}: no numeric quantity columns")
         return names
 
+    if columns is not None:
+        _check_distinct(columns, f"{path}: requested column")
     table = Table(path, floats=numeric if columns is None else columns, text=("sample_id",))
     values = table.floats(table.float_names)
     return table.sample_ids(), {name: values[:, j] for j, name in enumerate(table.float_names)}
@@ -303,24 +315,26 @@ def _is_float(text: str) -> bool:
         return False
 
 
-def write_report_csv(path, reports) -> None:
-    """Spectral metric reports: quantity, k, r, eta, n_components."""
+def write_report_csv(path, report) -> None:
+    """A `SpectralReport`, one row per quantity: quantity, k, r_percent, eta, n_components."""
+    n = len(report.eta)
     write_table(path, {
-        "quantity": [rep.quantity_name for rep in reports],
-        "k": [rep.k for rep in reports],
-        "r_percent": [rep.r_percent for rep in reports],
-        "eta": [rep.eta for rep in reports],
-        "n_components": [rep.n_components for rep in reports],
+        "quantity": list(report.eta),
+        "k": [report.k] * n,
+        "r_percent": [report.r_percent] * n,
+        "eta": list(report.eta.values()),
+        "n_components": [len(report.component_sizes)] * n,
     })
 
 
-def write_spectrum_csv(path, reports) -> None:
-    """Optional full dump: one row per (quantity, mode)."""
+def write_spectrum_csv(path, report) -> None:
+    """A `SpectralReport`'s full dump: one row per (quantity, mode)."""
+    modes = range(len(report.eigenvalues))
     write_table(path, {
-        "quantity": [rep.quantity_name for rep in reports for _ in rep.eigenvalues],
-        "mode": [i for rep in reports for i in range(len(rep.eigenvalues))],
-        "eigenvalue": [v for rep in reports for v in rep.eigenvalues],
-        "alpha": [v for rep in reports for v in rep.coefficients],
+        "quantity": [name for name in report.coefficients for _ in modes],
+        "mode": [i for _ in report.coefficients for i in modes],
+        "eigenvalue": [v for _ in report.coefficients for v in report.eigenvalues],
+        "alpha": [v for c in report.coefficients.values() for v in c],
     })
 
 

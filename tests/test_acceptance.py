@@ -19,11 +19,10 @@ import pytest
 from gmvlab import datagen
 from gmvlab.align import apply_map, fit_affine
 from gmvlab.baselines import classical_mds, euclidean_distances, isomap
-from gmvlab.config import DatasetConfig, ModelConfig
+from gmvlab.config import DatasetConfig, MetricConfig, ModelConfig, TrainConfig
 from gmvlab.gmvae import (
     GmmParams,
     GmVae,
-    TrainConfig,
     batch_loss,
     cluster_assign,
     em_step,
@@ -208,15 +207,15 @@ def test_spectral_metric_properties():
     checks = []
 
     points = rng.standard_normal((150, 2))
-    spec = spectrum(laplacian(build_knn(points, 8)))
-    checks.append(("eigenvalues >= -1e-10", spec.eigenvalues.min() >= -1e-10))
+    w, v = spectrum(laplacian(build_knn(points, 8)))
+    checks.append(("eigenvalues >= -1e-10", w.min() >= -1e-10))
 
-    const_alpha = project(spec, np.full(150, 3.0))
+    const_alpha = project(v, np.full(150, 3.0))
     checks.append(("constant eta = 1",
                    abs(eta(const_alpha, 20.0) - 1.0) < 1e-12))
 
     p = rng.standard_normal(150)
-    alpha = project(spec, p)
+    alpha = project(v, p)
     checks.append(("Parseval 1e-8", abs(np.sum(alpha**2) - np.sum(p**2)) < 1e-8))
     etas = [eta(alpha, r) for r in np.linspace(1, 100, 34)]
     checks.append(("eta monotone in r", all(b >= a - 1e-15 for a, b in zip(etas, etas[1:]))))
@@ -229,13 +228,13 @@ def test_spectral_metric_properties():
         q = rng.standard_normal(n)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            got = interpretability_report(pts, {"q": q}, k=3, r_percent=25.0)[0].eta
+            got = interpretability_report(pts, {"q": q}, MetricConfig(3, 25.0)).eta["q"]
         bf_ok &= abs(got - brute_force_eta(pts, q, 3, 25.0)) < 1e-10
     checks.append(("brute-force equivalence N<=12", bf_ok))
 
     big = rng.standard_normal((500, 2))
-    spec500 = spectrum(laplacian(build_knn(big, 10)))
-    noise_etas = [eta(project(spec500, rng.standard_normal(500)), 20.0)
+    _, v500 = spectrum(laplacian(build_knn(big, 10)))
+    noise_etas = [eta(project(v500, rng.standard_normal(500)), 20.0)
                   for _ in range(20)]
     mean_eta = float(np.mean(noise_etas))
     checks.append(("iid-noise eta ~ 0.2 +/- 0.05", abs(mean_eta - 0.2) < 0.05))
@@ -268,8 +267,9 @@ def test_interpretability_ranking(dataset, trained_runs):
         rand = np.random.Generator(np.random.PCG64(9000 + seed)).standard_normal(emb.mu.shape)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            e_model = interpretability_report(emb.mu, {"alpha": alpha_q}, 10, 20.0)[0].eta
-            e_rand = interpretability_report(rand, {"alpha": alpha_q}, 10, 20.0)[0].eta
+            cfg = MetricConfig(k=10, r_percent=20.0)
+            e_model = interpretability_report(emb.mu, {"alpha": alpha_q}, cfg).eta["alpha"]
+            e_rand = interpretability_report(rand, {"alpha": alpha_q}, cfg).eta["alpha"]
         margins.append(e_model - e_rand)
         ok &= e_model > e_rand
     report("interpretability-ranking", ok,

@@ -238,6 +238,19 @@ def test_metric_on_overflowing_embeddings_gives_exit_2(tmp_path, capsys):
     assert not (tmp_path / "report.csv").exists()
 
 
+@pytest.mark.parametrize("command, flag, columns", [
+    ("metric", "--quantities", ["alpha", "alpha"]),
+    ("align", "--params", ["xi1", "xi2", "xi1"]),
+])
+def test_column_requested_twice_gives_exit_1(workdir, tmp_path, capsys, command, flag, columns):
+    out = tmp_path / "out"
+    assert main([command, "--embeddings", str(workdir["train"] / "embeddings.csv"),
+                 flag, str(workdir["data"]), "--columns", *columns, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == \
+        f"error: {workdir['data']}: requested column {columns[-1]!r} appears twice\n"
+    assert not out.exists()
+
+
 def test_metric_misaligned_ids_fail(workdir, tmp_path):
     qpath = tmp_path / "short.csv"
     with open(qpath, "w", newline="") as fh:
@@ -436,6 +449,13 @@ def test_invalid_config_gives_exit_1(tmp_path):
     assert main(["generate", "--config", str(bad), "--out", str(tmp_path / "d.csv")]) == 1
 
 
+def test_empty_hidden_dims_gives_exit_1_through_the_model_rule(tmp_path, capsys):
+    bad = tmp_path / "bad.ini"
+    bad.write_text("[model]\nhidden_dims = ,\n")
+    assert main(["generate", "--config", str(bad), "--out", str(tmp_path / "d.csv")]) == 1
+    assert capsys.readouterr().err == "error: model.hidden_dims must be positive ints, got ()\n"
+
+
 FLOAT_KEYS = [(section.name, key.name) for section in fields(RunConfig)
               for key in fields(section.default_factory) if type(key.default) is float]
 
@@ -478,8 +498,10 @@ def _malformed(text, mutation, column):
         return "", None
     if mutation == "header-only":
         return lines[0] + "\n", None
-    if mutation == "bad-header":
-        header[j] = column[:-1] + "x"
+    if mutation in ("bad-header", "repeated-header"):
+        k, name = {"bad-header": (j, column[:-1] + "x"),
+                   "repeated-header": (j + 1, column)}[mutation]
+        header[k] = name
         lines[0] = ",".join(header)
         return "\n".join(lines) + "\n", None
     if mutation == "truncated-row":
@@ -516,7 +538,7 @@ MALFORMED_TARGETS = {
         "--columns", "xi1", "xi2", "--out", out]),
 }
 MUTATIONS = ["non-numeric", "nan", "truncated-row", "extra-cell", "empty-file", "header-only",
-             "non-integer-id", "repeated-id", "bad-header"]
+             "non-integer-id", "repeated-id", "bad-header", "repeated-header"]
 # (target, mutation): every mutation on every target, plus a label outside the
 # two classes on the targets that read the dataset's labels
 MALFORMED_CASES = [(t, m) for t in MALFORMED_TARGETS for m in MUTATIONS] + [
@@ -538,6 +560,8 @@ def test_malformed_csv_gives_exit_1_naming_file_and_line(workdir, tmp_path, caps
     assert str(bad) in err, err
     if line is not None:
         assert f"line {line}" in err, err
+    if mutation == "repeated-header":
+        assert f"column {column!r} appears twice" in err, err
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")

@@ -9,12 +9,11 @@ import sys
 import numpy as np
 import pytest
 
-from gmvlab.config import ModelConfig
+from gmvlab.config import ModelConfig, TrainConfig
 from gmvlab.errors import InputError, NumericalError
 from gmvlab.gmvae import (
     ElboTerms,
     GmVae,
-    TrainConfig,
     batch_loss,
     em_step,
     embed_dataset,

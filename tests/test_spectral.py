@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from gmvlab.config import MetricConfig
 from gmvlab.errors import InputError, NumericalError
 from gmvlab.spectral import (
     build_knn,
@@ -10,7 +11,6 @@ from gmvlab.spectral import (
     eta,
     interpretability_report,
     laplacian,
-    low_mode_count,
     project,
     spectrum,
 )
@@ -150,10 +150,10 @@ def test_component_labels_match_transitive_closure():
 
 def test_path3_spectrum():
     adj = build_knn(np.array([[0.0], [1.0], [2.0]]), 1)
-    spec = spectrum(laplacian(adj))
-    assert np.allclose(spec.eigenvalues, [0.0, 1.0, 3.0], atol=1e-12)
+    w, v = spectrum(laplacian(adj))
+    assert np.allclose(w, [0.0, 1.0, 3.0], atol=1e-12)
     # constant vector spans the zero eigenspace on a connected graph
-    v0 = spec.eigenvectors[:, 0]
+    v0 = v[:, 0]
     assert np.allclose(np.abs(v0), 1.0 / np.sqrt(3.0), atol=1e-12)
 
 
@@ -161,17 +161,17 @@ def test_two_disconnected_edges_zero_multiplicity():
     points = np.array([[0.0], [0.1], [100.0], [100.1]])
     adj = build_knn(points, 1)
     assert np.bincount(component_labels(adj)).tolist() == [2, 2]
-    spec = spectrum(laplacian(adj))
-    assert np.sum(np.abs(spec.eigenvalues) < 1e-10) == 2
+    w, _ = spectrum(laplacian(adj))
+    assert np.sum(np.abs(w) < 1e-10) == 2
 
 
 def test_spectrum_reconstructs_laplacian():
     points = np.random.default_rng(5).standard_normal((100, 2))
     lap = laplacian(build_knn(points, 6))
-    spec = spectrum(lap)
-    recon = spec.eigenvectors @ np.diag(spec.eigenvalues) @ spec.eigenvectors.T
+    w, v = spectrum(lap)
+    recon = v @ np.diag(w) @ v.T
     assert np.abs(recon - lap).max() < 1e-8
-    assert spec.eigenvalues.min() >= -1e-10
+    assert w.min() >= -1e-10
 
 
 def test_spectrum_rejects_nonzero_row_sums():
@@ -183,8 +183,8 @@ def test_spectrum_rejects_nonzero_row_sums():
 
 def test_project_eigenvector_is_one_hot():
     adj = build_knn(np.random.default_rng(2).standard_normal((20, 2)), 3)
-    spec = spectrum(laplacian(adj))
-    alpha = project(spec, spec.eigenvectors[:, 7])
+    _, v = spectrum(laplacian(adj))
+    alpha = project(v, v[:, 7])
     expected = np.zeros(20)
     expected[7] = 1.0
     assert np.allclose(alpha, expected, atol=1e-10)
@@ -192,25 +192,25 @@ def test_project_eigenvector_is_one_hot():
 
 def test_project_zero_signal():
     adj = build_knn(np.random.default_rng(2).standard_normal((10, 2)), 2)
-    spec = spectrum(laplacian(adj))
-    assert np.array_equal(project(spec, np.zeros(10)), np.zeros(10))
+    _, v = spectrum(laplacian(adj))
+    assert np.array_equal(project(v, np.zeros(10)), np.zeros(10))
 
 
 def test_project_round_trip_and_parseval():
     rng = np.random.default_rng(4)
     adj = build_knn(rng.standard_normal((50, 2)), 5)
-    spec = spectrum(laplacian(adj))
+    _, v = spectrum(laplacian(adj))
     p = rng.standard_normal(50)
-    alpha = project(spec, p)
-    assert np.abs(spec.eigenvectors @ alpha - p).max() < 1e-8
+    alpha = project(v, p)
+    assert np.abs(v @ alpha - p).max() < 1e-8
     assert abs(np.sum(alpha**2) - np.sum(p**2)) < 1e-8
 
 
 def test_project_length_mismatch():
     adj = build_knn(np.random.default_rng(2).standard_normal((10, 2)), 2)
-    spec = spectrum(laplacian(adj))
+    _, v = spectrum(laplacian(adj))
     with pytest.raises(InputError):
-        project(spec, np.ones(9))
+        project(v, np.ones(9))
 
 
 # -------------------------------------------------------------------- eta
@@ -218,30 +218,30 @@ def test_project_length_mismatch():
 def test_constant_signal_eta_one():
     adj = build_knn(np.random.default_rng(0).standard_normal((30, 2)), 4)
     assert np.bincount(component_labels(adj)).tolist() == [30]
-    spec = spectrum(laplacian(adj))
-    alpha = project(spec, np.full(30, 2.5))
+    _, v = spectrum(laplacian(adj))
+    alpha = project(v, np.full(30, 2.5))
     assert eta(alpha, 100.0 / 30.0) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_highest_mode_eta_zero():
     adj = build_knn(np.random.default_rng(1).standard_normal((25, 2)), 4)
-    spec = spectrum(laplacian(adj))
-    alpha = project(spec, spec.eigenvectors[:, -1])
+    _, v = spectrum(laplacian(adj))
+    alpha = project(v, v[:, -1])
     assert eta(alpha, 20.0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_r_100_gives_one():
     adj = build_knn(np.random.default_rng(1).standard_normal((25, 2)), 4)
-    spec = spectrum(laplacian(adj))
-    alpha = project(spec, np.random.default_rng(2).standard_normal(25))
+    _, v = spectrum(laplacian(adj))
+    alpha = project(v, np.random.default_rng(2).standard_normal(25))
     assert eta(alpha, 100.0) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_eta_monotone_in_r():
     rng = np.random.default_rng(6)
     adj = build_knn(rng.standard_normal((40, 2)), 5)
-    spec = spectrum(laplacian(adj))
-    alpha = project(spec, rng.standard_normal(40))
+    _, v = spectrum(laplacian(adj))
+    alpha = project(v, rng.standard_normal(40))
     values = [eta(alpha, r) for r in np.linspace(1, 100, 25)]
     assert all(b >= a - 1e-15 for a, b in zip(values, values[1:]))
 
@@ -249,15 +249,17 @@ def test_eta_monotone_in_r():
 def test_eta_rejects_zero_energy_and_bad_r():
     with pytest.raises(InputError):
         eta(np.zeros(5), 20.0)
-    with pytest.raises(InputError):
-        eta(np.ones(5), 0.0)
-    with pytest.raises(InputError):
-        eta(np.ones(5), 120.0)
+    # the range of r is the metric section's rule, applied where the report starts
+    points = np.random.default_rng(0).standard_normal((5, 2))
+    for r in (0.0, 120.0):
+        message = rf"^metric.r_percent must be in \(0, 100\], got {r}$"
+        with pytest.raises(InputError, match=message):
+            interpretability_report(points, {"q": points[:, 0]}, MetricConfig(k=2, r_percent=r))
 
 
-def test_low_mode_count_ceiling():
-    assert low_mode_count(128, 20.0) == 26
-    assert low_mode_count(10, 1.0) == 1
+def test_eta_low_set_is_the_ceiling_of_r_percent_of_the_modes():
+    assert eta(np.ones(128), 20.0) == 26 / 128
+    assert eta(np.ones(10), 1.0) == 1 / 10
 
 
 # -------------------------------------------------- whole-report pipeline
@@ -271,9 +273,9 @@ def test_isometry_invariance():
     q = rng.standard_normal(60)
     a1, a2 = build_knn(points, 6), build_knn(moved, 6)
     assert np.array_equal(a1, a2)
-    s1, s2 = spectrum(laplacian(a1)), spectrum(laplacian(a2))
-    e1 = eta(project(s1, q), 20.0)
-    e2 = eta(project(s2, q), 20.0)
+    (_, v1), (_, v2) = spectrum(laplacian(a1)), spectrum(laplacian(a2))
+    e1 = eta(project(v1, q), 20.0)
+    e2 = eta(project(v2, q), 20.0)
     assert abs(e1 - e2) < 1e-9
 
 
@@ -283,23 +285,38 @@ def test_brute_force_equivalence_small(n, k, r):
     rng = np.random.default_rng(n)
     points = rng.standard_normal((n, 2))
     q = rng.standard_normal(n)
-    reports = interpretability_report(points, {"q": q}, k=k, r_percent=r)
-    assert reports[0].eta == pytest.approx(brute_force_eta(points, q, k, r), abs=1e-10)
+    report = interpretability_report(points, {"q": q}, MetricConfig(k=k, r_percent=r))
+    assert report.eta["q"] == pytest.approx(brute_force_eta(points, q, k, r), abs=1e-10)
 
 
 def test_report_constant_quantity():
     points = np.random.default_rng(8).standard_normal((40, 2))
-    reports = interpretability_report(points, {"c": np.full(40, 7.0)}, k=5, r_percent=10.0)
-    assert reports[0].eta == pytest.approx(1.0, abs=1e-10)
-    assert reports[0].n_components == 1
-    assert reports[0].k == 5
+    report = interpretability_report(points, {"c": np.full(40, 7.0)},
+                                     MetricConfig(k=5, r_percent=10.0))
+    assert report.eta["c"] == pytest.approx(1.0, abs=1e-10)
+    assert report.component_sizes == [40]
+    assert report.k == 5
+    assert report.r_percent == 10.0
+
+
+def test_report_holds_the_graph_once_and_each_quantity_by_name():
+    rng = np.random.default_rng(11)
+    points = rng.standard_normal((30, 2))
+    quantities = {"y": points[:, 1], "x": points[:, 0], "noise": rng.standard_normal(30)}
+    report = interpretability_report(points, quantities, MetricConfig(k=5, r_percent=30.0))
+    w, v = spectrum(laplacian(build_knn(points, 5)))
+    assert np.array_equal(report.eigenvalues, w)
+    assert list(report.coefficients) == list(report.eta) == ["y", "x", "noise"]
+    for name, q in quantities.items():
+        assert np.array_equal(report.coefficients[name], project(v, q))
+        assert report.eta[name] == eta(project(v, q), 30.0)
 
 
 def test_report_smooth_coordinate_field_high_eta():
     gx, gy = np.meshgrid(np.linspace(0, 1, 12), np.linspace(0, 1, 12))
     points = np.column_stack([gx.ravel(), gy.ravel()])
-    reports = interpretability_report(points, {"x": points[:, 0]}, k=4, r_percent=20.0)
-    assert reports[0].eta > 0.95
+    report = interpretability_report(points, {"x": points[:, 0]}, MetricConfig(k=4))
+    assert report.eta["x"] > 0.95
 
 
 def test_report_noise_eta_near_r_fraction():
@@ -308,7 +325,7 @@ def test_report_noise_eta_near_r_fraction():
     vals = []
     for _ in range(10):
         q = rng.standard_normal(120)
-        vals.append(interpretability_report(points, {"q": q}, k=8, r_percent=20.0)[0].eta)
+        vals.append(interpretability_report(points, {"q": q}, MetricConfig(k=8)).eta["q"])
     assert abs(np.mean(vals) - 0.2) < 0.06
 
 
@@ -316,8 +333,8 @@ def test_report_warns_on_disconnected_graph():
     points = np.vstack([np.random.default_rng(0).standard_normal((10, 2)),
                         np.random.default_rng(1).standard_normal((10, 2)) + 100.0])
     with pytest.warns(UserWarning, match=r"disconnected \(component sizes \[10, 10\]\)"):
-        reports = interpretability_report(points, {"q": points[:, 0]}, k=3, r_percent=20.0)
-    assert reports[0].n_components == 2
+        report = interpretability_report(points, {"q": points[:, 0]}, MetricConfig(k=3))
+    assert report.component_sizes == [10, 10]
 
 
 def overflowing_points():
@@ -334,4 +351,4 @@ def test_build_knn_rejects_overflowing_distances():
 def test_report_rejects_overflowing_distances():
     points = overflowing_points()
     with pytest.raises(NumericalError, match="not finite"):
-        interpretability_report(points, {"q": points[:, 0]}, k=2, r_percent=20.0)
+        interpretability_report(points, {"q": points[:, 0]}, MetricConfig(k=2))

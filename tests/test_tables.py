@@ -174,35 +174,36 @@ def test_history_round_trip(tmp_path):
                             *names["var"]]
 
 
-def _reports():
+def _report():
     rng = np.random.default_rng(3)
-    eig = np.sort(rng.uniform(0.0, 4.0, 4))
-    return [SpectralReport(quantity_name=name, coefficients=rng.standard_normal(4),
-                           eta=rng.uniform(), r_percent=20.0, k=3, n_components=1,
-                           eigenvalues=eig) for name in ("alpha", "gamma")]
+    names = ("alpha", "gamma")
+    return SpectralReport(k=3, r_percent=20.0, component_sizes=[4],
+                          eigenvalues=np.sort(rng.uniform(0.0, 4.0, 4)),
+                          coefficients={name: rng.standard_normal(4) for name in names},
+                          eta={name: rng.uniform() for name in names})
 
 
 def test_report_round_trip(tmp_path):
-    reports = _reports()
+    report = _report()
     path = tmp_path / "report.csv"
-    write_report_csv(path, reports)
+    write_report_csv(path, report)
     table = Table(path, floats=["k", "r_percent", "eta", "n_components"], text=["quantity"])
     assert table.column("quantity") == ["alpha", "gamma"]
     assert np.array_equal(table.floats(["k", "r_percent", "eta", "n_components"]),
-                          [[r.k, r.r_percent, r.eta, r.n_components] for r in reports])
+                          [[3, 20.0, report.eta[name], 1] for name in ("alpha", "gamma")])
 
 
 def test_spectrum_round_trip(tmp_path):
-    reports = _reports()
+    report = _report()
     path = tmp_path / "spectrum.csv"
-    write_spectrum_csv(path, reports)
+    write_spectrum_csv(path, report)
     table = Table(path, floats=["eigenvalue", "alpha"], text=["quantity", "mode"])
     assert table.column("quantity") == ["alpha"] * 4 + ["gamma"] * 4
     assert table.column("mode") == ["0", "1", "2", "3"] * 2
     values = table.floats(["eigenvalue", "alpha"])
-    for i, rep in enumerate(reports):
-        assert np.array_equal(values[4 * i:4 * i + 4, 0], rep.eigenvalues)
-        assert np.array_equal(values[4 * i:4 * i + 4, 1], rep.coefficients)
+    for i, name in enumerate(("alpha", "gamma")):
+        assert np.array_equal(values[4 * i:4 * i + 4, 0], report.eigenvalues)
+        assert np.array_equal(values[4 * i:4 * i + 4, 1], report.coefficients[name])
 
 
 def test_samples_round_trip(tmp_path):
