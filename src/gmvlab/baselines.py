@@ -2,7 +2,9 @@
 
 Both are deterministic spectral methods. Isomap replaces Euclidean
 distances with shortest-path (geodesic) distances over a kNN graph before
-applying classical MDS, so it unrolls curved manifolds.
+applying classical MDS, so it unrolls curved manifolds. MDS of points with
+coordinates (`coordinate_mds`) solves the smaller Gram matrix of the
+centred rows instead of the (n, n) double-centred one.
 """
 
 from __future__ import annotations
@@ -53,9 +55,35 @@ def euclidean_distances(x: np.ndarray) -> DistanceMatrix:
 
 def stress(d: DistanceMatrix, points: np.ndarray) -> float:
     """Raw stress: sum over pairs of squared distance mismatch (diagnostic only)."""
-    rec = euclidean_distances(points).d
-    diff = d.d - rec
-    return float(np.sum(np.triu(diff, 1) ** 2))
+    rec = np.sqrt(np.maximum(squared_distances(points), 0.0))
+    return float(np.sum(np.triu(d.d - rec, 1) ** 2))
+
+
+def _check_dim(dim: int, n: int) -> None:
+    """An embedding of n points has between 1 and n coordinates."""
+    if not 1 <= dim <= n:
+        raise InputError(f"dim must be between 1 and the number of points ({n}), got {dim}")
+
+
+def _leading_eigenpairs(gram: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Up to `dim` largest eigenpairs of a Gram matrix, descending, keeping
+    only positive eigenvalues. Warns when fewer than `dim` remain; the caller
+    pads the missing coordinates with zeros."""
+    w, v = symmetric_eig(gram)
+    w, v = w[::-1], v[:, ::-1]  # descending
+    tiny = 1e-12 * max(float(np.abs(w).max()) if w.size else 0.0, 1e-300)
+    n_pos = int(np.sum(w > tiny))
+    if n_pos < dim:
+        warnings.warn(f"classical MDS: only {n_pos} positive eigenvalues for dim={dim}; "
+                      "padding remaining coordinates with zeros")
+    use = min(dim, n_pos)
+    return w[:use], v[:, :use]
+
+
+def _padded(coords: np.ndarray, dim: int) -> Embedding2D:
+    points = np.zeros((coords.shape[0], dim))
+    points[:, :coords.shape[1]] = coords
+    return Embedding2D(points=points)
 
 
 def classical_mds(d: DistanceMatrix, dim: int) -> Embedding2D:
@@ -64,28 +92,42 @@ def classical_mds(d: DistanceMatrix, dim: int) -> Embedding2D:
 
     Exact for Euclidean distance matrices. If fewer than `dim` positive
     eigenvalues exist, missing coordinates are zero-padded with a warning.
+    For points with coordinates, `coordinate_mds` gives the same embedding
+    from a smaller eigenproblem.
     """
-    if dim < 1:
-        raise InputError(f"classical_mds: dim must be >= 1, got {dim}")
-    n = d.n
+    _check_dim(dim, d.n)
     # J D^2 J with J = I - 11^T/n: centre the rows, then the columns
     b = d.d**2
     b -= b.mean(axis=1, keepdims=True)
     b -= b.mean(axis=0, keepdims=True)
     b *= -0.5
-    b = 0.5 * (b + b.T)
-    w, v = symmetric_eig(b)
-    w, v = w[::-1], v[:, ::-1]  # descending
-    tiny = 1e-12 * max(float(np.abs(w).max()) if w.size else 0.0, 1e-300)
-    n_pos = int(np.sum(w > tiny))
-    use = min(dim, n_pos)
-    if use < dim:
-        warnings.warn(f"classical_mds: only {n_pos} positive eigenvalues for dim={dim}; "
-                      "padding remaining coordinates with zeros")
-    points = np.zeros((n, dim))
-    if use > 0:
-        points[:, :use] = v[:, :use] * np.sqrt(w[:use])
-    return Embedding2D(points=points)
+    w, v = _leading_eigenpairs(b, dim)
+    return _padded(v * np.sqrt(w), dim)
+
+
+def coordinate_mds(x: np.ndarray, dim: int) -> Embedding2D:
+    """Classical MDS of the Euclidean distances between the rows of x,
+    computed from the coordinates (Gower 1966).
+
+    The double-centred Gram matrix of those distances is Xc Xc^T for the
+    centred rows Xc, so its top eigenpairs are the principal components of
+    Xc: this solves the smaller of Xc^T Xc (p, p) and Xc Xc^T (n, n).
+    Each column is signed so its largest-magnitude entry (the first, on
+    ties) is positive, as `classical_mds` signs it, and missing coordinates
+    are zero-padded with the same warning.
+    """
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    n, p = x.shape
+    _check_dim(dim, n)
+    xc = x - x.mean(axis=0)
+    if p <= n:
+        _, v = _leading_eigenpairs(xc.T @ xc, dim)
+        coords = xc @ v
+    else:
+        w, v = _leading_eigenpairs(xc @ xc.T, dim)
+        coords = v * np.sqrt(w)
+    coords *= np.sign(coords[np.argmax(np.abs(coords), axis=0), np.arange(coords.shape[1])])
+    return _padded(coords, dim)
 
 
 def geodesic_distances(points: np.ndarray, k: int) -> DistanceMatrix:
@@ -112,4 +154,5 @@ def geodesic_distances(points: np.ndarray, k: int) -> DistanceMatrix:
 
 def isomap(points: np.ndarray, k: int, dim: int) -> Embedding2D:
     """Classical MDS on geodesic distances over the kNN graph."""
+    _check_dim(dim, len(np.atleast_2d(points)))  # before the (n, n) geodesics
     return classical_mds(geodesic_distances(points, k), dim)

@@ -158,12 +158,10 @@ def cmd_baseline(args) -> int:
     dataset = datagen.load_csv(_require_file(args.dataset, "dataset CSV"))
     x = dataset.matrix()
     if args.method == "mds":
-        d = baselines.euclidean_distances(x)
-        emb = baselines.classical_mds(d, args.dim)
+        emb = baselines.coordinate_mds(x, args.dim)
     else:
         emb = baselines.isomap(x, k=args.k, dim=args.dim)
-        d = baselines.euclidean_distances(x)
-    final_stress = baselines.stress(d, emb.points)
+    final_stress = baselines.stress(baselines.euclidean_distances(x), emb.points)
     tables.write_embeddings_csv(args.out, range(len(dataset)), dataset.split_names(),
                                 emb.points, true_labels=dataset.labels())
     print(f"wrote {args.method} embedding to {args.out} "

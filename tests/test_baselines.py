@@ -6,6 +6,7 @@ import pytest
 from gmvlab.baselines import (
     DistanceMatrix,
     classical_mds,
+    coordinate_mds,
     euclidean_distances,
     geodesic_distances,
     isomap,
@@ -62,6 +63,62 @@ def test_mds_deterministic():
     a = classical_mds(euclidean_distances(x), 2)
     b = classical_mds(euclidean_distances(x), 2)
     assert np.array_equal(a.points, b.points)
+    assert np.array_equal(coordinate_mds(x, 2).points, coordinate_mds(x, 2).points)
+
+
+# ----------------------------------------------------- MDS from coordinates
+
+@pytest.mark.parametrize("n,p", [(40, 3), (12, 12), (8, 30)], ids=["p<n", "p=n", "p>n"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_coordinate_mds_matches_classical_mds(n, p, dim):
+    x = np.random.default_rng(n + p).standard_normal((n, p)) * 5.0 + 3.0
+    want = classical_mds(euclidean_distances(x), dim).points
+    got = coordinate_mds(x, dim).points
+    assert got.shape == (n, dim)
+    # same coordinates, signs included
+    assert np.abs(got - want).max() <= 1e-8 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("p", [1, 2, 5])
+def test_coordinate_mds_pads_collinear_points(p):
+    # three points on one line, embedded in p dimensions
+    direction = np.arange(1.0, p + 1.0)
+    x = np.array([0.0, 1.0, 3.0])[:, None] * direction / np.linalg.norm(direction) + 2.0
+    with pytest.warns(UserWarning, match="only 1 positive eigenvalues for dim=2"):
+        emb = coordinate_mds(x, 2)
+    assert np.array_equal(emb.points[:, 1], np.zeros(3))
+    assert np.abs(euclidean_distances(emb.points).d - euclidean_distances(x).d).max() < 1e-12
+
+
+@pytest.mark.parametrize("p", [2, 9])
+def test_coordinate_mds_identical_points_embed_at_zero(p):
+    with pytest.warns(UserWarning, match="only 0 positive eigenvalues"):
+        emb = coordinate_mds(np.full((5, p), 7.0), 2)
+    assert np.array_equal(emb.points, np.zeros((5, 2)))
+
+
+@pytest.mark.parametrize("n,p", [(50, 4), (6, 20)], ids=["p<n", "p>n"])
+def test_coordinate_mds_signs_largest_entry_positive(n, p):
+    x = np.random.default_rng(7).standard_normal((n, p))
+    points = coordinate_mds(x, 3).points
+    for x_in in (x, -x):  # reflecting the data leaves the output as it was
+        pts = coordinate_mds(x_in, 3).points
+        largest = pts[np.argmax(np.abs(pts), axis=0), np.arange(3)]
+        assert np.all(largest > 0)
+        assert np.array_equal(pts, points)
+
+
+@pytest.mark.parametrize("dim", [0, -1, 11, 10**9])
+def test_dim_outside_one_to_n_is_rejected(dim):
+    x = np.random.default_rng(8).standard_normal((10, 3))
+    match = rf"between 1 and the number of points \(10\), got {dim}"
+    with pytest.raises(InputError, match=match):
+        coordinate_mds(x, dim)
+    with pytest.raises(InputError, match=match):
+        classical_mds(euclidean_distances(x), dim)
+    # checked before the geodesics: this graph is disconnected too
+    with pytest.raises(InputError, match=match):
+        isomap(np.vstack([x[:5], x[5:] + 100.0]), k=2, dim=dim)
 
 
 # ----------------------------------------------------------------- isomap

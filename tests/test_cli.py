@@ -607,7 +607,7 @@ def test_training_blow_up_gives_exit_2_naming_epoch_and_batch(workdir, tmp_path,
 
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 def test_overflowing_mds_gives_exit_2(workdir, tmp_path, capsys):
-    # squared distances overflow to inf, so the double-centred matrix is not finite
+    # squares of the centred coordinates overflow to inf, so the Gram matrix is not finite
     lines = workdir["data"].read_text().splitlines()
     parts = lines[1].split(",")
     parts[1] = "1e200"
@@ -618,6 +618,20 @@ def test_overflowing_mds_gives_exit_2(workdir, tmp_path, capsys):
     code = main(["baseline", "--method", "mds", "--dataset", str(bad), "--out", str(out)])
     assert code == 2
     assert "numerical failure" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method", ["mds", "isomap"])
+@pytest.mark.parametrize("dim", [0, 81, 10**9], ids=["zero", "n+1", "1e9"])
+def test_baseline_dim_outside_one_to_n_gives_exit_1(workdir, tmp_path, capsys, method, dim):
+    # the 80-row dataset; a (n, 10**9) embedding would need 640 GB
+    out = tmp_path / "emb.csv"
+    code = main(["baseline", "--method", method, "--dim", str(dim),
+                 "--dataset", str(workdir["data"]), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"dim must be between 1 and the number of points (80), got {dim}" in err
     assert not out.exists()
 
 
