@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .ndmath import symmetric_eig
+from .ndmath import sign_columns, symmetric_eig
 from .spectral import build_knn, component_labels, squared_distances
 
 
@@ -112,9 +112,9 @@ def coordinate_mds(x: np.ndarray, dim: int) -> Embedding2D:
     The double-centred Gram matrix of those distances is Xc Xc^T for the
     centred rows Xc, so its top eigenpairs are the principal components of
     Xc: this solves the smaller of Xc^T Xc (p, p) and Xc Xc^T (n, n).
-    Each column is signed so its largest-magnitude entry (the first, on
-    ties) is positive, as `classical_mds` signs it, and missing coordinates
-    are zero-padded with the same warning.
+    Each column is signed by `ndmath.sign_columns`, the rule `classical_mds`
+    inherits from `symmetric_eig`, and missing coordinates are zero-padded
+    with the same warning.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     n, p = x.shape
@@ -126,8 +126,7 @@ def coordinate_mds(x: np.ndarray, dim: int) -> Embedding2D:
     else:
         w, v = _leading_eigenpairs(xc @ xc.T, dim)
         coords = v * np.sqrt(w)
-    coords *= np.sign(coords[np.argmax(np.abs(coords), axis=0), np.arange(coords.shape[1])])
-    return _padded(coords, dim)
+    return _padded(sign_columns(coords), dim)
 
 
 def geodesic_distances(points: np.ndarray, k: int) -> DistanceMatrix:

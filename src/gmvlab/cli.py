@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -37,10 +38,10 @@ def _require_file(path, what: str) -> Path:
 
 
 def cmd_generate(args) -> int:
-    cfg = load_config(args.config)
+    section = load_config(args.config).dataset
     if args.seed is not None:
-        cfg.dataset.seed = args.seed
-    dataset = datagen.generate(cfg.dataset)
+        section = replace(section, seed=args.seed)
+    dataset = datagen.generate(section)
     datagen.save_csv(dataset, args.out)
     labels = dataset.labels()
     n_reactive = sum(1 for v in labels if v == datagen.LABEL_REACTIVE)
@@ -66,7 +67,7 @@ def _write_embeddings(model, dataset, out_path) -> np.ndarray:
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
-        cfg.training.seed = args.seed
+        cfg = replace(cfg, training=replace(cfg.training, seed=args.seed))
     dataset_path = _require_file(args.dataset, "dataset CSV")
     dataset = datagen.load_csv(dataset_path)
     out_dir = Path(args.out)
@@ -135,15 +136,13 @@ def _join_on_sample_id(embeddings, other, what: str, columns):
 
 
 def cmd_metric(args) -> int:
-    cfg = load_config(args.config)
-    if args.k is not None:
-        cfg.metric.k = args.k
-    if args.r is not None:
-        cfg.metric.r_percent = args.r
-    cfg.metric.validate()  # a bad --k or --r exits before the inputs are read
+    overrides = {key: value for key, value in (("k", args.k), ("r_percent", args.r))
+                 if value is not None}
+    # a bad --k or --r exits here, before the inputs are read
+    section = replace(load_config(args.config).metric, **overrides)
     emb, aligned = _join_on_sample_id(args.embeddings, args.quantities, "quantities CSV",
                                       args.columns)
-    report = spectral.interpretability_report(emb["mu"], aligned, cfg.metric)
+    report = spectral.interpretability_report(emb["mu"], aligned, section)
     tables.write_report_csv(args.out, report)
     if args.spectrum_out:
         tables.write_spectrum_csv(args.spectrum_out, report)

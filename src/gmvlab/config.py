@@ -5,10 +5,12 @@ Built-in defaults reproduce the linear-architecture setup (hidden dims
 beta 0.1, decoder variance 1e-5, 1280 samples split 1024/128/128); a config
 file overrides any subset of keys.
 
-Each section's range rules live here, once: `validate` on a section checks
-that its float fields are finite and its fields in range, and the library
-entry points that take a section (`datagen.generate`, `datagen.integrate`,
-`GmVae.init`, `train`) call it instead of checking fields themselves.
+Each section's range rules live here, once. A section is a frozen dataclass
+that checks its float fields are finite and its fields in range when it is
+built, so the library entry points that take one (`datagen.generate`,
+`datagen.integrate`, `GmVae.init`, `train`, `interpretability_report`) hold
+a valid section by construction; a changed copy comes from
+`dataclasses.replace`, which checks again.
 """
 
 from __future__ import annotations
@@ -22,13 +24,14 @@ from .errors import InputError
 
 
 class _Section:
-    """A config section. `validate` raises InputError for the first float field
-    that is not finite, then for the first field that breaks its range rule."""
+    """A config section. Building one raises InputError for the first float
+    field that is not finite, then for the first field that breaks its range
+    rule."""
 
     NAME: ClassVar[str]  # the section's INI name and message prefix
     RULES: ClassVar[dict]  # field -> (the rule as its message states it, its test)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for key, value in vars(self).items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise InputError(f"{self.NAME}.{key} must be finite, got {value}")
@@ -38,7 +41,7 @@ class _Section:
                 raise InputError(f"{self.NAME}.{key} must be {rule}, got {value}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class DatasetConfig(_Section):
     n_samples: int = 1280
     steps: int = 50
@@ -60,7 +63,7 @@ class DatasetConfig(_Section):
     }
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig(_Section):
     latent_dim: int = 2
     n_clusters: int = 2
@@ -78,7 +81,7 @@ class ModelConfig(_Section):
     }
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig(_Section):
     lr: float = 1e-3
     weight_decay: float = 0.0
@@ -100,7 +103,7 @@ class TrainConfig(_Section):
     }
 
 
-@dataclass
+@dataclass(frozen=True)
 class MetricConfig(_Section):
     k: int = 10
     r_percent: float = 20.0
@@ -112,26 +115,19 @@ class MetricConfig(_Section):
     }
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     dataset: DatasetConfig = field(default_factory=DatasetConfig)
     model: ModelConfig = field(default_factory=ModelConfig)
     training: TrainConfig = field(default_factory=TrainConfig)
     metric: MetricConfig = field(default_factory=MetricConfig)
 
-    def validate(self) -> None:
-        for section in vars(self).values():
-            section.validate()
-
     def as_dict(self) -> dict:
         return asdict(self)
 
 
 def _parse_hidden_dims(text: str) -> tuple:
-    try:
-        return tuple(int(part) for part in text.replace(" ", "").split(",") if part)
-    except ValueError:
-        raise InputError(f"config: cannot parse hidden_dims {text!r} (want e.g. '32,16,8')")
+    return tuple(int(part) for part in text.replace(" ", "").split(",") if part)
 
 
 # section -> key -> parser: each key is parsed with its default's type
@@ -143,26 +139,29 @@ _SECTION_FIELDS = {
 
 
 def load_config(path=None) -> RunConfig:
-    """Defaults, overridden by the INI file at `path` when given."""
-    cfg = RunConfig()
+    """Defaults, overridden by the INI file at `path` when given. The whole file
+    is parsed before the sections are built, and so checked, in `RunConfig` order."""
+    values = {section: {} for section in _SECTION_FIELDS}
     if path is not None:
-        parser = configparser.ConfigParser()
-        read = parser.read(str(path))
+        parser = configparser.ConfigParser(interpolation=None)  # '%' is a plain character
+        try:
+            read = parser.read(str(path), encoding="utf-8")
+        except configparser.Error as e:  # its messages span lines; the CLI prints one
+            raise InputError(f"config {path}: {' '.join(str(e).split())}") from None
+        except UnicodeDecodeError as e:
+            raise InputError(f"config {path}: {e}") from None
         if not read:
             raise InputError(f"config file not found or unreadable: {path}")
         for section in parser.sections():
             if section not in _SECTION_FIELDS:
-                raise InputError(f"config: unknown section [{section}]")
+                raise InputError(f"config {path}: unknown section [{section}]")
             parsers = _SECTION_FIELDS[section]
-            block = getattr(cfg, section)
             for key, raw in parser.items(section):
                 if key not in parsers:
-                    raise InputError(f"config: unknown key {key!r} in [{section}]")
+                    raise InputError(f"config {path}: unknown key {key!r} in [{section}]")
                 try:
-                    setattr(block, key, parsers[key](raw))
-                except InputError:
-                    raise
+                    values[section][key] = parsers[key](raw)
                 except ValueError:
-                    raise InputError(f"config: bad value {raw!r} for {section}.{key}")
-    cfg.validate()
-    return cfg
+                    raise InputError(f"config {path}: bad value {raw!r} for {section}.{key}")
+    return RunConfig(**{section.name: section.default_factory(**values[section.name])
+                        for section in fields(RunConfig)})

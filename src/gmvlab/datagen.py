@@ -12,9 +12,11 @@ into a low-equilibrium ("stable") and a high-equilibrium ("reactive")
 family; the terminal value against a threshold gives the class label.
 
 Randomness uses numpy's PCG64 generator (ziggurat normal sampling); each
-trajectory draws from its own SeedSequence-spawned stream, so serial and
-parallel generation produce identical datasets. `generate` and `integrate`
-take a `config.DatasetConfig`, whose `validate` holds the range rules.
+trajectory draws from its own SeedSequence-spawned stream, so row i depends
+only on the seed and i: an n-row dataset is the first n rows of any larger
+one at the same seed, and only the train/val/test split depends on n.
+`generate` and `integrate` take a `config.DatasetConfig`, which holds the
+range rules and checks them when it is built.
 
 A `Dataset` is a set of columns: the (n, steps) coverage matrix, one (n,)
 array per parameter draw, the (n,) labels and the split indices.
@@ -85,7 +87,6 @@ def integrate(alpha, gamma, cfg: DatasetConfig) -> np.ndarray:
     Integrates `cfg.substeps` internal stages per stored interval; returns
     the (m, cfg.steps) array of stored samples starting at RHO0.
     """
-    cfg.validate()
     kappa, steps, substeps = cfg.kappa, cfg.steps, cfg.substeps
     alpha = np.atleast_1d(np.asarray(alpha, dtype=np.float64))
     gamma = np.atleast_1d(np.asarray(gamma, dtype=np.float64))
@@ -122,7 +123,6 @@ def split_sizes(n: int) -> tuple[int, int, int]:
 
 def generate(cfg: DatasetConfig) -> Dataset:
     """Sample cfg.n_samples parameter draws, integrate, label, and split train/val/test."""
-    cfg.validate()
     n = cfg.n_samples
     children = np.random.SeedSequence(cfg.seed).spawn(n + 1)
     xi = np.empty((n, 2))

@@ -62,7 +62,7 @@ def _model_from_payload(payload: dict) -> GmVae:
     latent_dim = _number(payload, "latent_dim", int)
     decoder_var = float(_number(payload, "decoder_var"))
     beta = float(_number(payload, "beta"))
-    ModelConfig(latent_dim=latent_dim, decoder_var=decoder_var, beta=beta).validate()
+    ModelConfig(latent_dim=latent_dim, decoder_var=decoder_var, beta=beta)  # checks the ranges
     encoder = _mlp_from_dict(payload["encoder"], "encoder")
     decoder = _mlp_from_dict(payload["decoder"], "decoder")
     if encoder.layer_dims[-1] != 2 * latent_dim:
@@ -115,7 +115,7 @@ def load_checkpoint(path) -> tuple[GmVae, dict, str]:
         blob = fh.read()
     try:
         payload = json.loads(blob)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # ValueError: bad syntax or bytes not UTF-8
         raise InputError(f"checkpoint {path}: not valid JSON ({e})")
     if not isinstance(payload, dict) or payload.get("format") != FORMAT_TAG:
         tag = payload.get("format") if isinstance(payload, dict) else None

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,9 +26,15 @@ from ..ndmath import Mlp
 LOG_2PI = float(np.log(2.0 * np.pi))
 
 
-@dataclass
+@dataclass(frozen=True)
 class GmmParams:
-    """Mixture weights plus per-cluster diagonal Gaussians."""
+    """Mixture weights plus per-cluster diagonal Gaussians.
+
+    Frozen: only `em_step` makes a new mixture, so the constants that
+    responsibilities and gradients read are computed once per mixture, on
+    first use. The mixture is validated where it is made from data (`em_step`,
+    `load_checkpoint`), not here: `sample` decodes degenerate mixtures too.
+    """
 
     pi: np.ndarray        # (K,)
     means: np.ndarray     # (K, d)
@@ -37,6 +44,23 @@ class GmmParams:
     def n_clusters(self) -> int:
         return self.pi.shape[0]
 
+    @cached_property
+    def log_pi(self) -> np.ndarray:  # (K,) log pi, -inf where pi is 0
+        with np.errstate(divide="ignore"):  # pi entries may be exactly 0
+            return np.log(self.pi)
+
+    @cached_property
+    def logdet(self) -> np.ndarray:  # (K,) sum_j log(2 pi var_cj)
+        return np.sum(np.log(self.variances) + LOG_2PI, axis=1)
+
+    @cached_property
+    def inv_var(self) -> np.ndarray:  # (K, d) 1 / var
+        return 1.0 / self.variances
+
+    @cached_property
+    def mean_over_var(self) -> np.ndarray:  # (K, d) mean / var
+        return self.means / self.variances
+
     def validate(self) -> None:
         for name in ("pi", "means", "variances"):
             if not np.all(np.isfinite(getattr(self, name))):
@@ -45,9 +69,6 @@ class GmmParams:
             raise ContractError(f"mixture weights must form a simplex, got {self.pi}")
         if np.any(self.variances <= 0):
             raise ContractError("cluster variances below the variance floor")
-
-    def copy(self) -> "GmmParams":
-        return GmmParams(self.pi.copy(), self.means.copy(), self.variances.copy())
 
 
 @dataclass
@@ -96,7 +117,6 @@ class GmVae:
     @classmethod
     def init(cls, data_dim: int, cfg: ModelConfig, rng: np.random.Generator) -> "GmVae":
         """Fresh model: Glorot nets, cluster means uniform in [-1, 1], unit variances."""
-        cfg.validate()
         hidden, d, k = list(cfg.hidden_dims), cfg.latent_dim, cfg.n_clusters
         encoder = Mlp.init([data_dim] + hidden + [2 * d], rng)
         decoder = Mlp.init([d] + hidden[::-1] + [data_dim], rng)
@@ -138,58 +158,25 @@ def decode(model: GmVae, z: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass
-class MixtureConstants:
-    """Quantities of one fixed mixture that responsibilities and gradients read.
-
-    The mixture changes only in `em_step`, so the training loop computes
-    these once per epoch instead of once per batch.
-    """
-
-    means: np.ndarray          # (K, d)
-    variances: np.ndarray      # (K, d)
-    log_pi: np.ndarray         # (K,), -inf where pi is 0
-    logdet: np.ndarray         # (K,) sum_j log(2 pi var_cj)
-    inv_var: np.ndarray        # (K, d) 1 / var
-    mean_over_var: np.ndarray  # (K, d) mean / var
-
-    @classmethod
-    def of(cls, gmm: GmmParams) -> "MixtureConstants":
-        with np.errstate(divide="ignore"):  # pi entries may be exactly 0
-            log_pi = np.log(gmm.pi)
-        return cls(means=gmm.means, variances=gmm.variances, log_pi=log_pi,
-                   logdet=np.sum(np.log(gmm.variances) + LOG_2PI, axis=1),
-                   inv_var=1.0 / gmm.variances, mean_over_var=gmm.means / gmm.variances)
-
-
-def _as_rows(z) -> np.ndarray:
-    return np.atleast_2d(np.asarray(z, dtype=np.float64))
-
-
-def _log_joint(mix: MixtureConstants, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _log_joint(gmm: GmmParams, z) -> tuple[np.ndarray, np.ndarray]:
     """log pi_c + log N(z_n | mean_c, diag var_c) as (n, K), and its log-sum-exp
     over c as (n, 1)."""
-    diff = z[:, None, :] - mix.means  # (n, K, d)
-    log_joint = mix.log_pi + -0.5 * (mix.logdet + (diff * diff / mix.variances).sum(axis=2))
+    z = np.atleast_2d(np.asarray(z, dtype=np.float64))
+    diff = z[:, None, :] - gmm.means  # (n, K, d)
+    log_joint = gmm.log_pi + -0.5 * (gmm.logdet + (diff * diff / gmm.variances).sum(axis=2))
     top = log_joint.max(axis=1, keepdims=True)
     return log_joint, top + np.log(np.exp(log_joint - top).sum(axis=1, keepdims=True))
 
 
-def _responsibilities(mix: MixtureConstants, z: np.ndarray) -> np.ndarray:
-    """`responsibilities` under precomputed mixture constants; z is (n, d) float64."""
-    log_joint, log_norm = _log_joint(mix, z)
-    return np.exp(log_joint - log_norm)
-
-
 def responsibilities(gmm: GmmParams, z: np.ndarray) -> np.ndarray:
-    """Posterior cluster probabilities (n, K) of latent points, computed in log space.
-    The mixture is validated where it changes (`em_step`, `load_checkpoint`), not here."""
-    return _responsibilities(MixtureConstants.of(gmm), _as_rows(z))
+    """Posterior cluster probabilities (n, K) of latent points, computed in log space."""
+    log_joint, log_norm = _log_joint(gmm, z)
+    return np.exp(log_joint - log_norm)
 
 
 def gmm_log_likelihood(gmm: GmmParams, z: np.ndarray) -> float:
     """Total marginal log-likelihood sum_n log sum_c pi_c N(z_n | c)."""
-    return float(np.sum(_log_joint(MixtureConstants.of(gmm), _as_rows(z))[1]))
+    return float(np.sum(_log_joint(gmm, z)[1]))
 
 
 def em_step(gmm: GmmParams, emb: LatentEmbedding,
@@ -214,7 +201,7 @@ def em_step(gmm: GmmParams, emb: LatentEmbedding,
     elif np.max(np.abs(gamma.sum(axis=1) - 1.0)) > 1e-9:
         raise ContractError("gamma rows must sum to 1")
     mass = gamma.sum(axis=0)  # (K,)
-    new = gmm.copy()
+    means, variances = gmm.means.copy(), gmm.variances.copy()
     for c in range(gmm.n_clusters):
         if mass[c] < 1e-12:
             warnings.warn(f"cluster {c} received ~zero responsibility mass; keeping its parameters")
@@ -222,10 +209,10 @@ def em_step(gmm: GmmParams, emb: LatentEmbedding,
         w = gamma[:, c : c + 1]
         mean_c = (w * emb.mu).sum(axis=0) / mass[c]
         var_c = (w * ((emb.mu - mean_c) ** 2 + emb.var)).sum(axis=0) / mass[c]
-        new.means[c] = mean_c
-        new.variances[c] = np.maximum(var_c, variance_floor)
-    new.pi = mass / n
-    new.pi = new.pi / new.pi.sum()  # guard the simplex against roundoff
+        means[c] = mean_c
+        variances[c] = np.maximum(var_c, variance_floor)
+    pi = mass / n  # divided by its sum below to guard the simplex against roundoff
+    new = GmmParams(pi=pi / pi.sum(), means=means, variances=variances)
     new.validate()
     return new
 

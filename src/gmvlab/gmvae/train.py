@@ -31,11 +31,10 @@ from ..ndmath import AdamState, adam_step
 from .model import (
     LOG_2PI,
     ElboTerms,
+    GmmParams,
     GmVae,
     LatentEmbedding,
-    MixtureConstants,
     _posterior,
-    _responsibilities,
     em_step,
     encode,
     responsibilities,
@@ -52,17 +51,17 @@ class BatchCache:
     std_eps: np.ndarray   # (n, d) sigma * eps, so z = mu + std_eps
     enc_acts: list        # encoder activations; the last is [mu, log var]
     dec_acts: list        # decoder activations; the last is x_hat
-    mix: MixtureConstants  # the mixture the batch was evaluated under
+    gmm: GmmParams        # the mixture the batch was evaluated under
 
 
-def batch_loss(model: GmVae, x: np.ndarray, eps: np.ndarray, mix: MixtureConstants,
+def batch_loss(model: GmVae, x: np.ndarray, eps: np.ndarray,
                out: tuple[list, list] | None = None) -> BatchCache:
     """The training forward pass for one batch; returns its cache.
 
     Runs encoder -> z = mu + sqrt(var) * eps -> decoder (z is `dec_acts[0]`)
-    under `mix = MixtureConstants.of(model.gmm)`, with responsibilities at z
-    held fixed (no gradient flows through them). `out`, if given, is the
-    (encoder, decoder) pair of activation lists `Mlp.forward` writes into.
+    under `model.gmm`, with responsibilities at z held fixed (no gradient
+    flows through them). `out`, if given, is the (encoder, decoder) pair of
+    activation lists `Mlp.forward` writes into.
     The objective is `batch_terms(model, cache)`, its gradient `backward`.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -72,8 +71,9 @@ def batch_loss(model: GmVae, x: np.ndarray, eps: np.ndarray, mix: MixtureConstan
     z = mu + std_eps
     if not np.isfinite(z).all():
         raise NumericalError("encoder produced non-finite latent state")
-    return BatchCache(x=x, gamma=_responsibilities(mix, z), var=var, std_eps=std_eps,
-                      enc_acts=enc_acts, dec_acts=model.decoder.forward(z, dec_out), mix=mix)
+    return BatchCache(x=x, gamma=responsibilities(model.gmm, z), var=var, std_eps=std_eps,
+                      enc_acts=enc_acts, dec_acts=model.decoder.forward(z, dec_out),
+                      gmm=model.gmm)
 
 
 def batch_terms(model: GmVae, cache: BatchCache) -> ElboTerms:
@@ -83,7 +83,7 @@ def batch_terms(model: GmVae, cache: BatchCache) -> ElboTerms:
     d = model.latent_dim
     mu, var, logvar, gamma = out[:, :d], cache.var, out[:, d:], cache.gamma
     n, data_dim = cache.x.shape
-    gmm = model.gmm
+    gmm = cache.gmm
     err = cache.x - cache.dec_acts[-1]
     err *= err
     sq_err = err.sum()
@@ -99,7 +99,7 @@ def batch_terms(model: GmVae, cache: BatchCache) -> ElboTerms:
     posterior_entropy = 0.5 * float(np.sum(logvar + LOG_2PI + 1.0))
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        cat = gamma * (np.log(gmm.pi)[None, :] - np.log(gamma))
+        cat = gamma * (gmm.log_pi[None, :] - np.log(gamma))
     categorical_term = float(np.sum(np.where(gamma > 0.0, cat, 0.0)))
 
     reg = 0.5 * model.beta * float(np.sum(mu**2 + var - 1.0 - logvar))
@@ -136,7 +136,7 @@ def backward(model: GmVae, cache: BatchCache, out: FlatGradient) -> np.ndarray:
     """Gradient of the batch objective, responsibilities held fixed, written into
     and returned as `out.flat` (`pack_params` order)."""
     (enc_dws, enc_dbs), (dec_dws, dec_dbs) = out.nets
-    mix = cache.mix
+    gmm = cache.gmm
     beta = model.beta
     d = model.latent_dim
     mu = cache.enc_acts[-1][:, :d]
@@ -145,9 +145,9 @@ def backward(model: GmVae, cache: BatchCache, out: FlatGradient) -> np.ndarray:
     # with g_z the loss gradient at z and s_c, m_c the cluster variances and means:
     # dL/dmu = g_z + sum_c gamma_c (mu - m_c) / s_c + beta mu
     # dL/dlogvar = (g_z sigma eps + var (sum_c gamma_c / s_c + beta) - 1 - beta) / 2
-    precision = cache.gamma @ mix.inv_var
+    precision = cache.gamma @ gmm.inv_var
     g_enc = np.empty((mu.shape[0], 2 * d))  # [dL/dmu, dL/dlogvar], the encoder's output
-    np.add(g_z + mu * precision - cache.gamma @ mix.mean_over_var, beta * mu, out=g_enc[:, :d])
+    np.add(g_z + mu * precision - cache.gamma @ gmm.mean_over_var, beta * mu, out=g_enc[:, :d])
     np.multiply(0.5, g_z * cache.std_eps + cache.var * (precision + beta) - 1.0 - beta,
                 out=g_enc[:, d:])
     model.encoder.backward(cache.enc_acts, g_enc, enc_dws, enc_dbs, input_grad=False)
@@ -192,7 +192,6 @@ def train(model: GmVae, x_train: np.ndarray, cfg: TrainConfig,
     `progress`, if given, is called as progress(epoch, terms) after each
     epoch, with the epoch's objective (see the module docstring).
     """
-    cfg.validate()
     x_train = np.atleast_2d(np.asarray(x_train, dtype=np.float64))
     n = x_train.shape[0]
     if n == 0:
@@ -209,19 +208,18 @@ def train(model: GmVae, x_train: np.ndarray, cfg: TrainConfig,
     history |= {"pi": np.empty(shape[:2]), "mean": np.empty(shape), "var": np.empty(shape)}
 
     for epoch in range(cfg.epochs):
-        mix = MixtureConstants.of(model.gmm)  # the mixture changes only in em_step
         perm = rng.permutation(n)
         noise = rng.standard_normal((n, model.latent_dim))
         for batch, start in enumerate(range(0, n, cfg.batch_size)):
             stop = start + cfg.batch_size
             try:
-                cache = batch_loss(model, x_train[perm[start:stop]], noise[start:stop], mix)
+                cache = batch_loss(model, x_train[perm[start:stop]], noise[start:stop])
                 adam_step(theta, backward(model, cache, grad), adam)
             except NumericalError as e:
                 raise NumericalError(f"epoch {epoch}, batch {batch}: {e} ({_last_good(epoch)})")
 
         try:
-            cache = batch_loss(model, x_train, rng.standard_normal(noise.shape), mix, bufs)
+            cache = batch_loss(model, x_train, rng.standard_normal(noise.shape), bufs)
         except NumericalError as e:
             raise NumericalError(f"epoch {epoch}, re-embed pass: {e} ({_last_good(epoch)})")
         terms = batch_terms(model, cache)

@@ -9,12 +9,13 @@ flat parameter vector in place. The eigensolver is LAPACK's (through
 """
 
 from .adam import AdamState, adam_step
-from .eig import symmetric_eig
+from .eig import sign_columns, symmetric_eig
 from .mlp import Mlp
 
 __all__ = [
     "AdamState",
     "adam_step",
+    "sign_columns",
     "symmetric_eig",
     "Mlp",
 ]

@@ -28,12 +28,20 @@ def _check_symmetric(m: np.ndarray) -> None:
         raise InputError(f"matrix is not symmetric: max |m - m.T| = {asym:.3e}")
 
 
+def sign_columns(v: np.ndarray) -> np.ndarray:
+    """Flip each column of v in place so that its largest-magnitude entry (the
+    first, on ties) is positive; returns v."""
+    if v.size:
+        v *= np.sign(v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])])
+    return v
+
+
 def symmetric_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a symmetric matrix.
 
     Returns (eigenvalues ascending, eigenvectors as orthonormal columns),
-    so ``m @ v[:, i] == w[i] * v[:, i]``. Each column is signed so that its
-    largest-magnitude entry (the first, on ties) is positive. Raises
+    so ``m @ v[:, i] == w[i] * v[:, i]``, each column signed by `sign_columns`
+    (a unit column's largest-magnitude entry is never zero). Raises
     InputError when the input is asymmetric beyond `SYM_TOL` (relative to
     the largest entry) and NumericalError on non-finite input or when
     LAPACK fails to converge.
@@ -44,6 +52,4 @@ def symmetric_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         w, v = np.linalg.eigh(0.5 * (m + m.T))  # kill roundoff asymmetry before solving
     except np.linalg.LinAlgError as e:
         raise NumericalError(f"symmetric_eig: LAPACK eigensolver failed: {e}") from e
-    if v.size:  # a unit column's largest-magnitude entry is never zero
-        v *= np.sign(v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])])
-    return w, v
+    return w, sign_columns(v)

@@ -131,13 +131,13 @@ def eta(coefficients: np.ndarray, r_percent: float) -> float:
 def interpretability_report(points: np.ndarray, quantities: dict,
                             cfg: MetricConfig) -> SpectralReport:
     """Score each named quantity over one kNN graph, built with `cfg.k`
-    neighbours and scored at `cfg.r_percent`, after `cfg.validate()`.
+    neighbours and scored at `cfg.r_percent`; the section checked both when
+    it was built.
 
     `quantities` maps name -> length-n array evaluated at the embedded
     points. Disconnected graphs are allowed but warned about: extra zero
     modes inflate eta for component-indicator signals.
     """
-    cfg.validate()
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     n = points.shape[0]
     for name, q in quantities.items():

@@ -32,7 +32,7 @@ from gmvlab.gmvae import (
     sample,
     train,
 )
-from gmvlab.gmvae.model import LatentEmbedding, MixtureConstants
+from gmvlab.gmvae.model import LatentEmbedding
 from gmvlab.gmvae.train import FlatGradient, backward, batch_terms, pack_params
 from gmvlab.spectral import build_knn, eta, interpretability_report, laplacian, project, spectrum
 
@@ -114,15 +114,14 @@ def test_gradient_correctness():
         model = GmVae.init(6, ModelConfig(2, 2, (5, 4), 1e-2, 0.1), np.random.default_rng(seed))
         x = rng.standard_normal((4, 6))
         eps = rng.standard_normal((4, 2))  # fixed noise for the whole check
-        mix = MixtureConstants.of(model.gmm)
-        gamma = batch_loss(model, x, eps, mix).gamma
+        gamma = batch_loss(model, x, eps).gamma
         theta, _ = pack_params(model)
 
         def loss_value():
-            return batch_terms(model, dataclasses.replace(batch_loss(model, x, eps, mix),
+            return batch_terms(model, dataclasses.replace(batch_loss(model, x, eps),
                                                           gamma=gamma)).total_loss
 
-        grad = backward(model, dataclasses.replace(batch_loss(model, x, eps, mix), gamma=gamma),
+        grad = backward(model, dataclasses.replace(batch_loss(model, x, eps), gamma=gamma),
                         FlatGradient(model))
         for i, g in enumerate(grad):
             orig = theta[i]

@@ -6,7 +6,7 @@ import io
 import json
 import sys
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -468,11 +468,29 @@ def test_non_finite_config_number_gives_exit_1(tmp_path, capsys, section, key, v
     assert main(["generate", "--config", str(ini), "--out", str(tmp_path / "d.csv")]) == 1
     assert capsys.readouterr().err == f"error: {section}.{key} must be finite, got {value}\n"
     assert not (tmp_path / "d.csv").exists()
-    # the section's own rule, which the library entry points taking it call
-    block = getattr(RunConfig(), section)
-    setattr(block, key, float(value))
+    # the section's own rule, applied wherever a section is built
     with pytest.raises(InputError, match=f"^{section}.{key} must be finite, got {value}$"):
-        block.validate()
+        replace(getattr(RunConfig(), section), **{key: float(value)})
+
+
+MALFORMED_CONFIGS = {
+    "no-section-header": b"n_samples = 100\n",
+    "repeated-section": b"[dataset]\nseed = 1\n[dataset]\nsteps = 5\n",
+    "repeated-key": b"[dataset]\nseed = 1\nseed = 2\n",
+    "line-without-equals": b"[dataset]\nseed\n",
+    "interpolation": b"[dataset]\nseed = %(x)s\n",
+    "non-utf8": b"[dataset]\nseed = \xff\n",
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_CONFIGS))
+def test_malformed_config_file_gives_one_error_line_naming_it(tmp_path, capsys, case):
+    ini = tmp_path / "bad.ini"
+    ini.write_bytes(MALFORMED_CONFIGS[case])
+    assert main(["generate", "--config", str(ini), "--out", str(tmp_path / "d.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config {ini}: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "d.csv").exists()
 
 
 def test_corrupt_dataset_fails_validation_with_exit_1(workdir, tmp_path, capsys):
@@ -688,6 +706,24 @@ BAD_CHECKPOINTS = {
     "decoder-var-inf": lambda c: c.update(decoder_var=float("inf")),
     "beta-inf": lambda c: c.update(beta=float("inf")),
 }
+
+
+UNDECODABLE_CHECKPOINTS = {
+    "non-utf8": b'{"format": "\xff"}',
+    "nested-past-the-recursion-limit": b"[" * 100000,
+}
+
+
+@pytest.mark.parametrize("case", list(UNDECODABLE_CHECKPOINTS))
+def test_undecodable_checkpoint_gives_one_error_line_naming_it(tmp_path, capsys, case):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(UNDECODABLE_CHECKPOINTS[case])
+    assert main(["sample", "--checkpoint", str(bad), "--count", "5",
+                 "--out", str(tmp_path / "gen.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: checkpoint {bad}: not valid JSON (")
+    assert err.count("\n") == 1, err
+    assert not (tmp_path / "gen.csv").exists()
 
 
 @pytest.mark.parametrize("mutation", list(BAD_CHECKPOINTS))

@@ -1,5 +1,7 @@
 """Config file parsing and validation."""
 
+from dataclasses import FrozenInstanceError, fields, replace
+
 import pytest
 
 from gmvlab.config import RunConfig, load_config
@@ -72,10 +74,76 @@ def test_missing_file_rejected(tmp_path):
 
 
 def test_validate_bounds_directly():
-    cfg = RunConfig()
-    cfg.metric.r_percent = 150.0
     with pytest.raises(InputError, match="r_percent"):
-        cfg.validate()
+        replace(RunConfig().metric, r_percent=150.0)
+
+
+# one value per range rule that breaks it, as a config file spells it and as parsed
+OUT_OF_RANGE = {
+    ("dataset", "n_samples"): ("9", 9),
+    ("dataset", "steps"): ("1", 1),
+    ("dataset", "horizon"): ("0", 0.0),
+    ("dataset", "label_threshold"): ("1", 1.0),
+    ("dataset", "substeps"): ("0", 0),
+    ("dataset", "kappa"): ("-1", -1.0),
+    ("dataset", "seed"): ("-1", -1),
+    ("model", "latent_dim"): ("0", 0),
+    ("model", "n_clusters"): ("0", 0),
+    ("model", "hidden_dims"): ("4, 0", (4, 0)),
+    ("model", "decoder_var"): ("0", 0.0),
+    ("model", "beta"): ("-0.5", -0.5),
+    ("training", "lr"): ("-1", -1.0),
+    ("training", "weight_decay"): ("-1", -1.0),
+    ("training", "batch_size"): ("0", 0),
+    ("training", "epochs"): ("-1", -1),
+    ("training", "n_em"): ("-1", -1),
+    ("training", "variance_floor"): ("0", 0.0),
+    ("training", "seed"): ("-1", -1),
+    ("metric", "k"): ("0", 0),
+    ("metric", "r_percent"): ("100.5", 100.5),
+}
+
+
+def test_every_range_rule_has_an_out_of_range_case():
+    rules = {(s.name, key) for s in fields(RunConfig) for key in s.default_factory.RULES}
+    assert rules == set(OUT_OF_RANGE)
+
+
+@pytest.mark.parametrize("section, key", list(OUT_OF_RANGE),
+                         ids=[f"{s}.{k}" for s, k in OUT_OF_RANGE])
+def test_out_of_range_value_is_rejected_where_the_section_is_built(tmp_path, section, key):
+    text, value = OUT_OF_RANGE[(section, key)]
+    rule = getattr(RunConfig(), section).RULES[key][0]
+    message = f"{section}.{key} must be {rule}, got {value}"
+    with pytest.raises(InputError) as built:
+        replace(getattr(RunConfig(), section), **{key: value})
+    path = tmp_path / "bad.ini"
+    path.write_text(f"[{section}]\n{key} = {text}\n")
+    with pytest.raises(InputError) as loaded:
+        load_config(path)
+    assert str(built.value) == str(loaded.value) == message
+
+
+def test_load_config_reports_parse_errors_first_then_sections_in_run_config_order(tmp_path):
+    path = tmp_path / "run.ini"
+    path.write_text("[metric]\nk = 0\n[dataset]\nsteps = 1\n")
+    with pytest.raises(InputError, match=r"^dataset\.steps must be >= 2, got 1$"):
+        load_config(path)
+    path.write_text("[metric]\nk = 0\n[training]\nepochs = soon\n")
+    with pytest.raises(InputError) as e:
+        load_config(path)
+    assert str(e.value) == f"config {path}: bad value 'soon' for training.epochs"
+
+
+def test_config_sections_are_frozen():
+    cfg = RunConfig()
+    for section in fields(RunConfig):
+        block = getattr(cfg, section.name)
+        for key in fields(block):
+            with pytest.raises(FrozenInstanceError):
+                setattr(block, key.name, getattr(block, key.name))
+        with pytest.raises(FrozenInstanceError):
+            setattr(cfg, section.name, block)
 
 
 def test_as_dict_is_json_friendly():

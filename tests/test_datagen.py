@@ -106,6 +106,16 @@ def test_generate_is_deterministic():
     assert not np.array_equal(a.rho[0], c.rho[0])
 
 
+def test_smaller_dataset_is_the_first_rows_of_a_larger_one():
+    # row i depends only on the seed and i; only the split depends on n
+    small = generate(DatasetConfig(seed=3, n_samples=200))
+    large = generate(DatasetConfig(seed=3, n_samples=1280))
+    assert small.rho.tobytes() == large.rho[:200].tobytes()
+    for name, values in small.params.items():
+        assert values.tobytes() == large.params[name][:200].tobytes(), name
+    assert np.array_equal(small.labels(), large.labels()[:200])
+
+
 def test_split_sizes_follow_80_10_10():
     assert split_sizes(1280) == (1024, 128, 128)
     assert split_sizes(10) == (8, 1, 1)

@@ -22,7 +22,7 @@ from gmvlab.gmvae import (
     responsibilities,
     sample,
 )
-from gmvlab.gmvae.model import LatentEmbedding, MixtureConstants
+from gmvlab.gmvae.model import LatentEmbedding
 from gmvlab.gmvae.train import batch_terms
 
 
@@ -35,7 +35,7 @@ def make_model(seed=0, data_dim=6, latent_dim=2, k=2, hidden=(5, 4),
 def forward(model, x, eps):
     """`batch_loss`'s cache of x under the model's mixture, and its posterior
     and sample z as a LatentEmbedding."""
-    cache = batch_loss(model, x, eps, MixtureConstants.of(model.gmm))
+    cache = batch_loss(model, x, eps)
     mu = cache.enc_acts[-1][:, :model.latent_dim]
     return cache, LatentEmbedding(mu=mu, var=cache.var, z=cache.dec_acts[0])
 
@@ -44,9 +44,10 @@ def forward(model, x, eps):
                                         ("hidden_dims", ()), ("latent_dim", 0),
                                         ("n_clusters", 0)])
 def test_init_applies_the_model_section_rules(key, value):
-    cfg = dataclasses.replace(ModelConfig(), **{key: value})
+    # the section checks itself when built, so an out-of-range one never reaches init
     with pytest.raises(InputError, match=f"model.{key} must be"):
-        GmVae.init(6, cfg, np.random.default_rng(0))
+        GmVae.init(6, dataclasses.replace(ModelConfig(), **{key: value}),
+                   np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------- encode
@@ -188,6 +189,43 @@ def test_k1_unit_prior_reduces_to_standard_vae_kl():
     assert terms.categorical_term == 0.0
 
 
+# --------------------------------------------------------------- mixture
+
+def test_mixture_is_frozen_and_computes_its_constants_once():
+    gmm = GmmParams(pi=np.array([0.25, 0.75, 0.0]), means=np.array([[0.0, 1.0], [2.0, -1.0],
+                                                                     [0.5, 0.5]]),
+                    variances=np.array([[1.0, 0.5], [2.0, 4.0], [0.1, 0.2]]))
+    for name in ("pi", "means", "variances"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(gmm, name, getattr(gmm, name))
+    with np.errstate(divide="ignore"):
+        log_pi = np.log(gmm.pi)
+    want = {"log_pi": log_pi,
+            "logdet": np.sum(np.log(gmm.variances) + np.log(2.0 * np.pi), axis=1),
+            "inv_var": 1.0 / gmm.variances, "mean_over_var": gmm.means / gmm.variances}
+    for name, value in want.items():
+        got = getattr(gmm, name)
+        assert got.tobytes() == value.tobytes(), name
+        assert getattr(gmm, name) is got, name  # cached, not recomputed
+    # a changed copy is a new mixture with its own constants
+    other = dataclasses.replace(gmm, variances=2.0 * gmm.variances)
+    assert np.array_equal(other.inv_var, 0.5 * gmm.inv_var)
+
+
+def test_em_step_returns_a_new_mixture_and_leaves_its_input():
+    rng = np.random.default_rng(11)
+    gmm = GmmParams(pi=np.array([0.4, 0.6]), means=rng.uniform(-1, 1, size=(2, 2)),
+                    variances=np.ones((2, 2)))
+    before = [a.copy() for a in (gmm.pi, gmm.means, gmm.variances)]
+    inv_var = gmm.inv_var
+    new = em_step(gmm, embedding_of(rng.standard_normal((20, 2)), var=0.05))
+    assert new is not gmm
+    for a, b in zip(before, (gmm.pi, gmm.means, gmm.variances)):
+        assert np.array_equal(a, b)
+    assert gmm.inv_var is inv_var
+    assert np.array_equal(new.inv_var, 1.0 / new.variances)
+
+
 # --------------------------------------------------------------- em_step
 
 def embedding_of(mu, var=None, z=None):
@@ -314,7 +352,7 @@ def test_sample_with_zero_cluster_variance_decodes_cluster_mean():
 
 def test_unconditional_with_degenerate_pi_matches_conditional():
     model = make_model()
-    model.gmm.pi = np.array([1.0, 0.0])
+    model.gmm = dataclasses.replace(model.gmm, pi=np.array([1.0, 0.0]))
     rng = np.random.default_rng(1)
     _, ids = sample(model, 20, rng)
     assert np.array_equal(ids, np.zeros(20, dtype=int))

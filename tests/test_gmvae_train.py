@@ -22,7 +22,7 @@ from gmvlab.gmvae import (
     save_checkpoint,
     train,
 )
-from gmvlab.gmvae.model import LatentEmbedding, MixtureConstants
+from gmvlab.gmvae.model import LatentEmbedding
 from gmvlab.gmvae.train import FlatGradient, backward, batch_terms, pack_params
 from gmvlab.ndmath import AdamState, adam_step
 
@@ -55,16 +55,15 @@ def test_total_loss_gradients_match_finite_differences(seed, k, beta):
     x = rng.standard_normal((4, 6))
     eps = rng.standard_normal((4, 2))
     # freeze responsibilities so the objective is a fixed function of the nets
-    mix = MixtureConstants.of(model.gmm)
-    gamma = batch_loss(model, x, eps, mix).gamma
+    gamma = batch_loss(model, x, eps).gamma
     theta, layout = pack_params(model)
     names = [name for name, size in layout for _ in range(size)]
 
     def loss_value():
-        return batch_terms(model, dataclasses.replace(batch_loss(model, x, eps, mix),
+        return batch_terms(model, dataclasses.replace(batch_loss(model, x, eps),
                                                       gamma=gamma)).total_loss
 
-    grad = backward(model, dataclasses.replace(batch_loss(model, x, eps, mix), gamma=gamma),
+    grad = backward(model, dataclasses.replace(batch_loss(model, x, eps), gamma=gamma),
                     FlatGradient(model))
     assert grad.shape == theta.shape
 
@@ -195,7 +194,7 @@ def test_history_holds_the_objective_of_the_re_embed_pass():
     rng.permutation(20)
     rng.standard_normal((20, 2))
     eps = rng.standard_normal((20, 2))
-    want = batch_terms(model, batch_loss(model, x, eps, MixtureConstants.of(model.gmm)))
+    want = batch_terms(model, batch_loss(model, x, eps))
     want = ElboTerms(*(v / 20 for v in dataclasses.astuple(want)))
     assert [history[name][0] for name in ElboTerms.COLUMNS] == [getattr(want, name)
                                                                 for name in ElboTerms.COLUMNS]
@@ -206,7 +205,7 @@ def test_encode_samples_the_z_that_batch_loss_decodes():
     model = make_model(seed=21)
     x = rng.standard_normal((9, 6))
     eps = rng.standard_normal((9, 2))
-    cache = batch_loss(model, x, eps, MixtureConstants.of(model.gmm))
+    cache = batch_loss(model, x, eps)
     emb = encode(model, x, eps)
     assert cache.dec_acts[0].tobytes() == emb.z.tobytes()
     assert cache.var.tobytes() == emb.var.tobytes()
@@ -313,13 +312,14 @@ def test_zero_epochs_leaves_model_untouched():
 
 
 @pytest.mark.parametrize("rows,cfg,match", [
-    (0, TrainConfig(epochs=1), "non-empty"),
-    (10, TrainConfig(epochs=1, batch_size=0), "batch_size"),
-    (10, TrainConfig(epochs=-1), "epochs"),
+    (0, {"epochs": 1}, "non-empty"),
+    (10, {"epochs": 1, "batch_size": 0}, "batch_size"),
+    (10, {"epochs": -1}, "epochs"),
 ])
 def test_train_rejects_bad_arguments(rows, cfg, match):
+    # an out-of-range section is rejected where it is built, before train runs
     with pytest.raises(InputError, match=match):
-        train(make_model(), np.zeros((rows, 6)), cfg)
+        train(make_model(), np.zeros((rows, 6)), TrainConfig(**cfg))
 
 
 def test_zero_lr_moves_only_gmm():
