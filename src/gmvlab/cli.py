@@ -1,7 +1,8 @@
 """Command-line front end for the whole pipeline.
 
 Subcommands: generate, train, embed, sample, metric, baseline, align.
-Exit codes: 0 success, 1 usage or validation error, 2 numerical failure.
+Exit codes: 0 success, 1 usage or validation error or a path that cannot be
+opened, read or written, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from . import align as align_mod
 from . import baselines, datagen, spectral, tables
 from .config import load_config
-from .errors import ContractError, InputError, NumericalError
+from .errors import InputError, NumericalError
 from .gmvae import (
     GmVae,
     embed_dataset,
@@ -28,13 +29,6 @@ from .gmvae import (
     save_checkpoint,
     train,
 )
-
-
-def _require_file(path, what: str) -> Path:
-    p = Path(path)
-    if not p.is_file():
-        raise InputError(f"{what} not found: {p}")
-    return p
 
 
 def cmd_generate(args) -> int:
@@ -68,8 +62,7 @@ def cmd_train(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg = replace(cfg, training=replace(cfg.training, seed=args.seed))
-    dataset_path = _require_file(args.dataset, "dataset CSV")
-    dataset = datagen.load_csv(dataset_path)
+    dataset = datagen.load_csv(args.dataset)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -101,8 +94,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    model, _, digest = load_checkpoint(_require_file(args.checkpoint, "checkpoint"))
-    dataset = datagen.load_csv(_require_file(args.dataset, "dataset CSV"))
+    model, _, digest = load_checkpoint(args.checkpoint)
+    dataset = datagen.load_csv(args.dataset)
     print(f"checkpoint digest: {digest}")
     _write_embeddings(model, dataset, args.out)
     print(f"wrote embeddings to {args.out}")
@@ -110,7 +103,7 @@ def cmd_embed(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    model, _, digest = load_checkpoint(_require_file(args.checkpoint, "checkpoint"))
+    model, _, digest = load_checkpoint(args.checkpoint)
     print(f"checkpoint digest: {digest}")
     rng = np.random.Generator(np.random.PCG64(args.seed if args.seed is not None else 1))
     curves, clusters = sample(model, args.count, rng, cluster=args.cluster)
@@ -122,11 +115,11 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def _join_on_sample_id(embeddings, other, what: str, columns):
+def _join_on_sample_id(embeddings, other, columns):
     """The embeddings table and the numeric `columns` of `other`, whose rows are
     matched to the embeddings' rows by sample_id."""
-    emb = tables.read_embeddings_csv(_require_file(embeddings, "embeddings CSV"))
-    ids, values = tables.read_quantities_csv(_require_file(other, what), columns=columns)
+    emb = tables.read_embeddings_csv(embeddings)
+    ids, values = tables.read_quantities_csv(other, columns=columns)
     pos = {sid: i for i, sid in enumerate(ids)}
     missing = [sid for sid in emb["sample_ids"] if sid not in pos]
     if missing:
@@ -140,8 +133,7 @@ def cmd_metric(args) -> int:
                  if value is not None}
     # a bad --k or --r exits here, before the inputs are read
     section = replace(load_config(args.config).metric, **overrides)
-    emb, aligned = _join_on_sample_id(args.embeddings, args.quantities, "quantities CSV",
-                                      args.columns)
+    emb, aligned = _join_on_sample_id(args.embeddings, args.quantities, args.columns)
     report = spectral.interpretability_report(emb["mu"], aligned, section)
     tables.write_report_csv(args.out, report)
     if args.spectrum_out:
@@ -154,7 +146,7 @@ def cmd_metric(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    dataset = datagen.load_csv(_require_file(args.dataset, "dataset CSV"))
+    dataset = datagen.load_csv(args.dataset)
     x = dataset.matrix()
     if args.method == "mds":
         emb = baselines.coordinate_mds(x, args.dim)
@@ -169,8 +161,7 @@ def cmd_baseline(args) -> int:
 
 
 def cmd_align(args) -> int:
-    emb, params = _join_on_sample_id(args.embeddings, args.params, "parameters CSV",
-                                     args.columns)
+    emb, params = _join_on_sample_id(args.embeddings, args.params, args.columns)
     names = list(params)
     b = np.column_stack([params[name] for name in names])
     report = align_mod.fit_affine(emb["mu"], b)
@@ -292,7 +283,7 @@ def main(argv=None) -> int:
         warnings.showwarning = _print_warning
         try:
             return args.func(args)
-        except (InputError, ContractError) as e:
+        except (InputError, OSError) as e:  # an OSError's message names its path
             print(f"error: {e}", file=sys.stderr)
             return 1
         except NumericalError as e:

@@ -140,18 +140,20 @@ _SECTION_FIELDS = {
 
 def load_config(path=None) -> RunConfig:
     """Defaults, overridden by the INI file at `path` when given. The whole file
-    is parsed before the sections are built, and so checked, in `RunConfig` order."""
+    is parsed before the sections are built, and so checked, in `RunConfig` order.
+    A file that cannot be opened raises its OSError."""
     values = {section: {} for section in _SECTION_FIELDS}
     if path is not None:
         parser = configparser.ConfigParser(interpolation=None)  # '%' is a plain character
         try:
-            read = parser.read(str(path), encoding="utf-8")
+            with open(path, encoding="utf-8") as fh:
+                parser.read_file(fh)
         except configparser.Error as e:  # its messages span lines; the CLI prints one
             raise InputError(f"config {path}: {' '.join(str(e).split())}") from None
         except UnicodeDecodeError as e:
             raise InputError(f"config {path}: {e}") from None
-        if not read:
-            raise InputError(f"config file not found or unreadable: {path}")
+        if parser.defaults():  # configparser would copy its keys into every section
+            raise InputError(f"config {path}: unknown section [DEFAULT]")
         for section in parser.sections():
             if section not in _SECTION_FIELDS:
                 raise InputError(f"config {path}: unknown section [{section}]")

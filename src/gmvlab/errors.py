@@ -1,7 +1,7 @@
-"""Exception hierarchy shared across the package.
+"""The package's two error classes, under one base class.
 
-The CLI maps these onto stable exit codes: InputError/ContractError -> 1,
-NumericalError -> 2.
+The CLI maps them onto stable exit codes: InputError -> 1, NumericalError -> 2.
+It also maps OSError to 1: a path that cannot be opened, read or written.
 """
 
 
@@ -10,11 +10,7 @@ class GmvLabError(Exception):
 
 
 class InputError(GmvLabError):
-    """Bad user-supplied data: shapes, ranges, files, config values."""
-
-
-class ContractError(GmvLabError):
-    """An internal precondition was violated by the caller."""
+    """Bad user-supplied data or arguments: shapes, ranges, file contents, config values."""
 
 
 class NumericalError(GmvLabError):

@@ -8,7 +8,7 @@ import json
 import numpy as np
 
 from ..config import ModelConfig
-from ..errors import ContractError, InputError
+from ..errors import InputError
 from ..ndmath import Mlp
 from .model import GmmParams, GmVae
 
@@ -122,6 +122,6 @@ def load_checkpoint(path) -> tuple[GmVae, dict, str]:
         raise InputError(f"checkpoint {path}: unknown format tag {tag!r}")
     try:
         model = _model_from_payload(payload)
-    except (InputError, ContractError) as e:
+    except InputError as e:
         raise InputError(f"checkpoint {path}: {e}") from None
     return model, payload.get("config", {}), hashlib.sha256(blob).hexdigest()

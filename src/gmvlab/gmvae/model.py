@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from ..config import ModelConfig, TrainConfig
-from ..errors import ContractError, InputError, NumericalError
+from ..errors import InputError, NumericalError
 from ..ndmath import Mlp
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -64,11 +64,11 @@ class GmmParams:
     def validate(self) -> None:
         for name in ("pi", "means", "variances"):
             if not np.all(np.isfinite(getattr(self, name))):
-                raise ContractError(f"mixture {name} must be finite, got {getattr(self, name)}")
+                raise InputError(f"mixture {name} must be finite, got {getattr(self, name)}")
         if abs(self.pi.sum() - 1.0) > 1e-12 or np.any(self.pi < 0):
-            raise ContractError(f"mixture weights must form a simplex, got {self.pi}")
+            raise InputError(f"mixture weights must form a simplex, got {self.pi}")
         if np.any(self.variances <= 0):
-            raise ContractError("cluster variances below the variance floor")
+            raise InputError("cluster variances below the variance floor")
 
 
 @dataclass
@@ -192,14 +192,14 @@ def em_step(gmm: GmmParams, emb: LatentEmbedding,
     """
     n = emb.mu.shape[0]
     if n < 1:
-        raise ContractError("em_step needs at least one sample")
+        raise InputError("em_step needs at least one sample")
     gmm.validate()
     if gamma is None:
         gamma = responsibilities(gmm, emb.z)  # (n, K)
     elif gamma.shape != (n, gmm.n_clusters):
-        raise ContractError(f"gamma shape {gamma.shape}, expected {(n, gmm.n_clusters)}")
+        raise InputError(f"gamma shape {gamma.shape}, expected {(n, gmm.n_clusters)}")
     elif np.max(np.abs(gamma.sum(axis=1) - 1.0)) > 1e-9:
-        raise ContractError("gamma rows must sum to 1")
+        raise InputError("gamma rows must sum to 1")
     mass = gamma.sum(axis=0)  # (K,)
     means, variances = gmm.means.copy(), gmm.variances.copy()
     for c in range(gmm.n_clusters):

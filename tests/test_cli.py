@@ -4,13 +4,17 @@ import contextlib
 import csv
 import io
 import json
+import os
+import subprocess
 import sys
 import warnings
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gmvlab
 from gmvlab import datagen
 from gmvlab.cli import main
 from gmvlab.config import RunConfig
@@ -386,6 +390,69 @@ def test_missing_input_file_gives_exit_1(tmp_path):
                  "--out", str(tmp_path / "r.csv")]) == 1
 
 
+# one valid run of each subcommand, every path flag set: {ini}, {data}, {ckpt} and {emb}
+# are inputs, {out} an output file and {dir} an output directory
+PATH_RUNS = [
+    ["generate", "--config", "{ini}", "--out", "{out}"],
+    ["train", "--config", "{ini}", "--dataset", "{data}", "--out", "{dir}", "--quiet"],
+    ["embed", "--checkpoint", "{ckpt}", "--dataset", "{data}", "--out", "{out}"],
+    ["sample", "--checkpoint", "{ckpt}", "--count", "3", "--out", "{out}"],
+    ["metric", "--config", "{ini}", "--embeddings", "{emb}", "--quantities", "{data}",
+     "--columns", "alpha", "--out", "{out}", "--spectrum-out", "{out}"],
+    ["baseline", "--method", "mds", "--dataset", "{data}", "--out", "{out}"],
+    ["align", "--embeddings", "{emb}", "--params", "{data}", "--columns", "xi1", "xi2",
+     "--out", "{dir}"],
+]
+# the paths, relative to the test's directory, that each kind of path flag cannot use
+UNUSABLE_PATHS = {
+    "input": {"missing": "missing.csv", "directory": "a_dir"},
+    "{out}": {"under-missing-directory": "missing/out.csv", "directory": "a_dir"},
+    "{dir}": {"existing-file": "a_file"},
+}
+
+
+def _unusable_path_cases():
+    for argv in PATH_RUNS:
+        for at, value in enumerate(argv):
+            if value.startswith("{"):
+                for case, bad in UNUSABLE_PATHS.get(value, UNUSABLE_PATHS["input"]).items():
+                    yield pytest.param(argv, at, bad, id=f"{argv[0]}{argv[at - 1]}-{case}")
+
+
+@pytest.mark.filterwarnings("ignore:kNN graph is disconnected")
+@pytest.mark.parametrize("argv, at, bad", list(_unusable_path_cases()))
+def test_unusable_path_gives_exit_1_naming_it(workdir, tmp_path, capsys, argv, at, bad):
+    (tmp_path / "a_dir").mkdir()
+    (tmp_path / "a_file").write_text("")
+    fill = {"{ini}": workdir["ini"], "{data}": str(workdir["data"]),
+            "{ckpt}": str(workdir["train"] / "checkpoint.json"),
+            "{emb}": str(workdir["train"] / "embeddings.csv")}
+    argv = [fill.get(value, str(tmp_path / f"out{i}")) if value.startswith("{") else value
+            for i, value in enumerate(argv)]
+    argv[at] = str(tmp_path / bad)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert argv[at] in err and "Traceback" not in err
+
+
+@pytest.mark.filterwarnings("ignore:kNN graph is disconnected")
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+def test_metric_reads_quantities_from_a_pipe(workdir, tmp_path):
+    argv = ["metric", "--embeddings", str(workdir["train"] / "embeddings.csv"),
+            "--columns", "alpha", "gamma"]
+    assert main(argv + ["--quantities", str(workdir["data"]),
+                        "--out", str(tmp_path / "from_file.csv")]) == 0
+    src = str(Path(gmvlab.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get(
+        "PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "gmvlab.cli", *argv,
+                           "--quantities", "/dev/stdin", "--out", str(tmp_path / "piped.csv")],
+                          input=workdir["data"].read_bytes(), capture_output=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "piped.csv").read_bytes() == (tmp_path / "from_file.csv").read_bytes()
+
+
 def _exit_code(argv) -> int:
     """`main`'s return code, or the code argparse exits with on a usage error."""
     try:
@@ -490,6 +557,18 @@ def test_malformed_config_file_gives_one_error_line_naming_it(tmp_path, capsys, 
     assert main(["generate", "--config", str(ini), "--out", str(tmp_path / "d.csv")]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: config {ini}: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "d.csv").exists()
+
+
+@pytest.mark.parametrize("text", ["[DEFAULT]\nseed = 3\n",
+                                  "[DEFAULT]\nseed = 3\n[model]\nbeta = 0.2\n"],
+                         ids=["alone", "before-model"])
+def test_default_section_gives_exit_1(tmp_path, capsys, text):
+    # configparser would copy [DEFAULT]'s keys into every section, not apply them to one
+    ini = tmp_path / "default.ini"
+    ini.write_text(text)
+    assert main(["generate", "--config", str(ini), "--out", str(tmp_path / "d.csv")]) == 1
+    assert capsys.readouterr().err == f"error: config {ini}: unknown section [DEFAULT]\n"
     assert not (tmp_path / "d.csv").exists()
 
 

@@ -69,7 +69,7 @@ def test_bad_values_rejected(tmp_path):
 
 
 def test_missing_file_rejected(tmp_path):
-    with pytest.raises(InputError, match="not found"):
+    with pytest.raises(FileNotFoundError):
         load_config(tmp_path / "nope.ini")
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gmvlab.config import ModelConfig
-from gmvlab.errors import ContractError, InputError
+from gmvlab.errors import InputError
 from gmvlab.gmvae import (
     GmmParams,
     GmVae,
@@ -257,7 +257,7 @@ def test_em_step_rejects_weights_off_the_simplex():
     # responsibilities no longer validate per call, so em_step must keep doing it
     gmm = GmmParams(pi=np.array([0.7, 0.7]), means=np.array([[0.0, 0.0], [5.0, 5.0]]),
                     variances=np.ones((2, 2)))
-    with pytest.raises(ContractError, match="simplex"):
+    with pytest.raises(InputError, match="simplex"):
         em_step(gmm, embedding_of(np.zeros((3, 2))))
 
 
@@ -267,16 +267,16 @@ def test_non_finite_mixture_fails_validation(name):
     gmm = GmmParams(pi=np.array([0.5, 0.5]), means=np.array([[0.0, 0.0], [5.0, 5.0]]),
                     variances=np.ones((2, 2)))
     getattr(gmm, name)[0] = np.nan
-    with pytest.raises(ContractError, match=f"{name} must be finite"):
+    with pytest.raises(InputError, match=f"{name} must be finite"):
         gmm.validate()
-    with pytest.raises(ContractError, match=f"{name} must be finite"):
+    with pytest.raises(InputError, match=f"{name} must be finite"):
         em_step(gmm, embedding_of(np.zeros((3, 2))))
 
 
 def test_em_step_rejects_a_non_finite_result():
     gmm = GmmParams(pi=np.array([0.5, 0.5]), means=np.array([[0.0, 0.0], [5.0, 5.0]]),
                     variances=np.ones((2, 2)))
-    with pytest.raises(ContractError, match="must be finite"):
+    with pytest.raises(InputError, match="must be finite"):
         em_step(gmm, embedding_of(np.full((3, 2), np.nan)))
 
 
@@ -308,9 +308,9 @@ def test_em_step_with_given_responsibilities_matches_its_own():
     given = em_step(gmm, emb, gamma=responsibilities(gmm, emb.z))
     for name in ("pi", "means", "variances"):
         assert getattr(own, name).tobytes() == getattr(given, name).tobytes()
-    with pytest.raises(ContractError, match="gamma shape"):
+    with pytest.raises(InputError, match="gamma shape"):
         em_step(gmm, emb, gamma=np.full((29, 2), 0.5))
-    with pytest.raises(ContractError, match="rows must sum to 1"):
+    with pytest.raises(InputError, match="rows must sum to 1"):
         em_step(gmm, emb, gamma=np.full((30, 2), 0.9))
 
 
