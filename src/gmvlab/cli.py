@@ -2,13 +2,17 @@
 
 Subcommands: generate, train, embed, sample, metric, baseline, align.
 Exit codes: 0 success, 1 usage or validation error or a path that cannot be
-opened, read or written, 2 numerical failure.
+opened, read or written, 2 numerical failure. Each subcommand checks its
+output paths before it reads an input, so an unusable output path costs no
+work and leaves no other output behind.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 import warnings
 from dataclasses import replace
@@ -31,20 +35,60 @@ from .gmvae import (
 )
 
 
+def _check_outputs(*paths) -> None:
+    """Raise the OSError that writing one of `paths` would meet: the path is a
+    directory, its parent directory is missing, or neither the existing file
+    nor the parent is writable. A None (an output not asked for) is skipped.
+    Creates and writes nothing."""
+    for path in map(Path, filter(None, paths)):
+        if path.is_dir():
+            code = errno.EISDIR
+        elif not path.parent.is_dir():
+            code = errno.ENOENT
+        elif not os.access(path if path.exists() else path.parent, os.W_OK):
+            code = errno.EACCES
+        else:
+            continue
+        raise OSError(code, os.strerror(code), str(path))
+
+
+def _check_output_dir(path, *names) -> list[Path]:
+    """The files `names` in the output directory `path`, checked by
+    `_check_outputs` when the directory exists. A missing directory passes when
+    its nearest existing ancestor is a writable directory, since the caller
+    makes it, with its missing parents, once the inputs are read. Creates nothing."""
+    out_dir = Path(path)
+    files = [out_dir / name for name in names]
+    if out_dir.is_dir():
+        _check_outputs(*files)
+        return files
+    if out_dir.exists():
+        code = errno.EEXIST
+    else:
+        base = next(p for p in out_dir.parents if p.exists())
+        if not base.is_dir():
+            code = errno.ENOTDIR
+        elif not os.access(base, os.W_OK):
+            code = errno.EACCES
+        else:
+            return files
+    raise OSError(code, os.strerror(code), str(out_dir))
+
+
 def cmd_generate(args) -> int:
+    _check_outputs(args.out)
     section = load_config(args.config).dataset
     if args.seed is not None:
         section = replace(section, seed=args.seed)
     dataset = datagen.generate(section)
     datagen.save_csv(dataset, args.out)
-    labels = dataset.labels()
-    n_reactive = sum(1 for v in labels if v == datagen.LABEL_REACTIVE)
-    n = len(labels)
+    n = len(dataset)
+    n_reactive = np.count_nonzero(dataset.labels() == datagen.LABEL_REACTIVE)
     print(f"wrote {n} trajectories to {args.out}")
     print(f"class balance: reactive {n_reactive}/{n} ({n_reactive / n:.3f}), "
           f"stable {n - n_reactive}/{n} ({(n - n_reactive) / n:.3f})")
     for name in datagen.SPLIT_NAMES:
-        print(f"split {name}: {len(dataset.split[name])}")
+        print(f"split {name}: {np.count_nonzero(dataset.split == name)}")
     return 0
 
 
@@ -52,19 +96,20 @@ def _write_embeddings(model, dataset, out_path) -> np.ndarray:
     """Write the posterior-mean embeddings of every row; returns their hard labels."""
     emb, gamma = embed_dataset(model, dataset.matrix())
     hard = np.argmax(gamma, axis=1)
-    tables.write_embeddings_csv(out_path, range(len(dataset)), dataset.split_names(), emb.mu,
+    tables.write_embeddings_csv(out_path, range(len(dataset)), dataset.split, emb.mu,
                                 var=emb.var, gamma=gamma, hard_labels=hard,
                                 true_labels=dataset.labels())
     return hard
 
 
 def cmd_train(args) -> int:
+    checkpoint_json, history_csv, embeddings_csv = _check_output_dir(
+        args.out, "checkpoint.json", "history.csv", "embeddings.csv")
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg = replace(cfg, training=replace(cfg.training, seed=args.seed))
     dataset = datagen.load_csv(args.dataset)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    Path(args.out).mkdir(parents=True, exist_ok=True)
 
     x_train = dataset.matrix("train")
     tc = cfg.training
@@ -78,13 +123,13 @@ def cmd_train(args) -> int:
 
     history = train(model, x_train, tc, progress=progress if not args.quiet else None)
 
-    digest = save_checkpoint(model, out_dir / "checkpoint.json", config=cfg.as_dict())
-    tables.write_history_csv(out_dir / "history.csv", history)
-    hard = _write_embeddings(model, dataset, out_dir / "embeddings.csv")
+    digest = save_checkpoint(model, checkpoint_json, config=cfg.as_dict())
+    tables.write_history_csv(history_csv, history)
+    hard = _write_embeddings(model, dataset, embeddings_csv)
 
     print(f"checkpoint digest: {digest}")
-    test = dataset.split["test"]
-    if len(test):
+    test = dataset.split == "test"
+    if test.any():
         acc, mapping = permutation_accuracy(hard[test], dataset.labels("test"))
         print(f"test clustering accuracy (best permutation): {acc:.4f} via {mapping}")
     else:
@@ -94,6 +139,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_embed(args) -> int:
+    _check_outputs(args.out)
     model, _, digest = load_checkpoint(args.checkpoint)
     dataset = datagen.load_csv(args.dataset)
     print(f"checkpoint digest: {digest}")
@@ -103,6 +149,7 @@ def cmd_embed(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    _check_outputs(args.out)
     model, _, digest = load_checkpoint(args.checkpoint)
     print(f"checkpoint digest: {digest}")
     rng = np.random.Generator(np.random.PCG64(args.seed if args.seed is not None else 1))
@@ -129,6 +176,7 @@ def _join_on_sample_id(embeddings, other, columns):
 
 
 def cmd_metric(args) -> int:
+    _check_outputs(args.out, args.spectrum_out)
     overrides = {key: value for key, value in (("k", args.k), ("r_percent", args.r))
                  if value is not None}
     # a bad --k or --r exits here, before the inputs are read
@@ -146,6 +194,7 @@ def cmd_metric(args) -> int:
 
 
 def cmd_baseline(args) -> int:
+    _check_outputs(args.out)
     dataset = datagen.load_csv(args.dataset)
     x = dataset.matrix()
     if args.method == "mds":
@@ -153,7 +202,7 @@ def cmd_baseline(args) -> int:
     else:
         emb = baselines.isomap(x, k=args.k, dim=args.dim)
     final_stress = baselines.stress(baselines.euclidean_distances(x), emb.points)
-    tables.write_embeddings_csv(args.out, range(len(dataset)), dataset.split_names(),
+    tables.write_embeddings_csv(args.out, range(len(dataset)), dataset.split,
                                 emb.points, true_labels=dataset.labels())
     print(f"wrote {args.method} embedding to {args.out} "
           f"(stress vs. Euclidean distances: {final_stress:.6g})")
@@ -161,6 +210,8 @@ def cmd_baseline(args) -> int:
 
 
 def cmd_align(args) -> int:
+    report_json, transformed_csv = _check_output_dir(args.out, "align_report.json",
+                                                      "transformed.csv")
     emb, params = _join_on_sample_id(args.embeddings, args.params, args.columns)
     names = list(params)
     b = np.column_stack([params[name] for name in names])
@@ -178,9 +229,9 @@ def cmd_align(args) -> int:
         "n_samples": report.n_samples,
         "target_columns": names,
     }
-    with open(out_dir / "align_report.json", "w") as fh:
+    with open(report_json, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
-    tables.write_table(out_dir / "transformed.csv", {"sample_id": emb["sample_ids"]} | {
+    tables.write_table(transformed_csv, {"sample_id": emb["sample_ids"]} | {
         f"pred_{name}": transformed[:, j] for j, name in enumerate(names)})
     print(f"residual_rms = {report.residual_rms:.6g}")
     for name, v in zip(names, report.r_squared):

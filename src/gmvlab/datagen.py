@@ -19,7 +19,7 @@ one at the same seed, and only the train/val/test split depends on n.
 range rules and checks them when it is built.
 
 A `Dataset` is a set of columns: the (n, steps) coverage matrix, one (n,)
-array per parameter draw, the (n,) labels and the split indices.
+array per parameter draw, the (n,) labels and the (n,) split names.
 `save_csv` and `load_csv` map them onto a `gmvlab.tables` table, one row
 per trajectory: sample_id, coverage, parameter draw, label, split.
 """
@@ -49,24 +49,23 @@ class Dataset:
     rho: np.ndarray  # (n, steps) coverage
     params: dict  # name in _PARAM_NAMES -> (n,) draws
     label: np.ndarray  # (n,) LABEL_STABLE or LABEL_REACTIVE
-    split: dict  # name -> np.ndarray of indices
+    split: np.ndarray  # (n,) a name in SPLIT_NAMES
 
     def __len__(self):
         return self.rho.shape[0]
 
+    def _rows(self, split: str) -> np.ndarray:
+        """The (n,) mask of a split's rows; KeyError for a name outside SPLIT_NAMES."""
+        if split not in SPLIT_NAMES:
+            raise KeyError(f"unknown split {split!r}, expected one of {SPLIT_NAMES}")
+        return self.split == split
+
     def matrix(self, split: str | None = None) -> np.ndarray:
         """The (n, steps) coverage matrix; optionally only a split's rows."""
-        return self.rho if split is None else self.rho[self.split[split]]
+        return self.rho if split is None else self.rho[self._rows(split)]
 
     def labels(self, split: str | None = None) -> np.ndarray:
-        return self.label if split is None else self.label[self.split[split]]
-
-    def split_names(self) -> np.ndarray:
-        """Each row's split name, in row order."""
-        names = np.empty(len(self), dtype=object)
-        for name, idx in self.split.items():
-            names[idx] = name
-        return names
+        return self.label if split is None else self.label[self._rows(split)]
 
 
 def reaction_rhs(rho, alpha, gamma, kappa):
@@ -135,14 +134,9 @@ def generate(cfg: DatasetConfig) -> Dataset:
             f"generated coverage out of [0, 1]: min={rho.min():.6g} max={rho.max():.6g}"
         )
 
-    split_rng = np.random.Generator(np.random.PCG64(children[n]))
-    perm = split_rng.permutation(n)
-    n_train, n_val, n_test = split_sizes(n)
-    split = {
-        "train": np.sort(perm[:n_train]),
-        "val": np.sort(perm[n_train:n_train + n_val]),
-        "test": np.sort(perm[n_train + n_val:]),
-    }
+    # the permutation's first n_train rows are train, the next n_val val, the rest test
+    perm = np.random.Generator(np.random.PCG64(children[n])).permutation(n)
+    split = np.repeat(SPLIT_NAMES, split_sizes(n))[np.argsort(perm)]
     return Dataset(rho=rho, params=params, label=label(rho[:, -1], cfg.label_threshold),
                    split=split)
 
@@ -153,7 +147,7 @@ def save_csv(dataset: Dataset, path) -> None:
     columns = {"sample_id": range(len(dataset))}
     columns |= {f"rho_{j}": rho[:, j] for j in range(rho.shape[1])}
     columns |= {name: dataset.params[name] for name in _PARAM_NAMES}
-    columns |= {"label": dataset.label, "split": dataset.split_names()}
+    columns |= {"label": dataset.label, "split": dataset.split}
     tables.write_table(path, columns)
 
 
@@ -172,9 +166,8 @@ def load_csv(path) -> Dataset:
     unknown = np.flatnonzero(~np.isin(splits, SPLIT_NAMES))
     if unknown.size:
         raise InputError(f"{path}, line {unknown[0] + 2}: unknown split {splits[unknown[0]]!r}")
-    split = {name: np.flatnonzero(splits == name) for name in SPLIT_NAMES}
     labels = np.array(table.column("label"))
     unknown = np.flatnonzero(~np.isin(labels, (LABEL_STABLE, LABEL_REACTIVE)))
     if unknown.size:
         raise InputError(f"{path}, line {unknown[0] + 2}: unknown label {labels[unknown[0]]!r}")
-    return Dataset(rho=rho, params=dict(zip(_PARAM_NAMES, params.T)), label=labels, split=split)
+    return Dataset(rho=rho, params=dict(zip(_PARAM_NAMES, params.T)), label=labels, split=splits)

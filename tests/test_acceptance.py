@@ -256,9 +256,9 @@ def test_pi_convergence(dataset, trained_runs):
 
 
 def test_interpretability_ranking(dataset, trained_runs):
-    test_idx = dataset.split["test"]
+    test_rows = dataset.split == "test"
     x_test = dataset.matrix("test")
-    alpha_q = dataset.params["alpha"][test_idx]
+    alpha_q = dataset.params["alpha"][test_rows]
     margins = []
     ok = True
     for seed, model, _ in trained_runs:
@@ -286,9 +286,9 @@ def test_affine_alignment(dataset, trained_runs):
         worst_rec = max(worst_rec, np.abs(rep.map.a - w).max(), np.abs(rep.map.c - t).max())
 
     _, model, _ = trained_runs[0]
-    test_idx = dataset.split["test"]
+    test_rows = dataset.split == "test"
     emb, _ = embed_dataset(model, dataset.matrix("test"))
-    xi = np.column_stack([dataset.params["xi1"][test_idx], dataset.params["xi2"][test_idx]])
+    xi = np.column_stack([dataset.params["xi1"][test_rows], dataset.params["xi2"][test_rows]])
     rep = fit_affine(emb.mu, xi)
     z_aug = np.hstack([emb.mu, np.ones((len(xi), 1))])
     ortho = np.abs(z_aug.T @ (xi - apply_map(rep.map, emb.mu))).max()

@@ -13,7 +13,7 @@ from gmvlab.baselines import (
     stress,
 )
 from gmvlab.errors import InputError
-from gmvlab.spectral import build_knn, component_labels
+from gmvlab.spectral import build_knn, component_labels, squared_distances
 
 
 def test_distance_matrix_validation():
@@ -23,6 +23,30 @@ def test_distance_matrix_validation():
         DistanceMatrix(np.array([[1.0, 1.0], [1.0, 0.0]]))  # nonzero diagonal
     with pytest.raises(InputError):
         DistanceMatrix(np.array([[0.0, -1.0], [-1.0, 0.0]]))  # negative
+
+
+def _symmetry_inputs():
+    rng = np.random.default_rng(17)
+    for n, p in [(1, 3), (2, 1), (7, 40), (64, 2000), (300, 3), (200, 50)]:
+        for scale in (1e-8, 1.0, 1e6):
+            x = scale * rng.standard_normal((n, p))
+            if n > 2:
+                x[-1] = x[0]  # a duplicate row
+            yield pytest.param(x, id=f"{n}x{p}-{scale:g}")
+
+
+@pytest.mark.parametrize("x", list(_symmetry_inputs()))
+def test_distances_are_exactly_symmetric(x):
+    # Floyd-Warshall and DistanceMatrix rely on d == d.T bit for bit, with no symmetrising pass
+    d2 = squared_distances(x)
+    assert np.array_equal(d2, d2.T)
+    d = euclidean_distances(x).d
+    assert np.array_equal(d, d.T) and np.all(np.diag(d) == 0.0)
+    assert np.array_equal(d, np.sqrt(np.maximum(d2, 0.0) * (1 - np.eye(len(x)))))
+    # a strided view of the same rows gives the same bits
+    wide = np.repeat(x, 2, axis=1)[:, ::2]
+    assert not wide.flags.c_contiguous
+    assert np.array_equal(euclidean_distances(wide).d, d)
 
 
 def test_identical_points_embed_at_zero():

@@ -407,33 +407,86 @@ PATH_RUNS = [
 UNUSABLE_PATHS = {
     "input": {"missing": "missing.csv", "directory": "a_dir"},
     "{out}": {"under-missing-directory": "missing/out.csv", "directory": "a_dir"},
-    "{dir}": {"existing-file": "a_file"},
+    "{dir}": {"existing-file": "a_file", "under-a-file": "a_file/run"},
 }
+# the files that the subcommands with an output directory write into it
+DIR_FILES = {"train": ("checkpoint.json", "history.csv", "embeddings.csv"),
+             "align": ("align_report.json", "transformed.csv")}
 
 
-def _unusable_path_cases():
+def _unusable_path_cases(kinds=None):
+    """(argv, index of the bad flag's value, bad path, path the error names), where
+    an output directory's file given as "dir/name" is made a directory itself."""
     for argv in PATH_RUNS:
         for at, value in enumerate(argv):
-            if value.startswith("{"):
-                for case, bad in UNUSABLE_PATHS.get(value, UNUSABLE_PATHS["input"]).items():
-                    yield pytest.param(argv, at, bad, id=f"{argv[0]}{argv[at - 1]}-{case}")
+            if not value.startswith("{") or (kinds is not None and value not in kinds):
+                continue
+            flag = f"{argv[0]}{argv[at - 1]}"
+            for case, bad in UNUSABLE_PATHS.get(value, UNUSABLE_PATHS["input"]).items():
+                yield pytest.param(argv, at, bad, bad, id=f"{flag}-{case}")
+            for name in DIR_FILES.get(argv[0], ()) if value == "{dir}" else ():
+                yield pytest.param(argv, at, "run", f"run/{name}", id=f"{flag}-{name}-directory")
 
 
-@pytest.mark.filterwarnings("ignore:kNN graph is disconnected")
-@pytest.mark.parametrize("argv, at, bad", list(_unusable_path_cases()))
-def test_unusable_path_gives_exit_1_naming_it(workdir, tmp_path, capsys, argv, at, bad):
+def _run_with_bad_path(capsys, tmp_path, argv, at, bad, named, fill):
+    """Run `argv` with every path flag filled from `fill` (an output gets a fresh path
+    under tmp_path) and the one at `at` set to `bad`; returns its stderr and the files
+    and directories that the run left under tmp_path."""
     (tmp_path / "a_dir").mkdir()
     (tmp_path / "a_file").write_text("")
-    fill = {"{ini}": workdir["ini"], "{data}": str(workdir["data"]),
-            "{ckpt}": str(workdir["train"] / "checkpoint.json"),
-            "{emb}": str(workdir["train"] / "embeddings.csv")}
+    if named != bad:
+        (tmp_path / named).mkdir(parents=True)
+    before = set(tmp_path.rglob("*"))
     argv = [fill.get(value, str(tmp_path / f"out{i}")) if value.startswith("{") else value
             for i, value in enumerate(argv)]
     argv[at] = str(tmp_path / bad)
     assert main(argv) == 1
-    err = capsys.readouterr().err
+    return capsys.readouterr().err, set(tmp_path.rglob("*")) - before
+
+
+@pytest.mark.filterwarnings("ignore:kNN graph is disconnected")
+@pytest.mark.parametrize("argv, at, bad, named", list(_unusable_path_cases()))
+def test_unusable_path_gives_exit_1_naming_it(workdir, tmp_path, capsys, argv, at, bad, named):
+    fill = {"{ini}": workdir["ini"], "{data}": str(workdir["data"]),
+            "{ckpt}": str(workdir["train"] / "checkpoint.json"),
+            "{emb}": str(workdir["train"] / "embeddings.csv")}
+    err, created = _run_with_bad_path(capsys, tmp_path, argv, at, bad, named, fill)
     assert err.startswith("error: ") and err.count("\n") == 1, err
-    assert argv[at] in err and "Traceback" not in err
+    assert str(tmp_path / named) in err and "Traceback" not in err
+    # exit 1 creates nothing: a train run stopped by history.csv wrote checkpoint.json
+    assert created == set()
+
+
+@pytest.mark.parametrize("argv, at, bad, named",
+                         list(_unusable_path_cases({"{out}", "{dir}"})))
+def test_output_paths_are_checked_before_any_input_is_read(workdir, tmp_path, capsys, argv, at,
+                                                           bad, named):
+    # every input is missing too, so the error names the output only if it came first
+    fill = dict.fromkeys(["{ini}", "{data}", "{ckpt}", "{emb}"], str(tmp_path / "missing.csv"))
+    err, created = _run_with_bad_path(capsys, tmp_path, argv, at, bad, named, fill)
+    assert str(tmp_path / named) in err and "missing.csv" not in err, err
+    assert created == set()
+
+
+@pytest.mark.parametrize("argv, out", [
+    (["baseline", "--method", "mds", "--dataset", "{data}"], "mds.csv"),
+    (["align", "--embeddings", "{emb}", "--params", "{data}"], "new/align"),
+], ids=["file", "missing-directory"])
+def test_unwritable_output_gives_exit_1(workdir, tmp_path, capsys, monkeypatch, argv, out):
+    # os.access stands in for a read-only directory, which root could write anyway
+    monkeypatch.setattr("gmvlab.cli.os.access", lambda path, mode: False)
+    fill = {"{data}": str(workdir["data"]), "{emb}": str(workdir["train"] / "embeddings.csv")}
+    out = tmp_path / out
+    assert main([fill.get(a, a) for a in argv] + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: [Errno 13] Permission denied: '{out}'\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_output_directory_is_made_with_its_missing_parents(workdir, tmp_path):
+    out = tmp_path / "new" / "deeper" / "align"
+    assert main(["align", "--embeddings", str(workdir["train"] / "embeddings.csv"),
+                 "--params", str(workdir["data"]), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["align_report.json", "transformed.csv"]
 
 
 @pytest.mark.filterwarnings("ignore:kNN graph is disconnected")

@@ -100,8 +100,7 @@ def test_generate_is_deterministic():
     b = generate(DatasetConfig(seed=123, n_samples=32))
     assert np.array_equal(a.rho, b.rho)
     assert np.array_equal(a.labels(), b.labels())
-    for name in datagen.SPLIT_NAMES:
-        assert np.array_equal(a.split[name], b.split[name])
+    assert np.array_equal(a.split, b.split)
     c = generate(DatasetConfig(seed=124, n_samples=32))
     assert not np.array_equal(a.rho[0], c.rho[0])
 
@@ -122,9 +121,37 @@ def test_split_sizes_follow_80_10_10():
 
 
 def test_generate_split_partitions_indices():
+    # every row has exactly one split name, and each split has its 80/10/10 size
     ds = generate(DatasetConfig(seed=5, n_samples=100))
-    merged = np.concatenate([ds.split[name] for name in datagen.SPLIT_NAMES])
-    assert np.array_equal(np.sort(merged), np.arange(100))
+    assert ds.split.shape == (100,) and ds.split.dtype.kind == "U"
+    assert np.isin(ds.split, datagen.SPLIT_NAMES).all()
+    sizes = tuple(int(np.count_nonzero(ds.split == name)) for name in datagen.SPLIT_NAMES)
+    assert sizes == split_sizes(100)
+
+
+@pytest.mark.parametrize("n", [10, 200, 1280])
+def test_split_rows_follow_the_sorted_permutation_rule(n):
+    # the rule the split was defined by: a permutation drawn from the last spawned stream,
+    # whose consecutive slices of the 80/10/10 sizes, sorted, are each split's row indices
+    seed = 4
+    perm = np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(seed).spawn(n + 1)[n])).permutation(n)
+    bounds = np.cumsum((0, *split_sizes(n)))
+    ds = generate(DatasetConfig(seed=seed, n_samples=n))
+    for name, a, b in zip(datagen.SPLIT_NAMES, bounds[:-1], bounds[1:]):
+        rows = np.sort(perm[a:b])
+        assert np.array_equal(np.flatnonzero(ds.split == name), rows), name
+        assert np.array_equal(ds.matrix(name), ds.rho[rows]), name
+        assert np.array_equal(ds.labels(name), ds.label[rows]), name
+
+
+def test_unknown_split_name_raises():
+    ds = generate(DatasetConfig(seed=5, n_samples=20))
+    for bad in ("tets", "", "TEST"):
+        with pytest.raises(KeyError, match="unknown split"):
+            ds.matrix(bad)
+        with pytest.raises(KeyError, match="unknown split"):
+            ds.labels(bad)
 
 
 def test_generate_rejects_tiny_n():
@@ -165,9 +192,9 @@ def test_csv_roundtrip(tmp_path):
     for name in ds.params:
         assert np.array_equal(ds.params[name], back.params[name])
     assert np.array_equal(ds.labels(), back.labels())
-    assert list(back.split) == list(datagen.SPLIT_NAMES)
+    assert np.array_equal(ds.split, back.split)
     for name in datagen.SPLIT_NAMES:
-        assert np.array_equal(ds.split[name], back.split[name])
+        assert np.array_equal(ds.matrix(name), back.matrix(name))
 
 
 def test_csv_bytes_identical_for_same_seed(tmp_path):
