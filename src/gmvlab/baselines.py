@@ -46,10 +46,7 @@ class Embedding2D:
 
 
 def euclidean_distances(x: np.ndarray) -> DistanceMatrix:
-    # squared_distances of C-contiguous rows is exactly symmetric (numpy computes
-    # x @ x.T as one triangle and mirrors it); a strided view may not be, so it is copied
-    x = np.ascontiguousarray(np.atleast_2d(x), dtype=np.float64)
-    d2 = np.maximum(squared_distances(x), 0.0)
+    d2 = np.maximum(squared_distances(np.atleast_2d(x)), 0.0)
     np.fill_diagonal(d2, 0.0)
     return DistanceMatrix(np.sqrt(d2))
 

@@ -163,16 +163,16 @@ def cmd_sample(args) -> int:
 
 
 def _join_on_sample_id(embeddings, other, columns):
-    """The embeddings table and the numeric `columns` of `other`, whose rows are
-    matched to the embeddings' rows by sample_id."""
-    emb = tables.read_embeddings_csv(embeddings)
+    """(sample_ids, mu) of the embeddings table, and the numeric `columns` of
+    `other` at the rows whose sample_id matches each embedding row's."""
+    sample_ids, mu = tables.read_embeddings_csv(embeddings)
     ids, values = tables.read_quantities_csv(other, columns=columns)
     pos = {sid: i for i, sid in enumerate(ids)}
-    missing = [sid for sid in emb["sample_ids"] if sid not in pos]
-    if missing:
-        raise InputError(f"sample_id {missing[0]} from {embeddings} has no row in {other}")
-    rows = [pos[sid] for sid in emb["sample_ids"]]
-    return emb, {name: v[rows] for name, v in values.items()}
+    rows = [pos.get(sid) for sid in sample_ids]
+    if None in rows:
+        sid = sample_ids[rows.index(None)]
+        raise InputError(f"sample_id {sid} from {embeddings} has no row in {other}")
+    return sample_ids, mu, {name: v[rows] for name, v in values.items()}
 
 
 def cmd_metric(args) -> int:
@@ -181,8 +181,8 @@ def cmd_metric(args) -> int:
                  if value is not None}
     # a bad --k or --r exits here, before the inputs are read
     section = replace(load_config(args.config).metric, **overrides)
-    emb, aligned = _join_on_sample_id(args.embeddings, args.quantities, args.columns)
-    report = spectral.interpretability_report(emb["mu"], aligned, section)
+    _, mu, aligned = _join_on_sample_id(args.embeddings, args.quantities, args.columns)
+    report = spectral.interpretability_report(mu, aligned, section)
     tables.write_report_csv(args.out, report)
     if args.spectrum_out:
         tables.write_spectrum_csv(args.spectrum_out, report)
@@ -212,11 +212,11 @@ def cmd_baseline(args) -> int:
 def cmd_align(args) -> int:
     report_json, transformed_csv = _check_output_dir(args.out, "align_report.json",
                                                       "transformed.csv")
-    emb, params = _join_on_sample_id(args.embeddings, args.params, args.columns)
+    sample_ids, mu, params = _join_on_sample_id(args.embeddings, args.params, args.columns)
     names = list(params)
     b = np.column_stack([params[name] for name in names])
-    report = align_mod.fit_affine(emb["mu"], b)
-    transformed = align_mod.apply_map(report.map, emb["mu"])
+    report = align_mod.fit_affine(mu, b)
+    transformed = align_mod.apply_map(report.map, mu)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -231,7 +231,7 @@ def cmd_align(args) -> int:
     }
     with open(report_json, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
-    tables.write_table(transformed_csv, {"sample_id": emb["sample_ids"]} | {
+    tables.write_table(transformed_csv, {"sample_id": sample_ids} | {
         f"pred_{name}": transformed[:, j] for j, name in enumerate(names)})
     print(f"residual_rms = {report.residual_rms:.6g}")
     for name, v in zip(names, report.r_squared):

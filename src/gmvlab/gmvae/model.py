@@ -16,6 +16,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import permutations
 
 import numpy as np
 
@@ -241,27 +242,29 @@ def sample(model: GmVae, count: int, rng: np.random.Generator,
 
 
 def permutation_accuracy(pred_clusters: np.ndarray, true_labels) -> tuple[float, dict]:
-    """Best accuracy over injective cluster -> label assignments.
+    """Best accuracy over one-to-one cluster -> label assignments.
 
     Mixture components carry no intrinsic label order, so agreement is scored
-    after choosing the best mapping; returns (accuracy, mapping).
+    after choosing the best mapping; returns (accuracy, mapping). With more
+    clusters than labels, the clusters left out of the mapping score nothing.
     """
-    from itertools import permutations
-
-    pred_clusters = np.asarray(pred_clusters)
-    true_labels = np.asarray(true_labels)
-    clusters = sorted(set(int(c) for c in pred_clusters))
-    labels = sorted(set(true_labels.tolist()))
+    pred_clusters, true_labels = np.asarray(pred_clusters), np.asarray(true_labels)
     n = len(true_labels)
     if n == 0:
         raise InputError("permutation_accuracy needs at least one sample")
     if len(pred_clusters) != n:
         raise InputError(f"permutation_accuracy: {len(pred_clusters)} predictions "
                          f"for {n} labels")
-    best_acc, best_map = -1.0, {}
-    for perm in permutations(labels, min(len(clusters), len(labels))):
-        mapping = dict(zip(clusters, perm))
-        acc = sum(1 for c, t in zip(pred_clusters, true_labels) if mapping.get(int(c)) == t) / n
-        if acc > best_acc:
-            best_acc, best_map = acc, mapping
-    return best_acc, best_map
+    clusters, c = np.unique(pred_clusters.astype(int), return_inverse=True)
+    labels, t = np.unique(true_labels, return_inverse=True)
+    nc, nl = len(clusters), len(labels)
+    counts = np.bincount(c * nl + t, minlength=nc * nl).reshape(nc, nl)
+    if nc <= nl:  # every label order for the clusters in turn
+        assignments = ((range(nc), p) for p in permutations(range(nl), nc))
+    else:
+        assignments = ((p, range(nl)) for p in permutations(range(nc), nl))
+    # each assignment is (cluster positions, label positions); max keeps the first best
+    rows, cols = max(assignments, key=lambda a: counts[list(a[0]), list(a[1])].sum())
+    clusters, labels = clusters.tolist(), labels.tolist()
+    return (counts[list(rows), list(cols)].sum().item() / n,
+            {clusters[i]: labels[j] for i, j in sorted(zip(rows, cols))})

@@ -38,6 +38,8 @@ def squared_distances(x: np.ndarray) -> np.ndarray:
     Raises NumericalError when one is not finite, as when the coordinates
     are so large that their squares overflow.
     """
+    # in C order numpy computes x @ x.T as one mirrored triangle, so d2 == d2.T exactly
+    x = np.ascontiguousarray(x, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
         sq = np.sum(x**2, axis=1)
         d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)

@@ -6,11 +6,13 @@ would write. `Table` streams one back and keeps only the columns its caller
 declares: numeric ones as float64 blocks, text ones as strings. It takes
 `csv.reader` rows a chunk at a time and drops every other cell as it passes,
 so a read holds about 8 B per numeric cell plus one chunk of text, not one
-Python string (about 70 B) per cell of the file. It validates what it keeps
-and raises InputError for the first defect in file order, naming the file,
-and the line and column where one applies. Embeddings, history, report,
-spectrum and samples tables are mapped onto them here; the dataset in
-`datagen` and the aligned coordinates in the CLI.
+Python string (about 70 B) per cell of the file. It checks only what it
+keeps, so a command checks only the columns it reads (`metric` and `align`:
+`sample_id` and `mu_*` of an embeddings file), and raises InputError for the
+first defect in file order, naming the file, and the line and column where
+one applies. Embeddings, history, report, spectrum and samples tables are
+mapped onto them here; the dataset in `datagen` and the aligned coordinates
+in the CLI.
 """
 
 from __future__ import annotations
@@ -96,10 +98,10 @@ class Table:
     `floats` names the columns kept as finite float64 numbers; each must
     exist. It may instead be a function of (header, first data row) that
     returns those names. `blocks` gives prefixes: the columns `prefix`1,
-    `prefix`2, ... are kept as one float64 block, in numeric order of their
-    suffixes, and a prefix may match no column. `text` names the columns kept
-    as strings, each when the file has it; a kept `sample_id` column must hold
-    distinct integers. Every other column is dropped as the file streams.
+    `prefix`2, ... are kept as one float64 block, in order of their distinct
+    numbers, and a prefix may match no column. `text` names the columns kept
+    as strings; each must exist, and a `sample_id` column must hold distinct
+    integers. Every other column is dropped as the file streams.
     """
 
     def __init__(self, path, floats=(), blocks=(), text=()):
@@ -130,21 +132,24 @@ class Table:
         """Resolve the declared columns against the header."""
         index = {name: j for j, name in enumerate(self.header)}
         self.float_names = list(floats)
-        for name in self.float_names:
+        for name in [*self.float_names, *text]:
             if name not in index:
                 raise InputError(f"{self.path}: missing column {name!r}")
         groups = {None: [index[name] for name in self.float_names]}  # None: the named floats
         for prefix in blocks:
-            names = [name for name in self.header if name.startswith(prefix)]
-            for name in names:
+            numbered = {}  # number -> the column that has it
+            for name in (name for name in self.header if name.startswith(prefix)):
                 if not name[len(prefix):].isdecimal():
                     raise InputError(f"{self.path}: column {name!r} is not {prefix}<number>")
-            if names:
-                groups[prefix] = [index[name] for name in
-                                  sorted(names, key=lambda name: int(name[len(prefix):]))]
+                first = numbered.setdefault(int(name[len(prefix):]), name)
+                if first != name:
+                    raise InputError(f"{self.path}: column {name!r} repeats number "
+                                     f"{int(name[len(prefix):])} of {first!r}")
+            if numbered:
+                groups[prefix] = [index[numbered[number]] for number in sorted(numbered)]
         self._groups = groups
         self._parts = {key: [] for key in groups}
-        self._text = {name: (index[name], []) for name in text if name in index}
+        self._text = {name: (index[name], []) for name in text}
         self._id = self._text["sample_id"][0] if "sample_id" in self._text else None
         self._line_of = {}  # sample_id -> its line
         # the checks of a row in header order: (position, whether it is the sample_id check)
@@ -212,8 +217,6 @@ class Table:
 
     def column(self, name: str) -> list:
         """A declared text column's cells as strings."""
-        if name not in self._text:
-            raise InputError(f"{self.path}: missing column {name!r}")
         return self._text[name][1]
 
     def floats(self, names) -> np.ndarray:
@@ -228,8 +231,6 @@ class Table:
 
     def sample_ids(self) -> list:
         """The sample_id column, declared in `text`, as distinct integers in row order."""
-        if self._id is None:
-            raise InputError(f"{self.path}: missing column 'sample_id'")
         return list(self._line_of)
 
 
@@ -257,23 +258,15 @@ def _numbered(name: str, block) -> dict:
             for index in np.ndindex(block.shape[1:])}
 
 
-def read_embeddings_csv(path) -> dict:
-    """Read any embedding-shaped table; returns sample_ids, splits, mu and
-    whatever optional columns are present."""
-    table = Table(path, blocks=("mu_", "var_", "gamma_"),
-                  text=("sample_id", "split", "hard_label", "true_label"))
+def read_embeddings_csv(path) -> tuple[list, np.ndarray]:
+    """The columns `metric` and `align` join on: returns (sample_ids, mu),
+    mu the (n, d) block of the mu_* columns. Only these are checked; any
+    other column (var_*, gamma_*, split, labels) is dropped unchecked."""
+    table = Table(path, blocks=("mu_",), text=("sample_id",))
     mu = table.block("mu_")
     if mu is None:
         raise InputError(f"{path}: no mu_* columns found")
-    return {
-        "sample_ids": table.sample_ids(),
-        "splits": table.column("split") if "split" in table.header else None,
-        "mu": mu,
-        "var": table.block("var_"),
-        "gamma": table.block("gamma_"),
-        "hard_labels": table.column("hard_label") if "hard_label" in table.header else None,
-        "true_labels": table.column("true_label") if "true_label" in table.header else None,
-    }
+    return table.sample_ids(), mu
 
 
 def write_history_csv(path, history: dict) -> None:

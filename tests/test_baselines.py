@@ -43,10 +43,14 @@ def test_distances_are_exactly_symmetric(x):
     d = euclidean_distances(x).d
     assert np.array_equal(d, d.T) and np.all(np.diag(d) == 0.0)
     assert np.array_equal(d, np.sqrt(np.maximum(d2, 0.0) * (1 - np.eye(len(x)))))
-    # a strided view of the same rows gives the same bits
+    # a strided view of the same rows gives the same bits, through each caller
     wide = np.repeat(x, 2, axis=1)[:, ::2]
     assert not wide.flags.c_contiguous
+    assert np.array_equal(squared_distances(wide), d2)
     assert np.array_equal(euclidean_distances(wide).d, d)
+    if len(x) > 1:
+        k = min(3, len(x) - 1)
+        assert np.array_equal(build_knn(wide, k), build_knn(x, k))
 
 
 def test_identical_points_embed_at_zero():

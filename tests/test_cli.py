@@ -16,11 +16,11 @@ import pytest
 
 import gmvlab
 from gmvlab import datagen
-from gmvlab.cli import main
+from gmvlab.cli import _join_on_sample_id, main
 from gmvlab.config import RunConfig
 from gmvlab.errors import InputError
 from gmvlab.gmvae import cluster_assign, load_checkpoint, permutation_accuracy
-from gmvlab.tables import read_embeddings_csv, write_embeddings_csv, write_table
+from gmvlab.tables import Table, read_embeddings_csv, write_embeddings_csv, write_table
 
 
 @pytest.fixture(scope="module")
@@ -89,10 +89,10 @@ def test_train_outputs_exist_and_parse(workdir):
     header, rows = read_rows(out / "history.csv")
     assert len(rows) == 120
     assert "pi_1" in header and "total_loss" in header
-    emb = read_embeddings_csv(out / "embeddings.csv")
-    assert emb["mu"].shape == (80, 2)
-    assert emb["gamma"].shape == (80, 2)
-    assert set(emb["splits"]) == {"train", "val", "test"}
+    emb = Table(out / "embeddings.csv", blocks=("mu_", "gamma_"), text=("split",))
+    assert emb.block("mu_").shape == (80, 2)
+    assert emb.block("gamma_").shape == (80, 2)
+    assert set(emb.column("split")) == {"train", "val", "test"}
 
 
 def test_train_accuracy_line_matches_the_reloaded_checkpoint(workdir):
@@ -166,7 +166,7 @@ def test_metric_builds_and_solves_the_graph_once(workdir, tmp_path, monkeypatch)
                  "--spectrum-out", str(spectrum_out)]) == 0
     assert calls == ["knn", "eig"]
     _, srows = read_rows(spectrum_out)
-    lap = spectral.laplacian(real_knn(read_embeddings_csv(emb_csv)["mu"], 6))
+    lap = spectral.laplacian(real_knn(read_embeddings_csv(emb_csv)[1], 6))
     for name in ("alpha", "gamma"):
         got = np.array([float(r[2]) for r in srows if r[0] == name])
         assert np.abs(got - np.linalg.eigvalsh(lap)).max() < 1e-10
@@ -266,6 +266,55 @@ def test_metric_misaligned_ids_fail(workdir, tmp_path):
     assert code == 1
 
 
+def _with_unread_columns_spoiled(path, out):
+    """A copy of an embeddings file with an extra var_explained column and a
+    nan in line 4's var_1, columns that metric and align do not read."""
+    header, rows = read_rows(path)
+    rows[2][header.index("var_1")] = "nan"
+    with open(out, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header + ["var_explained"])
+        writer.writerows(row + ["0.5"] for row in rows)
+    return out
+
+
+@pytest.mark.filterwarnings("ignore:kNN graph is disconnected")
+def test_metric_and_align_ignore_the_embedding_columns_they_do_not_read(workdir, tmp_path):
+    clean = workdir["train"] / "embeddings.csv"
+    spoiled = _with_unread_columns_spoiled(clean, tmp_path / "spoiled.csv")
+    outputs = []
+    for emb in (clean, spoiled):
+        run = tmp_path / emb.stem
+        run.mkdir()
+        assert main(["metric", "--embeddings", str(emb), "--quantities", str(workdir["data"]),
+                     "--columns", "alpha", "gamma", "--k", "6", "--out", str(run / "r.csv"),
+                     "--spectrum-out", str(run / "s.csv")]) == 0
+        assert main(["align", "--embeddings", str(emb), "--params", str(workdir["data"]),
+                     "--columns", "xi1", "xi2", "--out", str(run / "align")]) == 0
+        outputs.append([(run / name).read_bytes() for name in
+                        ("r.csv", "s.csv", "align/align_report.json", "align/transformed.csv")])
+    assert outputs[0] == outputs[1]
+
+
+def test_join_follows_sample_ids_of_a_reordered_subset(workdir, tmp_path):
+    # the test split's rows only, last first: each quantity comes back at the
+    # row whose sample_id names it, not at its position in the dataset
+    header, rows = read_rows(workdir["data"])
+    col = {name: header.index(name) for name in ("sample_id", "alpha", "gamma", "split")}
+    test_rows = [row for row in rows if row[col["split"]] == "test"][::-1]
+    ids = [int(row[col["sample_id"]]) for row in test_rows]
+    assert ids != sorted(ids) and len(ids) == 8
+    emb = tmp_path / "test_only.csv"
+    mu = np.arange(2.0 * len(ids)).reshape(-1, 2)
+    write_embeddings_csv(emb, ids, ["test"] * len(ids), mu)
+    sample_ids, got_mu, values = _join_on_sample_id(emb, workdir["data"], ["gamma", "alpha"])
+    assert sample_ids == ids
+    assert np.array_equal(got_mu, mu)
+    assert list(values) == ["gamma", "alpha"]
+    for name in values:
+        assert values[name].tolist() == [float(row[col[name]]) for row in test_rows]
+
+
 def test_baseline_mds_deterministic_and_schema(workdir, tmp_path):
     out1, out2 = tmp_path / "mds1.csv", tmp_path / "mds2.csv"
     assert main(["baseline", "--method", "mds", "--dataset", str(workdir["data"]),
@@ -273,9 +322,9 @@ def test_baseline_mds_deterministic_and_schema(workdir, tmp_path):
     assert main(["baseline", "--method", "mds", "--dataset", str(workdir["data"]),
                  "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
-    emb = read_embeddings_csv(out1)
-    assert emb["mu"].shape == (80, 2)
-    assert emb["true_labels"] is not None
+    emb = Table(out1, blocks=("mu_",), text=("true_label",))
+    assert emb.block("mu_").shape == (80, 2)
+    assert len(emb.column("true_label")) == 80
 
 
 def test_baseline_isomap_runs(workdir, tmp_path, capsys):
@@ -287,19 +336,19 @@ def test_baseline_isomap_runs(workdir, tmp_path, capsys):
     assert not out.exists()  # no partial output on validation failure
     assert main(["baseline", "--method", "isomap", "--dataset", str(workdir["data"]),
                  "--k", "40", "--out", str(out)]) == 0
-    emb = read_embeddings_csv(out)
-    assert emb["mu"].shape == (80, 2)
+    _, mu = read_embeddings_csv(out)
+    assert mu.shape == (80, 2)
 
 
 def test_align_identity_and_shuffled(workdir, tmp_path):
     emb_csv = workdir["train"] / "embeddings.csv"
     # params := the embeddings themselves -> identity map, ~zero residual
-    emb = read_embeddings_csv(emb_csv)
+    sample_ids, mu = read_embeddings_csv(emb_csv)
     self_params = tmp_path / "self.csv"
     with open(self_params, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["sample_id", "p1", "p2"])
-        for sid, row in zip(emb["sample_ids"], emb["mu"]):
+        for sid, row in zip(sample_ids, mu):
             writer.writerow([str(sid), format(row[0], ".17g"), format(row[1], ".17g")])
     out_a = tmp_path / "align_self"
     assert main(["align", "--embeddings", str(emb_csv), "--params", str(self_params),
@@ -310,12 +359,12 @@ def test_align_identity_and_shuffled(workdir, tmp_path):
 
     # shuffled params -> strictly larger residual
     rng = np.random.default_rng(0)
-    perm = rng.permutation(len(emb["sample_ids"]))
+    perm = rng.permutation(len(sample_ids))
     shuf_params = tmp_path / "shuf.csv"
     with open(shuf_params, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["sample_id", "p1", "p2"])
-        for sid, row in zip(emb["sample_ids"], emb["mu"][perm]):
+        for sid, row in zip(sample_ids, mu[perm]):
             writer.writerow([str(sid), format(row[0], ".17g"), format(row[1], ".17g")])
     out_b = tmp_path / "align_shuf"
     assert main(["align", "--embeddings", str(emb_csv), "--params", str(shuf_params),
@@ -378,8 +427,8 @@ def test_train_zero_epochs_writes_initial_checkpoint(workdir, tmp_path):
     assert len(rows1) == 1
     assert header == header1
     assert header[0] == "epoch"
-    emb = read_embeddings_csv(out / "embeddings.csv")
-    assert emb["mu"].shape == (80, 2)
+    _, mu = read_embeddings_csv(out / "embeddings.csv")
+    assert mu.shape == (80, 2)
 
 
 def test_missing_input_file_gives_exit_1(tmp_path):

@@ -1,10 +1,13 @@
 """Model-side contracts: encoding, responsibilities, ELBO oracle, EM, sampling."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gmvlab.config import ModelConfig
 from gmvlab.errors import InputError
@@ -386,6 +389,48 @@ def test_single_cluster_accuracy_is_majority_fraction():
     true = ["a"] * 7 + ["b"] * 3
     acc, _ = permutation_accuracy(pred, true)
     assert acc == pytest.approx(0.7)
+
+
+def test_permutation_accuracy_maps_any_clusters_when_they_outnumber_the_labels():
+    # scoring only clusters 0 and 1 gives 1/6 via {0: "a", 1: "b"}
+    acc, mapping = permutation_accuracy(np.array([2, 2, 2, 2, 0, 1]), np.array(list("aaaabb")))
+    assert acc == 5 / 6
+    assert mapping == {0: "b", 2: "a"}
+
+
+def _first_best_assignment(pred, true):
+    """Brute force by passes over the rows: the best hit count over every
+    one-to-one cluster -> label map, some clusters possibly unmapped, and,
+    with no more clusters than labels, the first full map that reaches it
+    when label orders are tried in turn."""
+    clusters, labels = sorted(set(pred)), sorted(set(true))
+
+    def hits(mapping):
+        return sum(mapping.get(c) == t for c, t in zip(pred, true))
+
+    best = max(hits({c: t for c, t in zip(clusters, choice) if t is not None})
+               for choice in itertools.product(labels + [None], repeat=len(clusters))
+               if len({t for t in choice if t is not None}) == sum(t is not None for t in choice))
+    if len(clusters) > len(labels):
+        return best, None
+    first = next(dict(zip(clusters, perm)) for perm in itertools.permutations(labels, len(clusters))
+                 if hits(dict(zip(clusters, perm))) == best)
+    return best, first
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(rows=st.lists(st.tuples(st.integers(0, 3), st.sampled_from("abc")), min_size=1,
+                     max_size=12))
+def test_permutation_accuracy_matches_a_brute_force_oracle(rows):
+    pred, true = zip(*rows)
+    acc, mapping = permutation_accuracy(np.array(pred), np.array(true))
+    best, first = _first_best_assignment(list(pred), list(true))
+    assert acc == best / len(rows)
+    assert len(set(mapping.values())) == len(mapping)  # one-to-one
+    assert sum(mapping.get(c) == t for c, t in rows) == best
+    if first is not None:  # the enumeration order and tie rule of a full map
+        assert mapping == first
+        assert list(mapping) == sorted(set(pred))
 
 
 def test_permutation_accuracy_rejects_empty_input():

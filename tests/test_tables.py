@@ -90,23 +90,36 @@ def test_embeddings_round_trip_full_schema(tmp_path):
     path = tmp_path / "emb.csv"
     write_embeddings_csv(path, list(range(5)), ["train"] * 5, mu, var=var, gamma=gamma,
                          hard_labels=[0, 1, 2, 0, 1], true_labels=["a"] * 5)
-    back = read_embeddings_csv(path)
-    assert back["sample_ids"] == [0, 1, 2, 3, 4]
-    assert np.array_equal(back["mu"], mu)
-    assert np.array_equal(back["var"], var)
-    assert np.array_equal(back["gamma"], gamma)
-    assert back["hard_labels"] == ["0", "1", "2", "0", "1"]
-    assert back["true_labels"] == ["a"] * 5
+    back = Table(path, blocks=("mu_", "var_", "gamma_"),
+                 text=("sample_id", "split", "hard_label", "true_label"))
+    assert back.sample_ids() == [0, 1, 2, 3, 4]
+    assert np.array_equal(back.block("mu_"), mu)
+    assert np.array_equal(back.block("var_"), var)
+    assert np.array_equal(back.block("gamma_"), gamma)
+    assert back.column("hard_label") == ["0", "1", "2", "0", "1"]
+    assert back.column("true_label") == ["a"] * 5
+    sample_ids, back_mu = read_embeddings_csv(path)
+    assert sample_ids == [0, 1, 2, 3, 4] and np.array_equal(back_mu, mu)
 
 
 def test_embeddings_minimal_schema(tmp_path):
     mu = np.zeros((3, 2))
     path = tmp_path / "emb.csv"
     write_embeddings_csv(path, [7, 8, 9], ["test"] * 3, mu)
-    back = read_embeddings_csv(path)
-    assert back["sample_ids"] == [7, 8, 9]
-    assert back["var"] is None and back["gamma"] is None
-    assert back["hard_labels"] is None
+    back = Table(path, blocks=("mu_", "var_", "gamma_"), text=("sample_id",))
+    assert back.sample_ids() == [7, 8, 9]
+    assert back.block("var_") is None and back.block("gamma_") is None
+    assert "hard_label" not in back.header
+
+
+def test_read_embeddings_checks_only_sample_id_and_mu(tmp_path):
+    path = tmp_path / "emb.csv"
+    path.write_text("sample_id,split,mu_1,var_1,var_explained,true_label\n"
+                    "4,nowhere,1.5,nan,x,\n"
+                    "2,test,-2.0,inf,,stable\n")
+    sample_ids, mu = read_embeddings_csv(path)
+    assert sample_ids == [4, 2]
+    assert mu.tolist() == [[1.5], [-2.0]]
 
 
 def test_read_embeddings_requires_mu(tmp_path):
@@ -119,7 +132,25 @@ def test_read_embeddings_requires_mu(tmp_path):
 def test_numbered_block_is_ordered_by_number_not_by_position(tmp_path):
     path = tmp_path / "emb.csv"
     path.write_text("sample_id,mu_10,mu_2,mu_1\n0,10.0,2.0,1.0\n")
-    assert read_embeddings_csv(path)["mu"].tolist() == [[1.0, 2.0, 10.0]]
+    assert read_embeddings_csv(path)[1].tolist() == [[1.0, 2.0, 10.0]]
+
+
+@pytest.mark.parametrize("floats, text", [(["a", "b"], ["sample_id"]), (["a"], ["sample_id", "b"])],
+                         ids=["float", "text"])
+def test_a_missing_declared_column_is_the_first_defect(tmp_path, floats, text):
+    # the header comes before every cell, so its defects are reported first
+    path = tmp_path / "t.csv"
+    path.write_text("sample_id,a\n0,1.0\nx,nan\n")
+    with pytest.raises(InputError, match="missing column 'b'"):
+        Table(path, floats=floats, text=text)
+
+
+@pytest.mark.parametrize("prefix", ["mu_", "rho_"])
+def test_numbered_columns_with_one_number_raise_naming_both(tmp_path, prefix):
+    path = tmp_path / "twice.csv"
+    path.write_text(f"sample_id,{prefix}1,{prefix}2,{prefix}01\n0,1.0,2.0,3.0\n")
+    with pytest.raises(InputError, match=f"column '{prefix}01' repeats number 1 of '{prefix}1'"):
+        Table(path, blocks=(prefix,))
 
 
 @pytest.mark.parametrize("content", [b"", b"sample_id,mu_1\n", b"\xff\xfe\x00\x81\n",
