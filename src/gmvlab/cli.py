@@ -3,8 +3,9 @@
 Subcommands: generate, train, embed, sample, metric, baseline, align.
 Exit codes: 0 success, 1 usage or validation error or a path that cannot be
 opened, read or written, 2 numerical failure. Each subcommand checks its
-output paths before it reads an input, so an unusable output path costs no
-work and leaves no other output behind.
+output paths before it reads an input, so an unusable output path, or one
+that is also an input or another output, costs no work and leaves no other
+output behind.
 """
 
 from __future__ import annotations
@@ -35,12 +36,27 @@ from .gmvae import (
 )
 
 
-def _check_outputs(*paths) -> None:
-    """Raise the OSError that writing one of `paths` would meet: the path is a
-    directory, its parent directory is missing, or neither the existing file
-    nor the parent is writable. A None (an output not asked for) is skipped.
-    Creates and writes nothing."""
-    for path in map(Path, filter(None, paths)):
+def _same_file(a: Path, b: Path) -> bool:
+    """Whether writing `a` would write `b`: the same file when both exist, else
+    the same resolved path. A pipe or device is never the same file."""
+    if a.exists() and b.exists():
+        return a.is_file() and b.is_file() and os.path.samefile(a, b)
+    return a.resolve() == b.resolve()
+
+
+def _check_outputs(*paths, inputs=()) -> None:
+    """Raise InputError when one of the output `paths` is also another of them
+    or one of `inputs`, naming both; then the OSError that writing one would
+    meet: the path is a directory, its parent directory is missing, or neither
+    the existing file nor the parent is writable. A None (an output or input
+    not asked for) is skipped. Creates and writes nothing."""
+    outputs = [Path(p) for p in paths if p]
+    named = [("output", p) for p in outputs] + [("input", Path(p)) for p in inputs if p]
+    for i, path in enumerate(outputs):
+        for kind, other in named[i + 1:]:
+            if _same_file(path, other):
+                raise InputError(f"output {path} is also the {kind} {other}")
+    for path in outputs:
         if path.is_dir():
             code = errno.EISDIR
         elif not path.parent.is_dir():
@@ -52,15 +68,16 @@ def _check_outputs(*paths) -> None:
         raise OSError(code, os.strerror(code), str(path))
 
 
-def _check_output_dir(path, *names) -> list[Path]:
+def _check_output_dir(path, *names, inputs=()) -> list[Path]:
     """The files `names` in the output directory `path`, checked by
-    `_check_outputs` when the directory exists. A missing directory passes when
-    its nearest existing ancestor is a writable directory, since the caller
-    makes it, with its missing parents, once the inputs are read. Creates nothing."""
+    `_check_outputs` against `inputs` when the directory exists. A missing
+    directory passes when its nearest existing ancestor is a writable directory,
+    since the caller makes it, with its missing parents, once the inputs are
+    read. Creates nothing."""
     out_dir = Path(path)
     files = [out_dir / name for name in names]
     if out_dir.is_dir():
-        _check_outputs(*files)
+        _check_outputs(*files, inputs=inputs)
         return files
     if out_dir.exists():
         code = errno.EEXIST
@@ -76,7 +93,7 @@ def _check_output_dir(path, *names) -> list[Path]:
 
 
 def cmd_generate(args) -> int:
-    _check_outputs(args.out)
+    _check_outputs(args.out, inputs=[args.config])
     section = load_config(args.config).dataset
     if args.seed is not None:
         section = replace(section, seed=args.seed)
@@ -104,7 +121,8 @@ def _write_embeddings(model, dataset, out_path) -> np.ndarray:
 
 def cmd_train(args) -> int:
     checkpoint_json, history_csv, embeddings_csv = _check_output_dir(
-        args.out, "checkpoint.json", "history.csv", "embeddings.csv")
+        args.out, "checkpoint.json", "history.csv", "embeddings.csv",
+        inputs=[args.config, args.dataset])
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg = replace(cfg, training=replace(cfg.training, seed=args.seed))
@@ -139,7 +157,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    _check_outputs(args.out)
+    _check_outputs(args.out, inputs=[args.checkpoint, args.dataset])
     model, _, digest = load_checkpoint(args.checkpoint)
     dataset = datagen.load_csv(args.dataset)
     print(f"checkpoint digest: {digest}")
@@ -149,7 +167,7 @@ def cmd_embed(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    _check_outputs(args.out)
+    _check_outputs(args.out, inputs=[args.checkpoint])
     model, _, digest = load_checkpoint(args.checkpoint)
     print(f"checkpoint digest: {digest}")
     rng = np.random.Generator(np.random.PCG64(args.seed if args.seed is not None else 1))
@@ -176,7 +194,8 @@ def _join_on_sample_id(embeddings, other, columns):
 
 
 def cmd_metric(args) -> int:
-    _check_outputs(args.out, args.spectrum_out)
+    _check_outputs(args.out, args.spectrum_out,
+                   inputs=[args.config, args.embeddings, args.quantities])
     overrides = {key: value for key, value in (("k", args.k), ("r_percent", args.r))
                  if value is not None}
     # a bad --k or --r exits here, before the inputs are read
@@ -194,7 +213,7 @@ def cmd_metric(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    _check_outputs(args.out)
+    _check_outputs(args.out, inputs=[args.dataset])
     dataset = datagen.load_csv(args.dataset)
     x = dataset.matrix()
     if args.method == "mds":
@@ -210,8 +229,8 @@ def cmd_baseline(args) -> int:
 
 
 def cmd_align(args) -> int:
-    report_json, transformed_csv = _check_output_dir(args.out, "align_report.json",
-                                                      "transformed.csv")
+    report_json, transformed_csv = _check_output_dir(
+        args.out, "align_report.json", "transformed.csv", inputs=[args.embeddings, args.params])
     sample_ids, mu, params = _join_on_sample_id(args.embeddings, args.params, args.columns)
     names = list(params)
     b = np.column_stack([params[name] for name in names])

@@ -84,7 +84,6 @@ class ModelConfig(_Section):
 @dataclass(frozen=True)
 class TrainConfig(_Section):
     lr: float = 1e-3
-    weight_decay: float = 0.0
     batch_size: int = 64
     epochs: int = 20000
     n_em: int = 1
@@ -94,7 +93,6 @@ class TrainConfig(_Section):
     NAME = "training"
     RULES = {
         "lr": (">= 0", lambda v: v >= 0),
-        "weight_decay": (">= 0", lambda v: v >= 0),
         "batch_size": (">= 1", lambda v: v >= 1),
         "epochs": (">= 0", lambda v: v >= 0),
         "n_em": (">= 0", lambda v: v >= 0),

@@ -87,8 +87,8 @@ def _model_from_payload(payload: dict) -> GmVae:
                  decoder_var=decoder_var, beta=beta, gmm=gmm)
 
 
-def save_checkpoint(model: GmVae, path, config: dict | None = None) -> str:
-    """Write the checkpoint and return its content digest (sha256 hex)."""
+def save_checkpoint(model: GmVae, path, config: dict) -> str:
+    """Write the checkpoint with the run's `config`; returns its digest (sha256 hex)."""
     payload = {
         "format": FORMAT_TAG,
         "latent_dim": model.latent_dim,
@@ -101,7 +101,7 @@ def save_checkpoint(model: GmVae, path, config: dict | None = None) -> str:
             "means": model.gmm.means.tolist(),
             "variances": model.gmm.variances.tolist(),
         },
-        "config": config or {},
+        "config": config,
     }
     blob = json.dumps(payload, sort_keys=True).encode()
     with open(path, "wb") as fh:

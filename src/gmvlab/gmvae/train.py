@@ -141,7 +141,7 @@ def backward(model: GmVae, cache: BatchCache, out: FlatGradient) -> np.ndarray:
     d = model.latent_dim
     mu = cache.enc_acts[-1][:, :d]
     g_x_hat = (cache.dec_acts[-1] - cache.x) / model.decoder_var
-    _, _, g_z = model.decoder.backward(cache.dec_acts, g_x_hat, dec_dws, dec_dbs)
+    g_z = model.decoder.backward(cache.dec_acts, g_x_hat, dec_dws, dec_dbs)
     # with g_z the loss gradient at z and s_c, m_c the cluster variances and means:
     # dL/dmu = g_z + sum_c gamma_c (mu - m_c) / s_c + beta mu
     # dL/dlogvar = (g_z sigma eps + var (sum_c gamma_c / s_c + beta) - 1 - beta) / 2
@@ -199,7 +199,7 @@ def train(model: GmVae, x_train: np.ndarray, cfg: TrainConfig,
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     theta, layout = pack_params(model)
     grad = FlatGradient(model)
-    adam = AdamState(lr=cfg.lr, weight_decay=cfg.weight_decay, layout=layout)
+    adam = AdamState(lr=cfg.lr, layout=layout)
     # the re-embed pass writes every epoch's activations into the same arrays, allocated
     # once: a 200-epoch train on 1024 rows takes 665 minor page faults (ru_minflt) with
     # them and 37,722 with fresh arrays each epoch, at the same wall time within noise

@@ -1,9 +1,8 @@
-"""Adam optimizer over one flat parameter vector, with bias correction and
-decoupled weight decay."""
+"""Adam optimizer over one flat parameter vector, with bias correction."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -17,18 +16,17 @@ EPS = 1e-8  # added to the second-moment root
 
 @dataclass
 class AdamState:
-    """Hyperparameters, step count and moment vectors of one Adam run.
+    """Learning rate, step count and moment vectors of one Adam run.
 
     `layout` lists (name, size) of the arrays packed into the parameter
     vector, in order; it is read only to name a parameter in an error.
     """
 
     lr: float = 1e-3
-    weight_decay: float = 0.0
-    step_count: int = 0
-    first_moment: np.ndarray | None = None
-    second_moment: np.ndarray | None = None
     layout: tuple = ()
+    step_count: int = field(default=0, init=False)
+    first_moment: np.ndarray | None = field(default=None, init=False)
+    second_moment: np.ndarray | None = field(default=None, init=False)
 
 
 def _param_name(layout, index: int) -> str:
@@ -43,9 +41,7 @@ def _param_name(layout, index: int) -> str:
 def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
     """One bias-corrected Adam update of the flat vector `theta`, in place.
 
-    Moments are created on the first step and updated in `state`. Weight
-    decay, when nonzero, is decoupled (applied directly to the parameter,
-    not through the moments).
+    Moments are created on the first step and updated in `state`.
     """
     if grad.shape != theta.shape:
         raise InputError(f"adam_step: gradient shape {grad.shape} != param shape {theta.shape}")
@@ -64,6 +60,4 @@ def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
     v *= BETA2
     v += (1.0 - BETA2) * (grad * grad)
     update = (m / (1.0 - BETA1**t)) / (np.sqrt(v / (1.0 - BETA2**t)) + EPS)
-    if state.weight_decay > 0.0:
-        update += state.weight_decay * theta
     theta -= state.lr * update

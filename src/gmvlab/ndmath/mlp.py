@@ -78,8 +78,8 @@ class Mlp:
         `acts` are the activations `forward` returned for the batch and
         `grad_out` the loss gradient with respect to the output. dW and db
         are written into `dws` and `dbs`, one array per layer (e.g. views of
-        a flat gradient vector). Returns (dws, dbs, gradient with respect to
-        the input, or None when `input_grad` is False).
+        a flat gradient vector). Returns the gradient with respect to the
+        input, or None when `input_grad` is False.
         """
         last = self.n_layers - 1
         g = grad_out
@@ -90,4 +90,4 @@ class Mlp:
             np.add.reduce(g, axis=0, out=dbs[i])
             if i or input_grad:
                 g = g @ self.weights[i]
-        return dws, dbs, (g if input_grad else None)
+        return g if input_grad else None

@@ -314,8 +314,8 @@ def write_report_csv(path, report) -> None:
     write_table(path, {
         "quantity": list(report.eta),
         "k": [report.k] * n,
-        "r_percent": [report.r_percent] * n,
-        "eta": list(report.eta.values()),
+        "r_percent": np.full(n, report.r_percent),
+        "eta": np.fromiter(report.eta.values(), np.float64, n),
         "n_components": [len(report.component_sizes)] * n,
     })
 
@@ -326,8 +326,8 @@ def write_spectrum_csv(path, report) -> None:
     write_table(path, {
         "quantity": [name for name in report.coefficients for _ in modes],
         "mode": [i for _ in report.coefficients for i in modes],
-        "eigenvalue": [v for _ in report.coefficients for v in report.eigenvalues],
-        "alpha": [v for c in report.coefficients.values() for v in c],
+        "eigenvalue": np.tile(report.eigenvalues, len(report.coefficients)),
+        "alpha": np.ravel(list(report.coefficients.values())),
     })
 
 

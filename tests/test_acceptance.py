@@ -60,8 +60,8 @@ def trained_runs(dataset):
     for seed in SEEDS:
         rng = np.random.Generator(np.random.PCG64(seed))
         model = GmVae.init(50, ModelConfig(2, 2, (32, 16, 8), 1e-5, 0.1), rng)
-        cfg = TrainConfig(epochs=EPOCHS, batch_size=64, lr=1e-3, weight_decay=0.0,
-                          n_em=1, variance_floor=1e-6, seed=seed)
+        cfg = TrainConfig(epochs=EPOCHS, batch_size=64, lr=1e-3, n_em=1,
+                          variance_floor=1e-6, seed=seed)
         history = train(model, x_train, cfg)
         runs.append((seed, model, history))
     return runs

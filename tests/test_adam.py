@@ -39,13 +39,6 @@ def test_first_step_magnitude_is_lr():
     assert abs((1.0 - theta[0]) - lr) < 1e-6
 
 
-def test_decoupled_weight_decay_shrinks_parameter_without_gradient():
-    theta = np.array([2.0])
-    state = AdamState(lr=0.1, weight_decay=0.5)
-    adam_step(theta, np.zeros(1), state)
-    assert np.allclose(theta, 2.0 - 0.1 * 0.5 * 2.0)
-
-
 def test_nonfinite_gradient_names_parameter():
     theta = np.ones(5)
     state = AdamState(layout=(("enc.b0", 3), ("enc.w0", 2)))

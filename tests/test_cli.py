@@ -16,7 +16,7 @@ import pytest
 
 import gmvlab
 from gmvlab import datagen
-from gmvlab.cli import _join_on_sample_id, main
+from gmvlab.cli import _join_on_sample_id, _same_file, main
 from gmvlab.config import RunConfig
 from gmvlab.errors import InputError
 from gmvlab.gmvae import cluster_assign, load_checkpoint, permutation_accuracy
@@ -536,6 +536,71 @@ def test_output_directory_is_made_with_its_missing_parents(workdir, tmp_path):
     assert main(["align", "--embeddings", str(workdir["train"] / "embeddings.csv"),
                  "--params", str(workdir["data"]), "--out", str(out)]) == 0
     assert sorted(p.name for p in out.iterdir()) == ["align_report.json", "transformed.csv"]
+
+
+# (argv, the error) of runs whose output is also an input or another output, in a
+# directory holding copies of the shared run's files under the names `_clash_dir` gives
+CLASHING_PATHS = {
+    "metric-out-is-spectrum-out": (
+        ["metric", "--embeddings", "emb.csv", "--quantities", "data.csv",
+         "--out", "r.csv", "--spectrum-out", "r.csv"], "output r.csv is also the output r.csv"),
+    "baseline-out-is-dataset": (
+        ["baseline", "--method", "mds", "--dataset", "data.csv", "--out", "data.csv"],
+        "output data.csv is also the input data.csv"),
+    "baseline-out-is-dataset-by-another-name": (
+        ["baseline", "--method", "mds", "--dataset", "data.csv", "--out", "sub/../data.csv"],
+        "output sub/../data.csv is also the input data.csv"),
+    "embed-out-is-dataset": (
+        ["embed", "--checkpoint", "ckpt.json", "--dataset", "data.csv", "--out", "data.csv"],
+        "output data.csv is also the input data.csv"),
+    "sample-out-is-a-hard-link-to-checkpoint": (
+        ["sample", "--checkpoint", "ckpt.json", "--count", "3", "--out", "link.json"],
+        "output link.json is also the input ckpt.json"),
+    "generate-out-is-config": (
+        ["generate", "--config", "run.ini", "--out", "run.ini"],
+        "output run.ini is also the input run.ini"),
+    "train-out-dir-holds-dataset": (
+        ["train", "--config", "run.ini", "--dataset", "run/history.csv", "--out", "run",
+         "--quiet"], "output run/history.csv is also the input run/history.csv"),
+    "align-out-dir-holds-embeddings": (
+        ["align", "--embeddings", "out/transformed.csv", "--params", "data.csv", "--out", "out/"],
+        "output out/transformed.csv is also the input out/transformed.csv"),
+}
+
+
+def _clash_dir(workdir, root):
+    """Copies of the shared run's inputs under `root`, some where an output goes."""
+    (root / "sub").mkdir()
+    (root / "run").mkdir()
+    (root / "out").mkdir()
+    for name, src in [("data.csv", workdir["data"]), ("run/history.csv", workdir["data"]),
+                      ("emb.csv", workdir["train"] / "embeddings.csv"),
+                      ("out/transformed.csv", workdir["train"] / "embeddings.csv"),
+                      ("ckpt.json", workdir["train"] / "checkpoint.json"),
+                      ("run.ini", workdir["ini"])]:
+        (root / name).write_bytes(Path(src).read_bytes())
+    os.link(root / "ckpt.json", root / "link.json")
+
+
+@pytest.mark.parametrize("case", list(CLASHING_PATHS))
+def test_output_that_is_an_input_or_another_output_gives_exit_1(workdir, tmp_path, capsys,
+                                                                monkeypatch, case):
+    argv, message = CLASHING_PATHS[case]
+    _clash_dir(workdir, tmp_path)
+    monkeypatch.chdir(tmp_path)
+    before = {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")}
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    # nothing is written, and every input keeps its bytes
+    assert {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")} == before
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_a_pipe_is_never_the_same_file_as_an_output(tmp_path):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    assert not _same_file(fifo, fifo)
+    assert _same_file(tmp_path / "new.csv", tmp_path / "sub" / ".." / "new.csv")
 
 
 @pytest.mark.filterwarnings("ignore:kNN graph is disconnected")

@@ -19,7 +19,6 @@ def test_defaults_match_reference_setup():
     assert cfg.training.epochs == 20000
     assert cfg.training.batch_size == 64
     assert cfg.training.n_em == 1
-    assert cfg.training.weight_decay == 0.0
     assert cfg.dataset.n_samples == 1280
     assert cfg.dataset.steps == 50
     assert cfg.metric.k == 10
@@ -54,6 +53,9 @@ def test_unknown_section_and_key_rejected(tmp_path):
     bad_key = tmp_path / "b.ini"
     bad_key.write_text("[dataset]\nwhatever = 1\n")
     with pytest.raises(InputError, match="unknown key"):
+        load_config(bad_key)
+    bad_key.write_text("[training]\nweight_decay = 0\n")
+    with pytest.raises(InputError, match="unknown key 'weight_decay' in \\[training\\]"):
         load_config(bad_key)
 
 
@@ -93,7 +95,6 @@ OUT_OF_RANGE = {
     ("model", "decoder_var"): ("0", 0.0),
     ("model", "beta"): ("-0.5", -0.5),
     ("training", "lr"): ("-1", -1.0),
-    ("training", "weight_decay"): ("-1", -1.0),
     ("training", "batch_size"): ("0", 0),
     ("training", "epochs"): ("-1", -1),
     ("training", "n_em"): ("-1", -1),

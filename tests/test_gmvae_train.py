@@ -151,7 +151,7 @@ def _ref_gradient(model, x, eps):
 def _ref_train(model, x, cfg):
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     theta, layout = pack_params(model)
-    adam = AdamState(lr=cfg.lr, weight_decay=cfg.weight_decay, layout=layout)
+    adam = AdamState(lr=cfg.lr, layout=layout)
     n, d = x.shape[0], model.latent_dim
     for _ in range(cfg.epochs):
         perm = rng.permutation(n)
@@ -171,8 +171,7 @@ def _ref_train(model, x, cfg):
 @pytest.mark.parametrize("n,batch_size,k,beta", [(50, 16, 3, 0.1), (30, 7, 2, 0.0)])
 def test_fused_loop_matches_the_per_batch_reference_bit_for_bit(n, batch_size, k, beta):
     x = np.random.default_rng(11).standard_normal((n, 10))
-    cfg = TrainConfig(epochs=4, batch_size=batch_size, n_em=2, weight_decay=1e-3, lr=3e-3,
-                      seed=12)
+    cfg = TrainConfig(epochs=4, batch_size=batch_size, n_em=2, lr=3e-3, seed=12)
     assert n % batch_size  # a short last batch
     fused = make_model(seed=13, data_dim=10, k=k, hidden=(8, 5), beta=beta)
     reference = copy.deepcopy(fused)

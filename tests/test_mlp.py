@@ -24,9 +24,9 @@ def central_diff(f, x, h=1e-5):
 
 
 def backward(net, acts, grad_out):
-    """`net.backward` into freshly allocated dW and db arrays."""
-    return net.backward(acts, grad_out, [np.empty_like(w) for w in net.weights],
-                        [np.empty_like(b) for b in net.biases])
+    """(dws, dbs, input gradient) of `net.backward` into freshly allocated arrays."""
+    dws, dbs = [np.empty_like(w) for w in net.weights], [np.empty_like(b) for b in net.biases]
+    return dws, dbs, net.backward(acts, grad_out, dws, dbs)
 
 
 def rel_err(a, b):
@@ -79,8 +79,7 @@ def test_backward_into_given_arrays_matches_fresh_ones():
         out_w.append(flat[start:start + w.size].reshape(w.shape))
         out_b.append(flat[start + w.size:start + w.size + b.size])
         start += w.size + b.size
-    got_w, got_b, got_dx = net.backward(acts, g, out_w, out_b, input_grad=False)
-    assert got_w is out_w and got_b is out_b and got_dx is None
+    assert net.backward(acts, g, out_w, out_b, input_grad=False) is None
     assert np.isfinite(flat).all()  # every entry written
     for p, q in zip(dws + dbs, out_w + out_b):
         assert p.tobytes() == q.tobytes()
