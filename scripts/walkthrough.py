@@ -4,16 +4,20 @@
         Runs every subcommand and option the README shows, inside the new or
         empty directory DIR, on a 200-row dataset trained for 30 epochs. Writes
         DIR/manifest.json with each command's argv, exit code, stdout and
-        stderr, and the sha256 of every file in DIR.
+        stderr, the sha256 of every file in DIR, and under "environment" the
+        Python, numpy and BLAS versions and the BLAS thread count the
+        commands ran with.
 
     python scripts/walkthrough.py --compare A B
         Prints how two manifests (files, or directories holding
-        manifest.json) differ. Exits 0 when they are identical, 1 when not.
+        manifest.json) differ in files and commands. Exits 0 when they are
+        identical, 1 when not. The environment is not compared.
 
 Each command runs in a fresh interpreter on the `src/` tree next to this
-script, with one BLAS thread and relative paths from inside DIR. Two runs
-of the same tree on one machine therefore give identical manifests. Do not
-compare digests across machines: BLAS kernels differ by CPU.
+script, with one BLAS thread and relative paths from inside DIR, and fails
+on a text file opened in the locale's encoding. Two runs of the same tree on
+one machine therefore give identical manifests. Do not compare digests
+across machines: BLAS kernels differ by CPU.
 """
 
 from __future__ import annotations
@@ -27,7 +31,20 @@ import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+
+# -X warn_default_encoding (Python >= 3.10) warns at an open() that names no encoding
+PYTHON = [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning"]
+
+# prints the provenance facts of perfbench/provenance.py that describe the numerics
+ENVIRONMENT_QUERY = """\
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from perfbench.provenance import facts
+found = facts(sys.argv[1], sys.argv[2], seed=None)
+print(json.dumps({key: found[key] for key in ("python", "numpy", "blas", "blas_threads")}))
+"""
 
 CONFIG = """\
 [dataset]
@@ -62,27 +79,30 @@ def run(out: Path) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     if any(out.iterdir()):
         raise SystemExit(f"walkthrough: {out} is not empty")
-    (out / "walk.ini").write_text(CONFIG)
+    (out / "walk.ini").write_text(CONFIG, encoding="utf-8")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     commands = []
     for argv in COMMANDS:
-        proc = subprocess.run([sys.executable, "-m", "gmvlab.cli", *argv], cwd=out, env=env,
+        proc = subprocess.run([*PYTHON, "-m", "gmvlab.cli", *argv], cwd=out, env=env,
                               capture_output=True, text=True)
         commands.append({"argv": argv, "exit": proc.returncode, "stdout": proc.stdout,
                          "stderr": proc.stderr})
         print(f"exit {proc.returncode}: gmvlab {' '.join(argv)}")
     files = {path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
              for path in sorted(out.rglob("*")) if path.is_file()}
-    manifest = {"commands": commands, "files": files}
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
+    query = subprocess.run([sys.executable, "-c", ENVIRONMENT_QUERY, str(ROOT), str(SRC)],
+                           cwd=out, env=env, capture_output=True, text=True, check=True)
+    manifest = {"commands": commands, "files": files, "environment": json.loads(query.stdout)}
+    (out / "manifest.json").write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n",
+                                       encoding="utf-8")
     return manifest
 
 
 def _load(path: Path) -> dict:
     if path.is_dir():
         path = path / "manifest.json"
-    return json.loads(path.read_text())
+    return json.loads(path.read_text(encoding="utf-8"))
 
 
 def compare(a: dict, b: dict) -> list[str]:

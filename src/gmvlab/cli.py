@@ -100,7 +100,7 @@ def cmd_generate(args) -> int:
     dataset = datagen.generate(section)
     datagen.save_csv(dataset, args.out)
     n = len(dataset)
-    n_reactive = np.count_nonzero(dataset.labels() == datagen.LABEL_REACTIVE)
+    n_reactive = np.count_nonzero(dataset.label == datagen.LABEL_REACTIVE)
     print(f"wrote {n} trajectories to {args.out}")
     print(f"class balance: reactive {n_reactive}/{n} ({n_reactive / n:.3f}), "
           f"stable {n - n_reactive}/{n} ({(n - n_reactive) / n:.3f})")
@@ -111,11 +111,11 @@ def cmd_generate(args) -> int:
 
 def _write_embeddings(model, dataset, out_path) -> np.ndarray:
     """Write the posterior-mean embeddings of every row; returns their hard labels."""
-    emb, gamma = embed_dataset(model, dataset.matrix())
+    emb, gamma = embed_dataset(model, dataset.rho)
     hard = np.argmax(gamma, axis=1)
     tables.write_embeddings_csv(out_path, range(len(dataset)), dataset.split, emb.mu,
                                 var=emb.var, gamma=gamma, hard_labels=hard,
-                                true_labels=dataset.labels())
+                                true_labels=dataset.label)
     return hard
 
 
@@ -129,7 +129,7 @@ def cmd_train(args) -> int:
     dataset = datagen.load_csv(args.dataset)
     Path(args.out).mkdir(parents=True, exist_ok=True)
 
-    x_train = dataset.matrix("train")
+    x_train = dataset.rho[dataset.split == "train"]
     tc = cfg.training
     model = GmVae.init(x_train.shape[1], cfg.model, np.random.Generator(np.random.PCG64(tc.seed)))
     say_every = max(1, tc.epochs // 20)
@@ -148,7 +148,7 @@ def cmd_train(args) -> int:
     print(f"checkpoint digest: {digest}")
     test = dataset.split == "test"
     if test.any():
-        acc, mapping = permutation_accuracy(hard[test], dataset.labels("test"))
+        acc, mapping = permutation_accuracy(hard[test], dataset.label[test])
         print(f"test clustering accuracy (best permutation): {acc:.4f} via {mapping}")
     else:
         print("test split is empty: no clustering accuracy")
@@ -158,7 +158,7 @@ def cmd_train(args) -> int:
 
 def cmd_embed(args) -> int:
     _check_outputs(args.out, inputs=[args.checkpoint, args.dataset])
-    model, _, digest = load_checkpoint(args.checkpoint)
+    model, digest = load_checkpoint(args.checkpoint)
     dataset = datagen.load_csv(args.dataset)
     print(f"checkpoint digest: {digest}")
     _write_embeddings(model, dataset, args.out)
@@ -168,7 +168,7 @@ def cmd_embed(args) -> int:
 
 def cmd_sample(args) -> int:
     _check_outputs(args.out, inputs=[args.checkpoint])
-    model, _, digest = load_checkpoint(args.checkpoint)
+    model, digest = load_checkpoint(args.checkpoint)
     print(f"checkpoint digest: {digest}")
     rng = np.random.Generator(np.random.PCG64(args.seed if args.seed is not None else 1))
     curves, clusters = sample(model, args.count, rng, cluster=args.cluster)
@@ -215,14 +215,14 @@ def cmd_metric(args) -> int:
 def cmd_baseline(args) -> int:
     _check_outputs(args.out, inputs=[args.dataset])
     dataset = datagen.load_csv(args.dataset)
-    x = dataset.matrix()
+    x = dataset.rho
     if args.method == "mds":
         emb = baselines.coordinate_mds(x, args.dim)
     else:
         emb = baselines.isomap(x, k=args.k, dim=args.dim)
     final_stress = baselines.stress(baselines.euclidean_distances(x), emb.points)
     tables.write_embeddings_csv(args.out, range(len(dataset)), dataset.split,
-                                emb.points, true_labels=dataset.labels())
+                                emb.points, true_labels=dataset.label)
     print(f"wrote {args.method} embedding to {args.out} "
           f"(stress vs. Euclidean distances: {final_stress:.6g})")
     return 0
@@ -248,7 +248,7 @@ def cmd_align(args) -> int:
         "n_samples": report.n_samples,
         "target_columns": names,
     }
-    with open(report_json, "w") as fh:
+    with open(report_json, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
     tables.write_table(transformed_csv, {"sample_id": sample_ids} | {
         f"pred_{name}": transformed[:, j] for j, name in enumerate(names)})

@@ -19,7 +19,8 @@ one at the same seed, and only the train/val/test split depends on n.
 range rules and checks them when it is built.
 
 A `Dataset` is a set of columns: the (n, steps) coverage matrix, one (n,)
-array per parameter draw, the (n,) labels and the (n,) split names.
+array per parameter draw, the (n,) labels and the (n,) split names; the
+mask `dataset.split == name` selects a split's rows.
 `save_csv` and `load_csv` map them onto a `gmvlab.tables` table, one row
 per trajectory: sample_id, coverage, parameter draw, label, split.
 """
@@ -53,19 +54,6 @@ class Dataset:
 
     def __len__(self):
         return self.rho.shape[0]
-
-    def _rows(self, split: str) -> np.ndarray:
-        """The (n,) mask of a split's rows; KeyError for a name outside SPLIT_NAMES."""
-        if split not in SPLIT_NAMES:
-            raise KeyError(f"unknown split {split!r}, expected one of {SPLIT_NAMES}")
-        return self.split == split
-
-    def matrix(self, split: str | None = None) -> np.ndarray:
-        """The (n, steps) coverage matrix; optionally only a split's rows."""
-        return self.rho if split is None else self.rho[self._rows(split)]
-
-    def labels(self, split: str | None = None) -> np.ndarray:
-        return self.label if split is None else self.label[self._rows(split)]
 
 
 def reaction_rhs(rho, alpha, gamma, kappa):
@@ -162,12 +150,11 @@ def load_csv(path) -> Dataset:
     if rho is None:
         raise InputError(f"{path}: no rho_* columns found")
     params = table.floats(_PARAM_NAMES)
-    splits = np.array(table.column("split"))
-    unknown = np.flatnonzero(~np.isin(splits, SPLIT_NAMES))
-    if unknown.size:
-        raise InputError(f"{path}, line {unknown[0] + 2}: unknown split {splits[unknown[0]]!r}")
-    labels = np.array(table.column("label"))
-    unknown = np.flatnonzero(~np.isin(labels, (LABEL_STABLE, LABEL_REACTIVE)))
-    if unknown.size:
-        raise InputError(f"{path}, line {unknown[0] + 2}: unknown label {labels[unknown[0]]!r}")
-    return Dataset(rho=rho, params=dict(zip(_PARAM_NAMES, params.T)), label=labels, split=splits)
+    text = {}
+    for name, allowed in (("split", SPLIT_NAMES), ("label", (LABEL_STABLE, LABEL_REACTIVE))):
+        text[name] = np.array(table.column(name))
+        unknown = np.flatnonzero(~np.isin(text[name], allowed))
+        if unknown.size:
+            raise InputError(f"{path}, line {unknown[0] + 2}: unknown {name} "
+                             f"{str(text[name][unknown[0]])!r}")
+    return Dataset(rho=rho, params=dict(zip(_PARAM_NAMES, params.T)), **text)

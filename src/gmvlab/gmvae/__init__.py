@@ -21,7 +21,7 @@ from .model import (
     responsibilities,
     sample,
 )
-from .train import batch_loss, cluster_assign, embed_dataset, train
+from .train import batch_loss, embed_dataset, train
 
 __all__ = [
     "FORMAT_TAG",
@@ -31,7 +31,6 @@ __all__ = [
     "GmmParams",
     "GmVae",
     "LatentEmbedding",
-    "cluster_assign",
     "decode",
     "em_step",
     "encode",

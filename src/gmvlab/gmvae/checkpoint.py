@@ -109,8 +109,9 @@ def save_checkpoint(model: GmVae, path, config: dict) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def load_checkpoint(path) -> tuple[GmVae, dict, str]:
-    """Read a checkpoint; returns (model, stored config, content digest)."""
+def load_checkpoint(path) -> tuple[GmVae, str]:
+    """Read a checkpoint; returns (model, content digest). The stored config is
+    provenance for the reader of the file and is not parsed."""
     with open(path, "rb") as fh:
         blob = fh.read()
     try:
@@ -124,4 +125,4 @@ def load_checkpoint(path) -> tuple[GmVae, dict, str]:
         model = _model_from_payload(payload)
     except InputError as e:
         raise InputError(f"checkpoint {path}: {e}") from None
-    return model, payload.get("config", {}), hashlib.sha256(blob).hexdigest()
+    return model, hashlib.sha256(blob).hexdigest()

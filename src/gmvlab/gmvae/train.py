@@ -248,8 +248,3 @@ def embed_dataset(model: GmVae, x: np.ndarray) -> tuple[LatentEmbedding, np.ndar
     """Deterministic posterior-mean embeddings (z = mu) plus their responsibilities."""
     emb = encode(model, x, 0.0)
     return emb, responsibilities(model.gmm, emb.mu)
-
-
-def cluster_assign(model: GmVae, x: np.ndarray) -> np.ndarray:
-    """Hard cluster labels: the argmax of `embed_dataset`'s responsibilities."""
-    return np.argmax(embed_dataset(model, x)[1], axis=1)

@@ -75,7 +75,7 @@ def write_table(path, columns: dict) -> None:
     n = len(cols[0]) if cols else 0
     if any(len(col) != n for col in cols):
         raise ValueError(f"write_table: column lengths differ: {[len(c) for c in cols]}")
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(_lines([map(_cell, columns)], len(cols)))
         for start in range(0, n, _ROWS_PER_CHUNK):
             stop = start + _ROWS_PER_CHUNK
@@ -107,7 +107,7 @@ class Table:
     def __init__(self, path, floats=(), blocks=(), text=()):
         self.path = path
         try:
-            with open(path, newline="") as fh:
+            with open(path, newline="", encoding="utf-8") as fh:
                 reader = csv.reader(fh)
                 self.header = next(reader, [])
                 _check_distinct(self.header, f"{path}: column")

@@ -24,7 +24,6 @@ from gmvlab.gmvae import (
     GmmParams,
     GmVae,
     batch_loss,
-    cluster_assign,
     em_step,
     embed_dataset,
     gmm_log_likelihood,
@@ -55,7 +54,7 @@ def dataset():
 @pytest.fixture(scope="module")
 def trained_runs(dataset):
     """Three seeded training runs on the shared dataset."""
-    x_train = dataset.matrix("train")
+    x_train = dataset.rho[dataset.split == "train"]
     runs = []
     for seed in SEEDS:
         rng = np.random.Generator(np.random.PCG64(seed))
@@ -68,11 +67,11 @@ def trained_runs(dataset):
 
 
 def test_bifurcation_clustering(dataset, trained_runs):
-    x_test = dataset.matrix("test")
-    y_test = dataset.labels("test")
+    test_rows = dataset.split == "test"
+    x_test, y_test = dataset.rho[test_rows], dataset.label[test_rows]
     accs = []
     for seed, model, _ in trained_runs:
-        acc, _ = permutation_accuracy(cluster_assign(model, x_test), y_test)
+        acc, _ = permutation_accuracy(embed_dataset(model, x_test)[1].argmax(axis=1), y_test)
         accs.append(acc)
     detail = f"epochs={EPOCHS}, test accuracies={[round(a, 4) for a in accs]}"
     if FULL:
@@ -244,7 +243,7 @@ def test_spectral_metric_properties():
 
 
 def test_pi_convergence(dataset, trained_runs):
-    y_train = dataset.labels("train")
+    y_train = dataset.label[dataset.split == "train"]
     freq = np.array([np.mean([v == datagen.LABEL_STABLE for v in y_train]),
                      np.mean([v == datagen.LABEL_REACTIVE for v in y_train])])
     worst = 0.0
@@ -257,7 +256,7 @@ def test_pi_convergence(dataset, trained_runs):
 
 def test_interpretability_ranking(dataset, trained_runs):
     test_rows = dataset.split == "test"
-    x_test = dataset.matrix("test")
+    x_test = dataset.rho[test_rows]
     alpha_q = dataset.params["alpha"][test_rows]
     margins = []
     ok = True
@@ -287,7 +286,7 @@ def test_affine_alignment(dataset, trained_runs):
 
     _, model, _ = trained_runs[0]
     test_rows = dataset.split == "test"
-    emb, _ = embed_dataset(model, dataset.matrix("test"))
+    emb, _ = embed_dataset(model, dataset.rho[test_rows])
     xi = np.column_stack([dataset.params["xi1"][test_rows], dataset.params["xi2"][test_rows]])
     rep = fit_affine(emb.mu, xi)
     z_aug = np.hstack([emb.mu, np.ones((len(xi), 1))])
@@ -318,12 +317,12 @@ def test_baselines():
 
 def test_data_generator(dataset):
     fine = datagen.generate(DatasetConfig(seed=DATA_SEED, n_samples=1280, substeps=100))
-    flips = sum(1 for a, b in zip(dataset.labels(), fine.labels()) if a != b)
+    flips = sum(1 for a, b in zip(dataset.label, fine.label) if a != b)
     stable_rate = 1.0 - flips / 1280
 
     oracle = datagen.generate(DatasetConfig(seed=777, n_samples=10000))
-    frac = np.mean([v == datagen.LABEL_REACTIVE for v in dataset.labels()])
-    frac_oracle = np.mean([v == datagen.LABEL_REACTIVE for v in oracle.labels()])
+    frac = np.mean([v == datagen.LABEL_REACTIVE for v in dataset.label])
+    frac_oracle = np.mean([v == datagen.LABEL_REACTIVE for v in oracle.label])
     ok = stable_rate >= 0.995 and abs(frac - frac_oracle) <= 0.03
     report("data-generator", ok,
            f"label stability under 10x refinement {stable_rate:.4f}; "
@@ -337,7 +336,7 @@ def test_data_generator(dataset):
                    strict=False)
 def test_generated_sample_every_draw_below_train_nn_p95(dataset, trained_runs):
     _, model, _ = trained_runs[0]
-    x_train = dataset.matrix("train")
+    x_train = dataset.rho[dataset.split == "train"]
     d_tt = euclidean_distances(x_train).d
     np.fill_diagonal(d_tt, np.inf)
     threshold = np.percentile(d_tt.min(axis=1), 95)
@@ -356,8 +355,9 @@ def test_generated_sample_plausibility(dataset, trained_runs):
     # each cluster's decodes must start near the shared initial coverage,
     # stay inside the physical range, and end in the matching equilibrium band
     _, model, _ = trained_runs[0]
-    x_test = dataset.matrix("test")
-    acc, mapping = permutation_accuracy(cluster_assign(model, x_test), dataset.labels("test"))
+    test_rows = dataset.split == "test"
+    acc, mapping = permutation_accuracy(
+        embed_dataset(model, dataset.rho[test_rows])[1].argmax(axis=1), dataset.label[test_rows])
     rng = np.random.Generator(np.random.PCG64(5))
     checks = []
     for c in range(2):

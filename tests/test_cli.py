@@ -19,7 +19,7 @@ from gmvlab import datagen
 from gmvlab.cli import _join_on_sample_id, _same_file, main
 from gmvlab.config import RunConfig
 from gmvlab.errors import InputError
-from gmvlab.gmvae import cluster_assign, load_checkpoint, permutation_accuracy
+from gmvlab.gmvae import embed_dataset, load_checkpoint, permutation_accuracy
 from gmvlab.tables import Table, read_embeddings_csv, write_embeddings_csv, write_table
 
 
@@ -96,10 +96,11 @@ def test_train_outputs_exist_and_parse(workdir):
 
 
 def test_train_accuracy_line_matches_the_reloaded_checkpoint(workdir):
-    model, _, _ = load_checkpoint(workdir["train"] / "checkpoint.json")
+    model, _ = load_checkpoint(workdir["train"] / "checkpoint.json")
     dataset = datagen.load_csv(workdir["data"])
-    acc, mapping = permutation_accuracy(cluster_assign(model, dataset.matrix("test")),
-                                        dataset.labels("test"))
+    test = dataset.split == "test"
+    acc, mapping = permutation_accuracy(embed_dataset(model, dataset.rho[test])[1].argmax(axis=1),
+                                        dataset.label[test])
     line = f"test clustering accuracy (best permutation): {acc:.4f} via {mapping}\n"
     assert line in workdir["train_stdout"]
 
@@ -143,10 +144,15 @@ def test_sample_conditional_and_empty(workdir, tmp_path):
     assert header[1] == "rho_0"
 
 
-def test_sample_bad_cluster_exit_code(workdir, tmp_path):
-    code = main(["sample", "--checkpoint", str(workdir["train"] / "checkpoint.json"),
-                 "--count", "3", "--cluster", "9", "--out", str(tmp_path / "x.csv")])
-    assert code == 1
+def test_sample_bad_cluster_exit_code(workdir, tmp_path, capsys):
+    # and a negative --count, which argparse's int type lets through
+    for flags, message in ((["--count", "3", "--cluster", "9"],
+                            "cluster index 9 out of range for K=2"),
+                           (["--count", "-1"], "count must be >= 0, got -1")):
+        code = main(["sample", "--checkpoint", str(workdir["train"] / "checkpoint.json"),
+                     *flags, "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.filterwarnings("ignore:kNN graph is disconnected")
@@ -762,6 +768,12 @@ def _malformed(text, mutation, column):
         return "", None
     if mutation == "header-only":
         return lines[0] + "\n", None
+    if mutation == "reordered-rows":
+        lines[1], lines[2] = lines[2], lines[1]
+        return "\n".join(lines) + "\n", 2
+    if mutation == "no-rho-columns":
+        keep = [k for k, name in enumerate(header) if not name.startswith("rho_")]
+        return "".join(",".join(line.split(",")[k] for k in keep) + "\n" for line in lines), None
     if mutation in ("bad-header", "repeated-header"):
         k, name = {"bad-header": (j, column[:-1] + "x"),
                    "repeated-header": (j + 1, column)}[mutation]
@@ -774,6 +786,8 @@ def _malformed(text, mutation, column):
         row.append("1")
     elif mutation == "bad-label":
         row[header.index("label")] = "sideways"
+    elif mutation == "bad-split":
+        row[header.index("split")] = "tets"
     else:
         k, value = {"non-numeric": (j, "abc"), "nan": (j, "nan"), "non-integer-id": (0, "2.5"),
                     "repeated-id": (0, lines[1].split(",")[0])}[mutation]
@@ -803,10 +817,18 @@ MALFORMED_TARGETS = {
 }
 MUTATIONS = ["non-numeric", "nan", "truncated-row", "extra-cell", "empty-file", "header-only",
              "non-integer-id", "repeated-id", "bad-header", "repeated-header"]
-# (target, mutation): every mutation on every target, plus a label outside the
-# two classes on the targets that read the dataset's labels
+# (target, mutation): every mutation on every target, plus, on the targets that
+# load a dataset, a label outside the two classes, a split name outside the three,
+# rows out of sample_id order (the other readers join on sample_id) and no
+# coverage columns
+DATASET_MUTATIONS = ["bad-label", "bad-split", "reordered-rows", "no-rho-columns"]
 MALFORMED_CASES = [(t, m) for t in MALFORMED_TARGETS for m in MUTATIONS] + [
-    (t, "bad-label") for t in ("dataset-via-baseline", "dataset-via-train")]
+    (t, m) for t in ("dataset-via-baseline", "dataset-via-train") for m in DATASET_MUTATIONS]
+# mutation -> what the error line must say besides the file and line
+MALFORMED_MESSAGES = {"bad-label": "unknown label 'sideways'",
+                      "bad-split": "unknown split 'tets'",
+                      "reordered-rows": "sample_id 1, expected 0",
+                      "no-rho-columns": "no rho_* columns found"}
 
 
 @pytest.mark.parametrize("target,mutation", MALFORMED_CASES,
@@ -826,6 +848,8 @@ def test_malformed_csv_gives_exit_1_naming_file_and_line(workdir, tmp_path, caps
         assert f"line {line}" in err, err
     if mutation == "repeated-header":
         assert f"column {column!r} appears twice" in err, err
+    if mutation in MALFORMED_MESSAGES:
+        assert MALFORMED_MESSAGES[mutation] in err, err
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")

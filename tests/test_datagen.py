@@ -99,7 +99,7 @@ def test_generate_is_deterministic():
     a = generate(DatasetConfig(seed=123, n_samples=32))
     b = generate(DatasetConfig(seed=123, n_samples=32))
     assert np.array_equal(a.rho, b.rho)
-    assert np.array_equal(a.labels(), b.labels())
+    assert np.array_equal(a.label, b.label)
     assert np.array_equal(a.split, b.split)
     c = generate(DatasetConfig(seed=124, n_samples=32))
     assert not np.array_equal(a.rho[0], c.rho[0])
@@ -112,7 +112,7 @@ def test_smaller_dataset_is_the_first_rows_of_a_larger_one():
     assert small.rho.tobytes() == large.rho[:200].tobytes()
     for name, values in small.params.items():
         assert values.tobytes() == large.params[name][:200].tobytes(), name
-    assert np.array_equal(small.labels(), large.labels()[:200])
+    assert np.array_equal(small.label, large.label[:200])
 
 
 def test_split_sizes_follow_80_10_10():
@@ -141,17 +141,6 @@ def test_split_rows_follow_the_sorted_permutation_rule(n):
     for name, a, b in zip(datagen.SPLIT_NAMES, bounds[:-1], bounds[1:]):
         rows = np.sort(perm[a:b])
         assert np.array_equal(np.flatnonzero(ds.split == name), rows), name
-        assert np.array_equal(ds.matrix(name), ds.rho[rows]), name
-        assert np.array_equal(ds.labels(name), ds.label[rows]), name
-
-
-def test_unknown_split_name_raises():
-    ds = generate(DatasetConfig(seed=5, n_samples=20))
-    for bad in ("tets", "", "TEST"):
-        with pytest.raises(KeyError, match="unknown split"):
-            ds.matrix(bad)
-        with pytest.raises(KeyError, match="unknown split"):
-            ds.labels(bad)
 
 
 def test_generate_rejects_tiny_n():
@@ -161,14 +150,14 @@ def test_generate_rejects_tiny_n():
 
 def test_generated_coverage_stays_physical():
     ds = generate(DatasetConfig(seed=11, n_samples=128))
-    rho = ds.matrix()
+    rho = ds.rho
     assert rho.min() >= 0.0
     assert rho.max() <= 1.0 + 1e-9
 
 
 def test_generate_produces_both_labels():
     ds = generate(DatasetConfig(seed=2, n_samples=200))
-    labels = set(ds.labels())
+    labels = set(ds.label)
     assert labels == {LABEL_STABLE, LABEL_REACTIVE}
 
 
@@ -177,7 +166,7 @@ def test_labels_stable_under_grid_refinement_small():
     ds = generate(DatasetConfig(seed=7, n_samples=n, substeps=10))
     # same draws, 10x finer integration grid
     fine = generate(DatasetConfig(seed=7, n_samples=n, substeps=100))
-    flips = sum(1 for a, b in zip(ds.labels(), fine.labels()) if a != b)
+    flips = sum(1 for a, b in zip(ds.label, fine.label) if a != b)
     assert flips / n <= 0.005
 
 
@@ -191,10 +180,8 @@ def test_csv_roundtrip(tmp_path):
     assert list(back.params) == ["xi1", "xi2", "alpha", "gamma"]
     for name in ds.params:
         assert np.array_equal(ds.params[name], back.params[name])
-    assert np.array_equal(ds.labels(), back.labels())
+    assert np.array_equal(ds.label, back.label)
     assert np.array_equal(ds.split, back.split)
-    for name in datagen.SPLIT_NAMES:
-        assert np.array_equal(ds.matrix(name), back.matrix(name))
 
 
 def test_csv_bytes_identical_for_same_seed(tmp_path):

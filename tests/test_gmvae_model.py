@@ -15,10 +15,8 @@ from gmvlab.gmvae import (
     GmmParams,
     GmVae,
     batch_loss,
-    cluster_assign,
     decode,
     em_step,
-    embed_dataset,
     encode,
     gmm_log_likelihood,
     permutation_accuracy,
@@ -276,6 +274,13 @@ def test_non_finite_mixture_fails_validation(name):
         em_step(gmm, embedding_of(np.zeros((3, 2))))
 
 
+def test_em_step_rejects_an_empty_embedding():
+    gmm = GmmParams(pi=np.array([0.5, 0.5]), means=np.array([[0.0, 0.0], [5.0, 5.0]]),
+                    variances=np.ones((2, 2)))
+    with pytest.raises(InputError, match="em_step needs at least one sample"):
+        em_step(gmm, embedding_of(np.zeros((0, 2))))
+
+
 def test_em_step_rejects_a_non_finite_result():
     gmm = GmmParams(pi=np.array([0.5, 0.5]), means=np.array([[0.0, 0.0], [5.0, 5.0]]),
                     variances=np.ones((2, 2)))
@@ -367,7 +372,7 @@ def test_sample_rejects_bad_cluster():
         sample(model, 3, np.random.default_rng(0), cluster=2)
 
 
-# -------------------------------------------------------- cluster_assign
+# -------------------------------------------------------- permutation_accuracy
 
 def test_permutation_accuracy_one_hot_match():
     pred = np.array([0, 0, 1, 1])
@@ -445,18 +450,3 @@ def test_permutation_accuracy_rejects_empty_input():
 def test_permutation_accuracy_rejects_different_lengths(pred, true):
     with pytest.raises(InputError, match=f"{len(pred)} predictions for {len(true)} labels"):
         permutation_accuracy(np.array(pred), np.array(true))
-
-
-def test_cluster_assign_uses_posterior_mean():
-    model = make_model()
-    model.gmm = GmmParams(pi=np.array([0.5, 0.5]),
-                          means=np.array([[-5.0, 0.0], [5.0, 0.0]]),
-                          variances=np.ones((2, 2)))
-    x = np.random.default_rng(4).standard_normal((6, 6))
-    emb = encode(model, x, 0.0)
-    got = cluster_assign(model, x)
-    expected = np.argmax(responsibilities(model.gmm, emb.mu), axis=1)
-    assert np.array_equal(got, expected)
-    mean_emb, gamma = embed_dataset(model, x)
-    assert np.array_equal(mean_emb.mu, emb.mu) and np.array_equal(mean_emb.z, emb.mu)
-    assert np.array_equal(got, np.argmax(gamma, axis=1))

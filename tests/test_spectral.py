@@ -96,6 +96,15 @@ def test_k_out_of_range_rejected():
         build_knn(points, 0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_points_rejected(bad):
+    # an input error (exit 1), not the distance overflow's numerical failure (exit 2)
+    points = np.random.default_rng(0).standard_normal((5, 2))
+    points[2, 1] = bad
+    with pytest.raises(InputError, match="build_knn: points must be finite"):
+        build_knn(points, 2)
+
+
 # -------------------------------------------------------------- laplacian
 
 def test_path_graph_laplacian_explicit():

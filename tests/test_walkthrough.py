@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "walkthrough.py"
@@ -44,6 +45,14 @@ def test_manifest_covers_every_subcommand(runs):
             "spectrum.csv", "mds.csv", "align/transformed.csv"} <= set(manifest["files"])
 
 
+def test_manifest_records_the_environment_the_commands_ran_in(runs):
+    env = json.loads((runs[0] / "manifest.json").read_text())["environment"]
+    assert env["numpy"] == np.__version__
+    assert env["python"] == "{}.{}.{}".format(*sys.version_info[:3])
+    assert env["blas_threads"] == 1
+    assert env["blas"]
+
+
 def test_compare_names_what_differs(runs, tmp_path):
     manifest = json.loads((runs[0] / "manifest.json").read_text())
     manifest["files"]["mds.csv"] = "0" * 64
@@ -54,3 +63,13 @@ def test_compare_names_what_differs(runs, tmp_path):
     assert proc.returncode == 1
     assert "changed: mds.csv" in proc.stdout
     assert "stdout of gmvlab train" in proc.stdout and "  +extra line" in proc.stdout
+
+
+def test_compare_ignores_the_environment(runs, tmp_path):
+    # a manifest written before the environment was recorded compares on files and commands
+    manifest = json.loads((runs[0] / "manifest.json").read_text())
+    del manifest["environment"]
+    edited = tmp_path / "no_environment.json"
+    edited.write_text(json.dumps(manifest))
+    proc = _script("--compare", edited, runs[1])
+    assert (proc.returncode, proc.stdout) == (0, "manifests are identical\n")
