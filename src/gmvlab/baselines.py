@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InputError
 from .ndmath import sign_columns, symmetric_eig
-from .spectral import build_knn, component_labels, squared_distances
+from .spectral import build_knn, component_sizes, squared_distances
 
 
 @dataclass
@@ -135,7 +135,7 @@ def geodesic_distances(points: np.ndarray, k: int) -> DistanceMatrix:
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     n = points.shape[0]
     adjacency = build_knn(points, k)
-    sizes = sorted(np.bincount(component_labels(adjacency)).tolist(), reverse=True)
+    sizes = component_sizes(adjacency)
     if len(sizes) > 1:
         raise InputError(f"isomap: kNN graph is disconnected (component sizes {sizes}); "
                          "increase k")

@@ -111,10 +111,10 @@ def cmd_generate(args) -> int:
 
 def _write_embeddings(model, dataset, out_path) -> np.ndarray:
     """Write the posterior-mean embeddings of every row; returns their hard labels."""
-    emb, gamma = embed_dataset(model, dataset.rho)
+    mu, var, gamma = embed_dataset(model, dataset.rho)
     hard = np.argmax(gamma, axis=1)
-    tables.write_embeddings_csv(out_path, range(len(dataset)), dataset.split, emb.mu,
-                                var=emb.var, gamma=gamma, hard_labels=hard,
+    tables.write_embeddings_csv(out_path, range(len(dataset)), dataset.split, mu,
+                                var=var, gamma=gamma, hard_labels=hard,
                                 true_labels=dataset.label)
     return hard
 

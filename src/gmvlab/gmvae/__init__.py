@@ -1,5 +1,7 @@
-"""The mixture-prior VAE: model types and objective terms (`model`), the
-EM-alternating training loop (`train`) and checkpoints (`checkpoint`).
+"""The mixture-prior VAE: model types, the posterior (`encode`) and EM's E-step
+(`responsibilities`) and M-step (`em_step`) on plain arrays (`model`); the
+objective terms and the EM-alternating training loop (`train`); checkpoints
+(`checkpoint`).
 
 The package re-exports the function `train`, which hides the submodule of the
 same name: `import gmvlab.gmvae.train as t` binds the function, not the module.
@@ -12,7 +14,6 @@ from .model import (
     ElboTerms,
     GmmParams,
     GmVae,
-    LatentEmbedding,
     decode,
     em_step,
     encode,
@@ -30,7 +31,6 @@ __all__ = [
     "ElboTerms",
     "GmmParams",
     "GmVae",
-    "LatentEmbedding",
     "decode",
     "em_step",
     "encode",

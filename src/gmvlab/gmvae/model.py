@@ -1,8 +1,12 @@
-"""Mixture-prior VAE: model types, responsibilities, EM update, sampling.
+"""Mixture-prior VAE: model types, the E-step and M-step of EM, sampling.
 
 The generative model is c ~ Cat(pi), z | c ~ N(mean_c, diag var_c),
-x | z ~ N(decoder(z), decoder_var * I). The encoder emits [mu, log var]
-and sampling uses the reparameterization z = mu + sqrt(var) * eps.
+x | z ~ N(decoder(z), decoder_var * I). The encoder emits [mu, log var], the
+posterior (mu, var) that `encode` returns; training samples it with the
+reparameterization z = mu + sqrt(var) * eps (`train.batch_loss`).
+
+EM on the mixture is `responsibilities` (the E-step: gamma at latent points)
+then `em_step` (the M-step: moment updates from gamma and the posterior).
 
 The per-sample objective has four ELBO terms (reconstruction log-density,
 responsibility-weighted cluster term, posterior entropy, categorical term)
@@ -73,15 +77,6 @@ class GmmParams:
 
 
 @dataclass
-class LatentEmbedding:
-    """Batch of posterior Gaussians and their samples (all (n, d))."""
-
-    mu: np.ndarray
-    var: np.ndarray
-    z: np.ndarray
-
-
-@dataclass
 class ElboTerms:
     """Batch-summed objective pieces.
 
@@ -131,24 +126,18 @@ class GmVae:
         return self.encoder.layer_dims[0]
 
 
-def _posterior(model: GmVae, out: np.ndarray, eps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(mu, var, sqrt(var) * eps) from the encoder output [mu, log var]; mu is a view."""
+def _posterior(model: GmVae, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(mu, var) from the encoder output [mu, log var]; mu is a view."""
     d = model.latent_dim
-    var = np.exp(out[:, d:])
-    return out[:, :d], var, np.sqrt(var) * eps
+    return out[:, :d], np.exp(out[:, d:])
 
 
-def encode(model: GmVae, x: np.ndarray, eps: np.ndarray | float) -> LatentEmbedding:
-    """Posterior parameters and the reparameterized sample z = mu + sqrt(var) * eps.
-
-    `eps` broadcasts against (n, latent_dim): the caller's standard-normal
-    draw, or 0.0 for z = mu.
-    """
+def encode(model: GmVae, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The posterior (mu, var) of a batch, each (n, latent_dim)."""
     out = model.encoder.infer(np.atleast_2d(np.asarray(x, dtype=np.float64)))
     if not np.all(np.isfinite(out)):
         raise NumericalError("encoder produced non-finite output")
-    mu, var, std_eps = _posterior(model, out, np.asarray(eps, dtype=np.float64))
-    return LatentEmbedding(mu=mu, var=var, z=mu + std_eps)
+    return _posterior(model, out)
 
 
 def decode(model: GmVae, z: np.ndarray) -> np.ndarray:
@@ -170,7 +159,7 @@ def _log_joint(gmm: GmmParams, z) -> tuple[np.ndarray, np.ndarray]:
 
 
 def responsibilities(gmm: GmmParams, z: np.ndarray) -> np.ndarray:
-    """Posterior cluster probabilities (n, K) of latent points, computed in log space."""
+    """The E-step: cluster probabilities (n, K) of latent points, in log space."""
     log_joint, log_norm = _log_joint(gmm, z)
     return np.exp(log_joint - log_norm)
 
@@ -180,27 +169,19 @@ def gmm_log_likelihood(gmm: GmmParams, z: np.ndarray) -> float:
     return float(np.sum(_log_joint(gmm, z)[1]))
 
 
-def em_step(gmm: GmmParams, emb: LatentEmbedding,
-            variance_floor: float = TrainConfig.variance_floor,
-            gamma: np.ndarray | None = None) -> GmmParams:
-    """One EM pass: responsibilities at the sampled z, then moment updates.
+def em_step(gmm: GmmParams, gamma: np.ndarray, mu: np.ndarray, var: np.ndarray,
+            variance_floor: float = TrainConfig.variance_floor) -> GmmParams:
+    """The M-step: the mixture that the responsibilities `gamma` (n, K) and the
+    posterior `mu`, `var` (n, d) give.
 
     Cluster means average the posterior means; variances add the posterior
     variances to the spread around the new mean, clamped at the floor.
     A cluster whose responsibility mass underflows keeps its parameters.
-    `gamma`, if given, must be `responsibilities(gmm, emb.z)`, which a
-    caller that already has them passes instead of recomputing them.
     """
-    n = emb.mu.shape[0]
+    n = mu.shape[0]
     if n < 1:
         raise InputError("em_step needs at least one sample")
     gmm.validate()
-    if gamma is None:
-        gamma = responsibilities(gmm, emb.z)  # (n, K)
-    elif gamma.shape != (n, gmm.n_clusters):
-        raise InputError(f"gamma shape {gamma.shape}, expected {(n, gmm.n_clusters)}")
-    elif np.max(np.abs(gamma.sum(axis=1) - 1.0)) > 1e-9:
-        raise InputError("gamma rows must sum to 1")
     mass = gamma.sum(axis=0)  # (K,)
     means, variances = gmm.means.copy(), gmm.variances.copy()
     for c in range(gmm.n_clusters):
@@ -208,8 +189,8 @@ def em_step(gmm: GmmParams, emb: LatentEmbedding,
             warnings.warn(f"cluster {c} received ~zero responsibility mass; keeping its parameters")
             continue
         w = gamma[:, c : c + 1]
-        mean_c = (w * emb.mu).sum(axis=0) / mass[c]
-        var_c = (w * ((emb.mu - mean_c) ** 2 + emb.var)).sum(axis=0) / mass[c]
+        mean_c = (w * mu).sum(axis=0) / mass[c]
+        var_c = (w * ((mu - mean_c) ** 2 + var)).sum(axis=0) / mass[c]
         means[c] = mean_c
         variances[c] = np.maximum(var_c, variance_floor)
     pi = mass / n  # divided by its sum below to guard the simplex against roundoff

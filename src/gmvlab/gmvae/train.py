@@ -10,13 +10,17 @@ posterior log-variance (through the reparameterization z = mu + sqrt(var)
 parameters live in one flat vector that Adam updates in place; the
 gradient is written into one preallocated vector of the same layout.
 
-`batch_loss` is the only forward pass: each batch runs it for its gradient,
-and the re-embed pass that feeds EM runs it once per epoch on the whole
-training set. Only that pass evaluates the objective (`batch_terms`): the
-network after the epoch's Adam pass, the re-embed noise, responsibilities
-under the mixture before the epoch's EM pass (the first EM update reuses
-them) and the encoder's raw log-variance output. The history that `train`
-returns, and so the history CSV, holds it as per-sample means.
+`batch_loss` is the only forward pass, and the one place the sample
+z = mu + sqrt(var) * eps is formed: each batch runs it for its gradient, and
+the re-embed pass that feeds EM runs it once per epoch on the whole training
+set. Only that pass evaluates the objective (`batch_terms`): the network after
+the epoch's Adam pass, the re-embed noise, responsibilities under the mixture
+before the epoch's EM pass and the encoder's raw log-variance output. The
+history that `train` returns, and so the history CSV, holds it as per-sample
+means.
+
+Each EM update is an E-step (`responsibilities` at the re-embed z; the first
+update reuses the pass's own) then an M-step (`em_step`).
 """
 
 from __future__ import annotations
@@ -31,9 +35,7 @@ from ..ndmath import AdamState, adam_step
 from .model import (
     LOG_2PI,
     ElboTerms,
-    GmmParams,
     GmVae,
-    LatentEmbedding,
     _posterior,
     em_step,
     encode,
@@ -51,7 +53,6 @@ class BatchCache:
     std_eps: np.ndarray   # (n, d) sigma * eps, so z = mu + std_eps
     enc_acts: list        # encoder activations; the last is [mu, log var]
     dec_acts: list        # decoder activations; the last is x_hat
-    gmm: GmmParams        # the mixture the batch was evaluated under
 
 
 def batch_loss(model: GmVae, x: np.ndarray, eps: np.ndarray,
@@ -62,18 +63,19 @@ def batch_loss(model: GmVae, x: np.ndarray, eps: np.ndarray,
     under `model.gmm`, with responsibilities at z held fixed (no gradient
     flows through them). `out`, if given, is the (encoder, decoder) pair of
     activation lists `Mlp.forward` writes into.
-    The objective is `batch_terms(model, cache)`, its gradient `backward`.
+    The objective is `batch_terms(model, cache)`, its gradient `backward`;
+    both read `model.gmm`, so they follow this pass before the mixture changes.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     enc_out, dec_out = out or (None, None)
     enc_acts = model.encoder.forward(x, enc_out)
-    mu, var, std_eps = _posterior(model, enc_acts[-1], eps)
+    mu, var = _posterior(model, enc_acts[-1])
+    std_eps = np.sqrt(var) * eps
     z = mu + std_eps
     if not np.isfinite(z).all():
         raise NumericalError("encoder produced non-finite latent state")
     return BatchCache(x=x, gamma=responsibilities(model.gmm, z), var=var, std_eps=std_eps,
-                      enc_acts=enc_acts, dec_acts=model.decoder.forward(z, dec_out),
-                      gmm=model.gmm)
+                      enc_acts=enc_acts, dec_acts=model.decoder.forward(z, dec_out))
 
 
 def batch_terms(model: GmVae, cache: BatchCache) -> ElboTerms:
@@ -83,7 +85,7 @@ def batch_terms(model: GmVae, cache: BatchCache) -> ElboTerms:
     d = model.latent_dim
     mu, var, logvar, gamma = out[:, :d], cache.var, out[:, d:], cache.gamma
     n, data_dim = cache.x.shape
-    gmm = cache.gmm
+    gmm = model.gmm
     err = cache.x - cache.dec_acts[-1]
     err *= err
     sq_err = err.sum()
@@ -136,7 +138,7 @@ def backward(model: GmVae, cache: BatchCache, out: FlatGradient) -> np.ndarray:
     """Gradient of the batch objective, responsibilities held fixed, written into
     and returned as `out.flat` (`pack_params` order)."""
     (enc_dws, enc_dbs), (dec_dws, dec_dbs) = out.nets
-    gmm = cache.gmm
+    gmm = model.gmm
     beta = model.beta
     d = model.latent_dim
     mu = cache.enc_acts[-1][:, :d]
@@ -227,11 +229,11 @@ def train(model: GmVae, x_train: np.ndarray, cfg: TrainConfig,
         terms = batch_terms(model, cache)
         if not np.isfinite(terms.total_loss):
             raise NumericalError(f"non-finite objective at epoch {epoch} ({_last_good(epoch)})")
-        emb = LatentEmbedding(mu=cache.enc_acts[-1][:, :model.latent_dim], var=cache.var,
-                              z=cache.dec_acts[0])
+        mu, z = cache.enc_acts[-1][:, :model.latent_dim], cache.dec_acts[0]
         for i in range(cfg.n_em):
-            model.gmm = em_step(model.gmm, emb, variance_floor=cfg.variance_floor,
-                                gamma=None if i else cache.gamma)
+            gamma = cache.gamma if i == 0 else responsibilities(model.gmm, z)
+            model.gmm = em_step(model.gmm, gamma, mu, cache.var,
+                                variance_floor=cfg.variance_floor)
 
         epoch_terms = ElboTerms(*(v / n for v in astuple(terms)))
         for name in ElboTerms.COLUMNS:
@@ -244,7 +246,8 @@ def train(model: GmVae, x_train: np.ndarray, cfg: TrainConfig,
     return history
 
 
-def embed_dataset(model: GmVae, x: np.ndarray) -> tuple[LatentEmbedding, np.ndarray]:
-    """Deterministic posterior-mean embeddings (z = mu) plus their responsibilities."""
-    emb = encode(model, x, 0.0)
-    return emb, responsibilities(model.gmm, emb.mu)
+def embed_dataset(model: GmVae, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The posterior (mu, var) of each row and the responsibilities at mu, the
+    deterministic embedding."""
+    mu, var = encode(model, x)
+    return mu, var, responsibilities(model.gmm, mu)

@@ -85,7 +85,7 @@ def laplacian(adjacency: np.ndarray) -> np.ndarray:
 
 def component_labels(adjacency: np.ndarray) -> np.ndarray:
     """Connected-component label of every node, numbered 0, 1, ... in the
-    order of each component's lowest node (`np.bincount` gives the sizes)."""
+    order of each component's lowest node (`component_sizes` counts them)."""
     labels = np.full(adjacency.shape[0], -1)
     while (unlabelled := np.flatnonzero(labels < 0)).size:
         reached = frontier = np.arange(labels.size) == unlabelled[0]
@@ -94,6 +94,11 @@ def component_labels(adjacency: np.ndarray) -> np.ndarray:
             reached = reached | frontier
         labels[reached] = labels.max() + 1
     return labels
+
+
+def component_sizes(adjacency: np.ndarray) -> list[int]:
+    """Sizes of the graph's connected components, largest first."""
+    return sorted(np.bincount(component_labels(adjacency)).tolist(), reverse=True)
 
 
 def spectrum(lap: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -146,7 +151,7 @@ def interpretability_report(points: np.ndarray, quantities: dict,
         if np.asarray(q).ravel().shape[0] != n:
             raise InputError(f"quantity {name!r} has length {np.asarray(q).size}, expected {n}")
     adjacency = build_knn(points, cfg.k)
-    sizes = sorted(np.bincount(component_labels(adjacency)).tolist(), reverse=True)
+    sizes = component_sizes(adjacency)
     if len(sizes) > 1:
         warnings.warn(f"kNN graph is disconnected (component sizes {sizes}); "
                       "eta may be inflated for component-aligned signals")

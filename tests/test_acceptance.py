@@ -28,10 +28,10 @@ from gmvlab.gmvae import (
     embed_dataset,
     gmm_log_likelihood,
     permutation_accuracy,
+    responsibilities,
     sample,
     train,
 )
-from gmvlab.gmvae.model import LatentEmbedding
 from gmvlab.gmvae.train import FlatGradient, backward, batch_terms, pack_params
 from gmvlab.spectral import build_knn, eta, interpretability_report, laplacian, project, spectrum
 
@@ -71,7 +71,7 @@ def test_bifurcation_clustering(dataset, trained_runs):
     x_test, y_test = dataset.rho[test_rows], dataset.label[test_rows]
     accs = []
     for seed, model, _ in trained_runs:
-        acc, _ = permutation_accuracy(embed_dataset(model, x_test)[1].argmax(axis=1), y_test)
+        acc, _ = permutation_accuracy(embed_dataset(model, x_test)[2].argmax(axis=1), y_test)
         accs.append(acc)
     detail = f"epochs={EPOCHS}, test accuracies={[round(a, 4) for a in accs]}"
     if FULL:
@@ -93,9 +93,9 @@ def test_elbo_oracle_equivalence():
         rng = np.random.default_rng(seed)
         model = GmVae.init(6, ModelConfig(2, k, (5, 4), 10 ** rng.uniform(-5, 0), 0.1), rng)
         x = rng.standard_normal((3, 6))
-        cache, emb = forward(model, x, rng.standard_normal((3, 2)))
+        cache, mu, var, z = forward(model, x, rng.standard_normal((3, 2)))
         terms = batch_terms(model, cache)
-        ref = scalar_elbo_reference(model, x, emb, cache.gamma)
+        ref = scalar_elbo_reference(model, x, mu, var, z, cache.gamma)
         scale = max(1.0, abs(terms.total_loss))
         for got, want in zip([terms.recon, terms.cluster_kl, terms.posterior_entropy,
                               terms.categorical_term, terms.reg], ref):
@@ -165,14 +165,13 @@ def test_em_monotonicity():
                         rng.normal(centers[1], 0.4, size=(n - n // 2, 2))])
         var = rng.uniform(1e-4, 1e-2, size=mu.shape)
         z = mu + np.sqrt(var) * rng.standard_normal(mu.shape)
-        emb = LatentEmbedding(mu=mu, var=var, z=z)
         pi = rng.dirichlet(np.ones(2))
         gmm = GmmParams(pi=pi, means=rng.uniform(-1, 1, size=(2, 2)),
                         variances=np.ones((2, 2)))
         ll = scalar_gmm_loglik(gmm, mu)
         agree = max(agree, abs(ll - gmm_log_likelihood(gmm, mu)) / max(1.0, abs(ll)))
         for _ in range(10):
-            gmm = em_step(gmm, emb)
+            gmm = em_step(gmm, responsibilities(gmm, z), mu, var)
             nxt = scalar_gmm_loglik(gmm, mu)
             worst = min(worst, nxt - ll)
             ll = nxt
@@ -191,9 +190,9 @@ def test_k1_reduces_to_standard_vae():
         model.gmm = GmmParams(pi=np.array([1.0]), means=np.zeros((1, 2)),
                               variances=np.ones((1, 2)))
         x = rng.standard_normal((4, 6))
-        cache, emb = forward(model, x, rng.standard_normal((4, 2)))
+        cache, mu, var, _ = forward(model, x, rng.standard_normal((4, 2)))
         terms = batch_terms(model, dataclasses.replace(cache, gamma=np.ones((4, 1))))
-        kl = 0.5 * np.sum(emb.mu**2 + emb.var - 1.0 - np.log(emb.var))
+        kl = 0.5 * np.sum(mu**2 + var - 1.0 - np.log(var))
         standard_vae_elbo = terms.recon - kl
         worst = max(worst, abs(terms.elbo - standard_vae_elbo))
     report("k1-standard-vae-degeneration", worst < 1e-10,
@@ -261,12 +260,12 @@ def test_interpretability_ranking(dataset, trained_runs):
     margins = []
     ok = True
     for seed, model, _ in trained_runs:
-        emb, _ = embed_dataset(model, x_test)
-        rand = np.random.Generator(np.random.PCG64(9000 + seed)).standard_normal(emb.mu.shape)
+        mu, _, _ = embed_dataset(model, x_test)
+        rand = np.random.Generator(np.random.PCG64(9000 + seed)).standard_normal(mu.shape)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             cfg = MetricConfig(k=10, r_percent=20.0)
-            e_model = interpretability_report(emb.mu, {"alpha": alpha_q}, cfg).eta["alpha"]
+            e_model = interpretability_report(mu, {"alpha": alpha_q}, cfg).eta["alpha"]
             e_rand = interpretability_report(rand, {"alpha": alpha_q}, cfg).eta["alpha"]
         margins.append(e_model - e_rand)
         ok &= e_model > e_rand
@@ -286,11 +285,11 @@ def test_affine_alignment(dataset, trained_runs):
 
     _, model, _ = trained_runs[0]
     test_rows = dataset.split == "test"
-    emb, _ = embed_dataset(model, dataset.rho[test_rows])
+    mu, _, _ = embed_dataset(model, dataset.rho[test_rows])
     xi = np.column_stack([dataset.params["xi1"][test_rows], dataset.params["xi2"][test_rows]])
-    rep = fit_affine(emb.mu, xi)
-    z_aug = np.hstack([emb.mu, np.ones((len(xi), 1))])
-    ortho = np.abs(z_aug.T @ (xi - apply_map(rep.map, emb.mu))).max()
+    rep = fit_affine(mu, xi)
+    z_aug = np.hstack([mu, np.ones((len(xi), 1))])
+    ortho = np.abs(z_aug.T @ (xi - apply_map(rep.map, mu))).max()
     ok = worst_rec < 1e-8 and ortho < 1e-8
     report("affine-alignment", ok,
            f"construct-recover error {worst_rec:.2e}; normal-equation residual {ortho:.2e} "
@@ -357,7 +356,7 @@ def test_generated_sample_plausibility(dataset, trained_runs):
     _, model, _ = trained_runs[0]
     test_rows = dataset.split == "test"
     acc, mapping = permutation_accuracy(
-        embed_dataset(model, dataset.rho[test_rows])[1].argmax(axis=1), dataset.label[test_rows])
+        embed_dataset(model, dataset.rho[test_rows])[2].argmax(axis=1), dataset.label[test_rows])
     rng = np.random.Generator(np.random.PCG64(5))
     checks = []
     for c in range(2):

@@ -99,7 +99,7 @@ def test_train_accuracy_line_matches_the_reloaded_checkpoint(workdir):
     model, _ = load_checkpoint(workdir["train"] / "checkpoint.json")
     dataset = datagen.load_csv(workdir["data"])
     test = dataset.split == "test"
-    acc, mapping = permutation_accuracy(embed_dataset(model, dataset.rho[test])[1].argmax(axis=1),
+    acc, mapping = permutation_accuracy(embed_dataset(model, dataset.rho[test])[2].argmax(axis=1),
                                         dataset.label[test])
     line = f"test clustering accuracy (best permutation): {acc:.4f} via {mapping}\n"
     assert line in workdir["train_stdout"]

@@ -1,6 +1,9 @@
 """The package's only runtime dependency is numpy: every absolute import under
 `src/gmvlab` names a standard-library module or numpy. scipy may be installed
-next to it, and the benchmark harness sits beside it, but neither is declared."""
+next to it, and the benchmark harness sits beside it, but neither is declared.
+
+No import under `src/gmvlab` is dead: each name a module imports is used there
+or listed in its `__all__`."""
 
 import ast
 import sys
@@ -23,6 +26,25 @@ def absolute_imports(path: Path):
             yield node.lineno, name.partition(".")[0]
 
 
+def unused_imports(path: Path):
+    """(line, bound name) of each import in the file whose name the module
+    neither reads nor lists in `__all__`; `__future__` imports bind nothing."""
+    tree = ast.parse(path.read_text(), str(path))
+    imported, used, exported = {}, set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) \
+                != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and [getattr(t, "id", None)
+                                               for t in node.targets] == ["__all__"]:
+            exported = set(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in used | exported)
+
+
 def test_package_imports_only_the_standard_library_and_numpy():
     files = sorted(PACKAGE.rglob("*.py"))
     assert len(files) > 10
@@ -37,3 +59,17 @@ def test_a_third_party_import_is_caught(tmp_path):
     path.write_text("import numpy as np\nfrom scipy import sparse\nfrom . import tables\n"
                     "import perfbench.tracing\n")
     assert [m for _, m in absolute_imports(path) if m not in ALLOWED] == ["scipy", "perfbench"]
+
+
+def test_package_has_no_unused_imports():
+    dead = [f"{path.relative_to(PACKAGE)}:{line}: {name}"
+            for path in sorted(PACKAGE.rglob("*.py")) for line, name in unused_imports(path)]
+    assert dead == []
+
+
+def test_an_unused_import_is_caught(tmp_path):
+    path = tmp_path / "probe.py"
+    path.write_text("from __future__ import annotations\nimport os.path\nimport numpy as np\n"
+                    "from .model import GmmParams, GmVae, em_step\n__all__ = [\"em_step\"]\n"
+                    "\ndef f(x) -> GmVae:\n    return np.sum(x)\n")
+    assert unused_imports(path) == [(2, "os"), (4, "GmmParams")]

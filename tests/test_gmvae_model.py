@@ -23,7 +23,6 @@ from gmvlab.gmvae import (
     responsibilities,
     sample,
 )
-from gmvlab.gmvae.model import LatentEmbedding
 from gmvlab.gmvae.train import batch_terms
 
 
@@ -34,11 +33,10 @@ def make_model(seed=0, data_dim=6, latent_dim=2, k=2, hidden=(5, 4),
 
 
 def forward(model, x, eps):
-    """`batch_loss`'s cache of x under the model's mixture, and its posterior
-    and sample z as a LatentEmbedding."""
+    """`batch_loss`'s cache of x under the model's mixture, then its posterior
+    mu and var and its sample z."""
     cache = batch_loss(model, x, eps)
-    mu = cache.enc_acts[-1][:, :model.latent_dim]
-    return cache, LatentEmbedding(mu=mu, var=cache.var, z=cache.dec_acts[0])
+    return cache, cache.enc_acts[-1][:, :model.latent_dim], cache.var, cache.dec_acts[0]
 
 
 @pytest.mark.parametrize("key, value", [("decoder_var", math.inf), ("beta", math.inf),
@@ -53,30 +51,31 @@ def test_init_applies_the_model_section_rules(key, value):
 
 # ---------------------------------------------------------------- encode
 
-def test_encode_with_zero_eps_returns_posterior_mean():
+def test_encode_returns_the_posterior_mean_and_variance():
+    # the encoder's output is [mu, log var]
     model = make_model()
     x = np.random.default_rng(1).standard_normal((4, 6))
-    emb = encode(model, x, 0.0)
-    assert np.array_equal(emb.z, emb.mu)
+    mu, var = encode(model, x)
+    out = model.encoder.infer(x)
+    assert mu.tobytes() == out[:, :2].tobytes()
+    assert var.tobytes() == np.exp(out[:, 2:]).tobytes()
 
 
 def test_zero_weight_encoder_gives_standard_posterior():
     model = make_model()
     model.encoder.weights = [np.zeros_like(w) for w in model.encoder.weights]
     model.encoder.biases = [np.zeros_like(b) for b in model.encoder.biases]
-    emb = encode(model, np.ones((3, 6)), 0.0)
-    assert np.array_equal(emb.mu, np.zeros((3, 2)))
-    assert np.array_equal(emb.var, np.ones((3, 2)))
+    mu, var = encode(model, np.ones((3, 6)))
+    assert np.array_equal(mu, np.zeros((3, 2)))
+    assert np.array_equal(var, np.ones((3, 2)))
 
 
 def test_encode_deterministic_for_fixed_seed():
     model = make_model()
     x = np.random.default_rng(2).standard_normal((5, 6))
-    noise = np.random.Generator(np.random.PCG64(42)).standard_normal((5, 2))
-    a = encode(model, x, noise)
-    b = encode(model, x, noise.copy())
-    assert np.array_equal(a.z, b.z)
-    assert np.array_equal(a.z, a.mu + np.sqrt(a.var) * noise)
+    (mu_a, var_a), (mu_b, var_b) = encode(model, x), encode(model, x.copy())
+    assert mu_a.tobytes() == mu_b.tobytes()
+    assert var_a.tobytes() == var_b.tobytes()
 
 
 # ---------------------------------------------------- responsibilities
@@ -120,13 +119,13 @@ def test_zero_pi_cluster_gets_zero_responsibility():
 
 # ------------------------------------------------------------- objective
 
-def scalar_elbo_reference(model, x, emb, gamma):
+def scalar_elbo_reference(model, x, mu, var, z, gamma):
     """Independent transcription of the closed-form objective, all scalar loops."""
     n, data_dim = x.shape
     k = model.gmm.n_clusters
     d = model.latent_dim
     recon = clus = ent = cat = reg = 0.0
-    x_hat = decode(model, emb.z)
+    x_hat = decode(model, z)
     for i in range(n):
         for j in range(data_dim):
             recon += -0.5 * (math.log(2 * math.pi * model.decoder_var)
@@ -135,17 +134,17 @@ def scalar_elbo_reference(model, x, emb, gamma):
             inner = 0.0
             for j in range(d):
                 sc = model.gmm.variances[c, j]
-                inner += (math.log(2 * math.pi * sc) + emb.var[i, j] / sc
-                          + (emb.mu[i, j] - model.gmm.means[c, j]) ** 2 / sc)
+                inner += (math.log(2 * math.pi * sc) + var[i, j] / sc
+                          + (mu[i, j] - model.gmm.means[c, j]) ** 2 / sc)
             clus += -0.5 * gamma[i, c] * inner
         for j in range(d):
-            ent += 0.5 * (math.log(2 * math.pi * emb.var[i, j]) + 1.0)
+            ent += 0.5 * (math.log(2 * math.pi * var[i, j]) + 1.0)
         for c in range(k):
             if gamma[i, c] > 0.0:
                 cat += gamma[i, c] * (math.log(model.gmm.pi[c]) - math.log(gamma[i, c]))
         for j in range(d):
-            reg += 0.5 * model.beta * (emb.mu[i, j] ** 2 + emb.var[i, j] - 1.0
-                                       - math.log(emb.var[i, j]))
+            reg += 0.5 * model.beta * (mu[i, j] ** 2 + var[i, j] - 1.0
+                                       - math.log(var[i, j]))
     return recon, clus, ent, cat, reg
 
 
@@ -155,9 +154,9 @@ def test_elbo_matches_scalar_reference(seed, k):
     rng = np.random.default_rng(seed * 10 + k)
     model = make_model(seed=seed, k=k)
     x = rng.standard_normal((3, 6))
-    cache, emb = forward(model, x, rng.standard_normal((3, 2)))
+    cache, mu, var, z = forward(model, x, rng.standard_normal((3, 2)))
     terms = batch_terms(model, cache)
-    recon, clus, ent, cat, reg = scalar_elbo_reference(model, x, emb, cache.gamma)
+    recon, clus, ent, cat, reg = scalar_elbo_reference(model, x, mu, var, z, cache.gamma)
     scale = max(1.0, abs(terms.total_loss))
     assert abs(terms.recon - recon) / scale < 1e-10
     assert abs(terms.cluster_kl - clus) / scale < 1e-10
@@ -171,7 +170,7 @@ def test_unit_posterior_has_zero_regularizer():
     # a zero last encoder layer gives mu = 0 and log var = 0 for every row
     model.encoder.weights[-1] = np.zeros_like(model.encoder.weights[-1])
     model.encoder.biases[-1] = np.zeros_like(model.encoder.biases[-1])
-    cache, _ = forward(model, np.zeros((3, 6)), 0.0)
+    cache, *_ = forward(model, np.zeros((3, 6)), 0.0)
     assert batch_terms(model, cache).reg == 0.0
 
 
@@ -183,9 +182,9 @@ def test_k1_unit_prior_reduces_to_standard_vae_kl():
                           variances=np.ones((1, 2)))
     rng = np.random.default_rng(5)
     x = rng.standard_normal((4, 6))
-    cache, emb = forward(model, x, rng.standard_normal((4, 2)))
+    cache, mu, var, _ = forward(model, x, rng.standard_normal((4, 2)))
     terms = batch_terms(model, dataclasses.replace(cache, gamma=np.ones((4, 1))))
-    kl = 0.5 * np.sum(emb.mu**2 + emb.var - 1.0 - np.log(emb.var))
+    kl = 0.5 * np.sum(mu**2 + var - 1.0 - np.log(var))
     assert abs((terms.cluster_kl + terms.posterior_entropy) - (-kl)) < 1e-10
     assert terms.categorical_term == 0.0
 
@@ -219,7 +218,7 @@ def test_em_step_returns_a_new_mixture_and_leaves_its_input():
                     variances=np.ones((2, 2)))
     before = [a.copy() for a in (gmm.pi, gmm.means, gmm.variances)]
     inv_var = gmm.inv_var
-    new = em_step(gmm, embedding_of(rng.standard_normal((20, 2)), var=0.05))
+    new = em_update(gmm, rng.standard_normal((20, 2)), var=0.05)
     assert new is not gmm
     for a, b in zip(before, (gmm.pi, gmm.means, gmm.variances)):
         assert np.array_equal(a, b)
@@ -229,18 +228,40 @@ def test_em_step_returns_a_new_mixture_and_leaves_its_input():
 
 # --------------------------------------------------------------- em_step
 
-def embedding_of(mu, var=None, z=None):
+def em_update(gmm, mu, var=None, **kwargs):
+    """One EM update with the E-step at z = mu: `responsibilities`, then
+    `em_step`; the posterior variance defaults to a tight 1e-10."""
     mu = np.atleast_2d(mu)
     var = np.full_like(mu, 1e-10) if var is None else np.broadcast_to(var, mu.shape).copy()
-    z = mu.copy() if z is None else z
-    return LatentEmbedding(mu=mu, var=var, z=z)
+    return em_step(gmm, responsibilities(gmm, mu), mu, var, **kwargs)
+
+
+def test_em_step_with_one_hot_responsibilities_matches_a_transcription():
+    # each cluster's mean is the mean of its assigned mu, its variance the spread
+    # around that mean plus the mean posterior variance, floored; pi is count / n
+    rng = np.random.default_rng(12)
+    mu, var = rng.standard_normal((12, 3)), rng.uniform(1e-3, 0.1, size=(12, 3))
+    mu[9:] = 4.0  # cluster 2 has no spread, so its variance is its mean var or the floor
+    var[9:, 0] = 1e-6
+    assigned = np.array([0, 1, 0, 0, 1, 1, 1, 0, 1, 2, 2, 2])
+    gmm = GmmParams(pi=np.full(3, 1 / 3), means=np.zeros((3, 3)), variances=np.ones((3, 3)))
+    floor = 1e-4
+    new = em_step(gmm, np.eye(3)[assigned], mu, var, variance_floor=floor)
+    for c in range(3):
+        rows = assigned == c
+        mean = mu[rows].mean(axis=0)
+        want = np.maximum(((mu[rows] - mean) ** 2).mean(axis=0) + var[rows].mean(axis=0), floor)
+        assert np.allclose(new.means[c], mean, rtol=1e-14, atol=0)
+        assert np.allclose(new.variances[c], want, rtol=1e-14, atol=0)
+        assert new.pi[c] == pytest.approx(rows.sum() / 12, rel=1e-15)
+    assert new.variances[2, 0] == floor
 
 
 def test_hard_responsibilities_average_assigned_means():
     mu = np.array([[0.0, 0.0], [0.2, 0.0], [5.0, 5.0], [5.2, 5.0]])
     gmm = GmmParams(pi=np.array([0.5, 0.5]), means=np.array([[0.0, 0.0], [5.0, 5.0]]),
                     variances=np.full((2, 2), 0.01))
-    new = em_step(gmm, embedding_of(mu))
+    new = em_update(gmm, mu)
     assert np.allclose(new.means[0], [0.1, 0.0], atol=1e-6)
     assert np.allclose(new.means[1], [5.1, 5.0], atol=1e-6)
     assert np.allclose(new.pi, [0.5, 0.5], atol=1e-9)
@@ -250,7 +271,7 @@ def test_collapsed_cluster_hits_variance_floor():
     mu = np.tile([[1.0, -1.0]], (6, 1))
     gmm = GmmParams(pi=np.array([1.0]), means=np.array([[1.0, -1.0]]),
                     variances=np.ones((1, 2)))
-    new = em_step(gmm, embedding_of(mu, var=0.0 + 1e-300), variance_floor=1e-6)
+    new = em_update(gmm, mu, var=0.0 + 1e-300, variance_floor=1e-6)
     assert np.array_equal(new.variances, np.full((1, 2), 1e-6))
 
 
@@ -259,7 +280,7 @@ def test_em_step_rejects_weights_off_the_simplex():
     gmm = GmmParams(pi=np.array([0.7, 0.7]), means=np.array([[0.0, 0.0], [5.0, 5.0]]),
                     variances=np.ones((2, 2)))
     with pytest.raises(InputError, match="simplex"):
-        em_step(gmm, embedding_of(np.zeros((3, 2))))
+        em_update(gmm, np.zeros((3, 2)))
 
 
 @pytest.mark.parametrize("name", ["pi", "means", "variances"])
@@ -271,21 +292,21 @@ def test_non_finite_mixture_fails_validation(name):
     with pytest.raises(InputError, match=f"{name} must be finite"):
         gmm.validate()
     with pytest.raises(InputError, match=f"{name} must be finite"):
-        em_step(gmm, embedding_of(np.zeros((3, 2))))
+        em_update(gmm, np.zeros((3, 2)))
 
 
 def test_em_step_rejects_an_empty_embedding():
     gmm = GmmParams(pi=np.array([0.5, 0.5]), means=np.array([[0.0, 0.0], [5.0, 5.0]]),
                     variances=np.ones((2, 2)))
     with pytest.raises(InputError, match="em_step needs at least one sample"):
-        em_step(gmm, embedding_of(np.zeros((0, 2))))
+        em_update(gmm, np.zeros((0, 2)))
 
 
 def test_em_step_rejects_a_non_finite_result():
     gmm = GmmParams(pi=np.array([0.5, 0.5]), means=np.array([[0.0, 0.0], [5.0, 5.0]]),
                     variances=np.ones((2, 2)))
     with pytest.raises(InputError, match="must be finite"):
-        em_step(gmm, embedding_of(np.full((3, 2), np.nan)))
+        em_update(gmm, np.full((3, 2), np.nan))
 
 
 def test_em_log_likelihood_nondecreasing_on_z():
@@ -296,39 +317,23 @@ def test_em_log_likelihood_nondecreasing_on_z():
     mu = np.vstack([rng.normal(-2, 0.3, size=(25, 2)), rng.normal(2, 0.3, size=(25, 2))])
     var = np.full_like(mu, 1e-12)
     z = mu + np.sqrt(var) * rng.standard_normal(mu.shape)
-    emb = LatentEmbedding(mu=mu, var=var, z=z)
     gmm = GmmParams(pi=np.array([0.5, 0.5]),
                     means=rng.uniform(-1, 1, size=(2, 2)), variances=np.ones((2, 2)))
     ll = gmm_log_likelihood(gmm, z)
     for _ in range(5):
-        gmm = em_step(gmm, emb)
+        gmm = em_step(gmm, responsibilities(gmm, z), mu, var)
         nxt = gmm_log_likelihood(gmm, z)
         assert nxt >= ll - 1e-9
         ll = nxt
 
 
-def test_em_step_with_given_responsibilities_matches_its_own():
-    rng = np.random.default_rng(10)
-    emb = embedding_of(rng.standard_normal((30, 2)), var=0.05)
-    gmm = GmmParams(pi=np.array([0.3, 0.7]), means=rng.uniform(-1, 1, size=(2, 2)),
-                    variances=np.ones((2, 2)))
-    own = em_step(gmm, emb)
-    given = em_step(gmm, emb, gamma=responsibilities(gmm, emb.z))
-    for name in ("pi", "means", "variances"):
-        assert getattr(own, name).tobytes() == getattr(given, name).tobytes()
-    with pytest.raises(InputError, match="gamma shape"):
-        em_step(gmm, emb, gamma=np.full((29, 2), 0.5))
-    with pytest.raises(InputError, match="rows must sum to 1"):
-        em_step(gmm, emb, gamma=np.full((30, 2), 0.9))
-
-
 def test_em_preserves_simplex():
     rng = np.random.default_rng(9)
-    emb = embedding_of(rng.standard_normal((40, 2)), var=0.05)
+    mu = rng.standard_normal((40, 2))
     gmm = GmmParams(pi=np.array([0.2, 0.3, 0.5]),
                     means=rng.uniform(-1, 1, size=(3, 2)), variances=np.ones((3, 2)))
     for _ in range(10):
-        gmm = em_step(gmm, emb)
+        gmm = em_update(gmm, mu, var=0.05)
         assert abs(gmm.pi.sum() - 1.0) < 1e-12
         assert np.all(gmm.pi >= 0)
 
@@ -338,7 +343,7 @@ def test_empty_cluster_keeps_parameters_and_warns():
     gmm = GmmParams(pi=np.array([1.0 - 1e-16, 1e-16]),
                     means=np.array([[0.0], [1000.0]]), variances=np.ones((2, 1)))
     with pytest.warns(UserWarning, match="responsibility mass"):
-        new = em_step(gmm, embedding_of(mu))
+        new = em_update(gmm, mu)
     assert np.array_equal(new.means[1], [1000.0])
     assert np.array_equal(new.variances[1], [1.0])
     assert not np.any(np.isnan(new.pi))

@@ -23,7 +23,6 @@ from gmvlab.gmvae import (
     save_checkpoint,
     train,
 )
-from gmvlab.gmvae.model import LatentEmbedding
 from gmvlab.gmvae.train import FlatGradient, backward, batch_terms, pack_params
 from gmvlab.ndmath import AdamState, adam_step
 
@@ -162,11 +161,10 @@ def _ref_train(model, x, cfg):
             adam_step(theta, _ref_gradient(model, x[rows], eps), adam)
         out = _ref_forward(model.encoder, x)[-1]
         mu, var = out[:, :d], np.exp(out[:, d:])
-        eps = rng.standard_normal(mu.shape)
-        emb = LatentEmbedding(mu=mu, var=var, z=mu + np.sqrt(var) * eps)
+        z = mu + np.sqrt(var) * rng.standard_normal(mu.shape)
         for _ in range(cfg.n_em):
-            model.gmm = em_step(model.gmm, emb, variance_floor=cfg.variance_floor,
-                                gamma=_ref_responsibilities(model.gmm, emb.z))
+            model.gmm = em_step(model.gmm, _ref_responsibilities(model.gmm, z), mu, var,
+                                variance_floor=cfg.variance_floor)
 
 
 @pytest.mark.parametrize("n,batch_size,k,beta", [(50, 16, 3, 0.1), (30, 7, 2, 0.0)])
@@ -206,22 +204,22 @@ def test_encode_samples_the_z_that_batch_loss_decodes():
     x = rng.standard_normal((9, 6))
     eps = rng.standard_normal((9, 2))
     cache = batch_loss(model, x, eps)
-    emb = encode(model, x, eps)
-    assert cache.dec_acts[0].tobytes() == emb.z.tobytes()
-    assert cache.var.tobytes() == emb.var.tobytes()
+    mu, var = encode(model, x)
+    assert cache.dec_acts[0].tobytes() == (mu + np.sqrt(var) * eps).tobytes()
+    assert cache.var.tobytes() == var.tobytes()
 
 
 def test_embed_dataset_is_the_posterior_mean_and_its_responsibilities():
-    # a plain transcription of the posterior-mean embedding: mu, exp(log var),
-    # z = mu + sqrt(var) * 0.0 and the responsibilities at mu
+    # a plain transcription of the posterior-mean embedding: mu, exp(log var)
+    # and the responsibilities at mu
     x = np.random.default_rng(22).standard_normal((30, 6))
     model = make_model(seed=23)
     train(model, x, TrainConfig(epochs=3, batch_size=8, seed=24))
-    emb, gamma = embed_dataset(model, x)
+    returned = embed_dataset(model, x)
     out = _ref_forward(model.encoder, x)[-1]
     mu, var = out[:, :2], np.exp(out[:, 2:])
-    for got, want in ((emb.mu, mu), (emb.var, var), (emb.z, mu + np.sqrt(var) * 0.0),
-                      (gamma, _ref_responsibilities(model.gmm, mu))):
+    assert len(returned) == 3
+    for got, want in zip(returned, (mu, var, _ref_responsibilities(model.gmm, mu))):
         assert got.tobytes() == want.tobytes()
 
 
