@@ -152,6 +152,8 @@ def _log_joint(gmm: GmmParams, z) -> tuple[np.ndarray, np.ndarray]:
     """log pi_c + log N(z_n | mean_c, diag var_c) as (n, K), and its log-sum-exp
     over c as (n, 1)."""
     z = np.atleast_2d(np.asarray(z, dtype=np.float64))
+    if z.shape[1:] != gmm.means.shape[1:]:
+        raise InputError(f"latent points have shape {z.shape}, expected (n, {gmm.means.shape[1]})")
     diff = z[:, None, :] - gmm.means  # (n, K, d)
     log_joint = gmm.log_pi + -0.5 * (gmm.logdet + (diff * diff / gmm.variances).sum(axis=2))
     top = log_joint.max(axis=1, keepdims=True)
@@ -178,9 +180,15 @@ def em_step(gmm: GmmParams, gamma: np.ndarray, mu: np.ndarray, var: np.ndarray,
     variances to the spread around the new mean, clamped at the floor.
     A cluster whose responsibility mass underflows keeps its parameters.
     """
+    if mu.shape[1:] != gmm.means.shape[1:]:
+        raise InputError(f"em_step: mu has shape {mu.shape}, expected (n, {gmm.means.shape[1]})")
     n = mu.shape[0]
     if n < 1:
         raise InputError("em_step needs at least one sample")
+    if var.shape != mu.shape:
+        raise InputError(f"em_step: var has shape {var.shape}, expected mu's {mu.shape}")
+    if gamma.shape != (n, gmm.n_clusters):
+        raise InputError(f"em_step: gamma has shape {gamma.shape}, expected {(n, gmm.n_clusters)}")
     gmm.validate()
     mass = gamma.sum(axis=0)  # (K,)
     means, variances = gmm.means.copy(), gmm.variances.copy()

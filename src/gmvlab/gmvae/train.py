@@ -12,8 +12,8 @@ gradient is written into one preallocated vector of the same layout.
 
 `batch_loss` is the only forward pass, and the one place the sample
 z = mu + sqrt(var) * eps is formed: each batch runs it for its gradient, and
-the re-embed pass that feeds EM runs it once per epoch on the whole training
-set. Only that pass evaluates the objective (`batch_terms`): the network after
+the re-embed pass that feeds EM makes the same call once per epoch on the
+whole training set. Only that pass evaluates the objective (`batch_terms`): the network after
 the epoch's Adam pass, the re-embed noise, responsibilities under the mixture
 before the epoch's EM pass and the encoder's raw log-variance output. The
 history that `train` returns, and so the history CSV, holds it as per-sample
@@ -55,27 +55,25 @@ class BatchCache:
     dec_acts: list        # decoder activations; the last is x_hat
 
 
-def batch_loss(model: GmVae, x: np.ndarray, eps: np.ndarray,
-               out: tuple[list, list] | None = None) -> BatchCache:
+def batch_loss(model: GmVae, x: np.ndarray, eps: np.ndarray) -> BatchCache:
     """The training forward pass for one batch; returns its cache.
 
     Runs encoder -> z = mu + sqrt(var) * eps -> decoder (z is `dec_acts[0]`)
     under `model.gmm`, with responsibilities at z held fixed (no gradient
-    flows through them). `out`, if given, is the (encoder, decoder) pair of
-    activation lists `Mlp.forward` writes into.
-    The objective is `batch_terms(model, cache)`, its gradient `backward`;
-    both read `model.gmm`, so they follow this pass before the mixture changes.
+    flows through them). The re-embed pass over the whole training set is the
+    same call. The objective is `batch_terms(model, cache)`, its gradient
+    `backward`; both read `model.gmm`, so they follow this pass before the
+    mixture changes.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    enc_out, dec_out = out or (None, None)
-    enc_acts = model.encoder.forward(x, enc_out)
+    enc_acts = model.encoder.forward(x)
     mu, var = _posterior(model, enc_acts[-1])
     std_eps = np.sqrt(var) * eps
     z = mu + std_eps
     if not np.isfinite(z).all():
         raise NumericalError("encoder produced non-finite latent state")
     return BatchCache(x=x, gamma=responsibilities(model.gmm, z), var=var, std_eps=std_eps,
-                      enc_acts=enc_acts, dec_acts=model.decoder.forward(z, dec_out))
+                      enc_acts=enc_acts, dec_acts=model.decoder.forward(z))
 
 
 def batch_terms(model: GmVae, cache: BatchCache) -> ElboTerms:
@@ -202,11 +200,6 @@ def train(model: GmVae, x_train: np.ndarray, cfg: TrainConfig,
     theta, layout = pack_params(model)
     grad = FlatGradient(model)
     adam = AdamState(lr=cfg.lr, layout=layout)
-    # the re-embed pass writes every epoch's activations into the same arrays, allocated
-    # once: a 200-epoch train on 1024 rows takes 665 minor page faults (ru_minflt) with
-    # them and 37,722 with fresh arrays each epoch, at the same wall time within noise
-    bufs = tuple([np.empty((n, width)) for width in net.layer_dims[1:]]
-                 for net in (model.encoder, model.decoder))
     shape = (cfg.epochs, *model.gmm.means.shape)
     history = {name: np.empty(cfg.epochs) for name in ElboTerms.COLUMNS}
     history |= {"pi": np.empty(shape[:2]), "mean": np.empty(shape), "var": np.empty(shape)}
@@ -223,7 +216,7 @@ def train(model: GmVae, x_train: np.ndarray, cfg: TrainConfig,
                 raise NumericalError(f"epoch {epoch}, batch {batch}: {e} ({_last_good(epoch)})")
 
         try:
-            cache = batch_loss(model, x_train, rng.standard_normal(noise.shape), bufs)
+            cache = batch_loss(model, x_train, rng.standard_normal(noise.shape))
         except NumericalError as e:
             raise NumericalError(f"epoch {epoch}, re-embed pass: {e} ({_last_good(epoch)})")
         terms = batch_terms(model, cache)

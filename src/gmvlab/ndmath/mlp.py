@@ -44,13 +44,11 @@ class Mlp:
     def n_params(self) -> int:
         return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
 
-    def forward(self, x: np.ndarray, out: list | None = None) -> list[np.ndarray]:
+    def forward(self, x: np.ndarray) -> list[np.ndarray]:
         """Activations [input, hidden tanh outputs..., output] of a batch.
 
-        `out`, if given, holds one (n, width) array per layer, and each
-        layer's output is written into it (the returned list holds those
-        arrays), so a caller that runs the same batch size again allocates
-        nothing.
+        Each layer's output is a fresh (n, width) array; the bias add and the
+        tanh run in place on it.
         """
         h = np.asarray(x, dtype=np.float64)
         if h.shape[-1] != self.layer_dims[0]:
@@ -60,7 +58,7 @@ class Mlp:
         acts = [h]
         last = self.n_layers - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w.T if out is None else np.matmul(h, w.T, out=out[i])
+            h = h @ w.T
             h += b
             if i < last:
                 np.tanh(h, out=h)

@@ -302,6 +302,37 @@ def test_em_step_rejects_an_empty_embedding():
         em_update(gmm, np.zeros((0, 2)))
 
 
+MU = np.arange(10.0).reshape(5, 2)
+GAMMA = np.full((5, 2), 0.5)
+
+
+@pytest.mark.parametrize("call, match", [
+    # one gamma row would broadcast over the 5 posterior rows
+    (lambda gmm: em_step(gmm, np.array([[0.3, 0.7]]), MU, np.ones((5, 2))),
+     r"gamma has shape \(1, 2\), expected \(5, 2\)"),
+    (lambda gmm: em_step(gmm, GAMMA[:, :1], MU, np.ones((5, 2))),
+     r"gamma has shape \(5, 1\), expected \(5, 2\)"),
+    (lambda gmm: em_step(gmm, GAMMA, MU, np.ones(2)),
+     r"var has shape \(2,\), expected mu's \(5, 2\)"),
+    (lambda gmm: em_step(gmm, GAMMA, MU, np.ones((5, 3))),
+     r"var has shape \(5, 3\), expected mu's \(5, 2\)"),
+    (lambda gmm: em_step(gmm, GAMMA, MU[:, :1], np.ones((5, 1))),
+     r"mu has shape \(5, 1\), expected \(n, 2\)"),
+    (lambda gmm: em_step(gmm, GAMMA, MU.ravel(), np.ones(10)),
+     r"mu has shape \(10,\), expected \(n, 2\)"),
+    (lambda gmm: responsibilities(gmm, np.zeros((4, 1))),
+     r"latent points have shape \(4, 1\), expected \(n, 2\)"),
+    (lambda gmm: gmm_log_likelihood(gmm, np.zeros((4, 3))),
+     r"latent points have shape \(4, 3\), expected \(n, 2\)"),
+], ids=["gamma-one-row", "gamma-one-column", "var-one-row", "var-wide", "mu-narrow",
+        "mu-flat", "responsibilities-narrow", "log-likelihood-wide"])
+def test_em_rejects_arrays_of_the_wrong_shape(call, match):
+    gmm = GmmParams(pi=np.array([0.5, 0.5]), means=np.array([[0.0, 0.0], [5.0, 5.0]]),
+                    variances=np.ones((2, 2)))
+    with pytest.raises(InputError, match=match):
+        call(gmm)
+
+
 def test_em_step_rejects_a_non_finite_result():
     gmm = GmmParams(pi=np.array([0.5, 0.5]), means=np.array([[0.0, 0.0], [5.0, 5.0]]),
                     variances=np.ones((2, 2)))

@@ -95,7 +95,9 @@ def test_pack_params_points_the_nets_at_one_vector():
 
 # A plain per-batch training loop that `train` must match bit for bit: a noise
 # draw, the forward pass, the responsibilities and a freshly concatenated
-# gradient per batch, and responsibilities recomputed by every EM pass.
+# gradient per batch, and responsibilities recomputed by every EM pass. It logs
+# what `train`'s history holds: per epoch, the re-embed pass's objective per
+# sample before EM, then the mixture after EM.
 
 def _ref_forward(net, h):
     acts = [h]
@@ -153,6 +155,7 @@ def _ref_train(model, x, cfg):
     theta, layout = pack_params(model)
     adam = AdamState(lr=cfg.lr, layout=layout)
     n, d = x.shape[0], model.latent_dim
+    history = {name: [] for name in (*ElboTerms.COLUMNS, "pi", "mean", "var")}
     for _ in range(cfg.epochs):
         perm = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
@@ -161,10 +164,19 @@ def _ref_train(model, x, cfg):
             adam_step(theta, _ref_gradient(model, x[rows], eps), adam)
         out = _ref_forward(model.encoder, x)[-1]
         mu, var = out[:, :d], np.exp(out[:, d:])
-        z = mu + np.sqrt(var) * rng.standard_normal(mu.shape)
+        eps = rng.standard_normal(mu.shape)
+        z = mu + np.sqrt(var) * eps
+        terms = batch_terms(model, batch_loss(model, x, eps))
+        terms = ElboTerms(*(v / n for v in dataclasses.astuple(terms)))
+        for name in ElboTerms.COLUMNS:
+            history[name].append(getattr(terms, name))
         for _ in range(cfg.n_em):
             model.gmm = em_step(model.gmm, _ref_responsibilities(model.gmm, z), mu, var,
                                 variance_floor=cfg.variance_floor)
+        for name, value in zip(("pi", "mean", "var"),
+                               (model.gmm.pi, model.gmm.means, model.gmm.variances)):
+            history[name].append(value)
+    return {name: np.array(values) for name, values in history.items()}
 
 
 @pytest.mark.parametrize("n,batch_size,k,beta", [(50, 16, 3, 0.1), (30, 7, 2, 0.0)])
@@ -174,11 +186,12 @@ def test_fused_loop_matches_the_per_batch_reference_bit_for_bit(n, batch_size, k
     assert n % batch_size  # a short last batch
     fused = make_model(seed=13, data_dim=10, k=k, hidden=(8, 5), beta=beta)
     reference = copy.deepcopy(fused)
-    train(fused, x, cfg)
-    _ref_train(reference, x, cfg)
+    history = train(fused, x, cfg)
+    want = _ref_train(reference, x, cfg)
     assert pack_params(fused)[0].tobytes() == pack_params(reference)[0].tobytes()
-    for name in ("pi", "means", "variances"):
-        assert getattr(fused.gmm, name).tobytes() == getattr(reference.gmm, name).tobytes()
+    assert list(history) == list(want)
+    for name in want:  # every epoch's objective terms and mixture after EM
+        assert history[name].tobytes() == want[name].tobytes(), name
 
 
 def test_history_holds_the_objective_of_the_re_embed_pass():
