@@ -235,23 +235,22 @@ def cmd_align(args) -> int:
     names = list(params)
     b = np.column_stack([params[name] for name in names])
     report = align_mod.fit_affine(mu, b)
-    transformed = align_mod.apply_map(report.map, mu)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     payload = {
-        "a": report.map.a.tolist(),
-        "c": report.map.c.tolist(),
-        "z0": None if report.map.z0 is None else report.map.z0.tolist(),
+        "a": report.a.tolist(),
+        "c": report.c.tolist(),
+        "z0": None if report.z0 is None else report.z0.tolist(),
         "residual_rms": report.residual_rms,
         "r_squared": {name: float(v) for name, v in zip(names, report.r_squared)},
-        "n_samples": report.n_samples,
+        "n_samples": len(sample_ids),
         "target_columns": names,
     }
     with open(report_json, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
     tables.write_table(transformed_csv, {"sample_id": sample_ids} | {
-        f"pred_{name}": transformed[:, j] for j, name in enumerate(names)})
+        f"pred_{name}": report.fitted[:, j] for j, name in enumerate(names)})
     print(f"residual_rms = {report.residual_rms:.6g}")
     for name, v in zip(names, report.r_squared):
         print(f"r_squared[{name}] = {v:.6f}")

@@ -137,7 +137,11 @@ def encode(model: GmVae, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     out = model.encoder.infer(np.atleast_2d(np.asarray(x, dtype=np.float64)))
     if not np.all(np.isfinite(out)):
         raise NumericalError("encoder produced non-finite output")
-    return _posterior(model, out)
+    with np.errstate(over="ignore"):  # an overflowing exp is raised below instead
+        mu, var = _posterior(model, out)
+    if not np.all(np.isfinite(var)):
+        raise NumericalError("encoder log-variance overflows: non-finite posterior variance")
+    return mu, var
 
 
 def decode(model: GmVae, z: np.ndarray) -> np.ndarray:

@@ -148,8 +148,11 @@ def interpretability_report(points: np.ndarray, quantities: dict,
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     n = points.shape[0]
     for name, q in quantities.items():
-        if np.asarray(q).ravel().shape[0] != n:
-            raise InputError(f"quantity {name!r} has length {np.asarray(q).size}, expected {n}")
+        q = np.asarray(q, dtype=np.float64).ravel()
+        if q.shape[0] != n:
+            raise InputError(f"quantity {name!r} has length {q.size}, expected {n}")
+        if not np.all(np.isfinite(q)):
+            raise InputError(f"quantity {name!r} has non-finite values")
     adjacency = build_knn(points, cfg.k)
     sizes = component_sizes(adjacency)
     if len(sizes) > 1:

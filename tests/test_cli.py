@@ -128,6 +128,22 @@ def test_embed_matches_train_export(workdir, tmp_path):
     assert out.read_bytes() == (workdir["train"] / "embeddings.csv").read_bytes()
 
 
+def test_embed_with_overflowing_encoder_variance_gives_exit_2(workdir, tmp_path, capsys):
+    ckpt = json.loads((workdir["train"] / "checkpoint.json").read_text())
+    bias = ckpt["encoder"]["biases"][-1]
+    d = ckpt["latent_dim"]
+    bias[d:] = [800.0] * d  # the log-variance half of the encoder output: exp(800) overflows
+    bad = tmp_path / "overflow.json"
+    bad.write_text(json.dumps(ckpt))
+    out = tmp_path / "emb.csv"
+    assert main(["embed", "--checkpoint", str(bad), "--dataset", str(workdir["data"]),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: encoder "), err
+    assert err.count("\n") == 1, err
+    assert not out.exists()
+
+
 def test_sample_conditional_and_empty(workdir, tmp_path):
     out = tmp_path / "gen.csv"
     assert main(["sample", "--checkpoint", str(workdir["train"] / "checkpoint.json"),
@@ -382,14 +398,19 @@ def test_align_identity_and_shuffled(workdir, tmp_path):
 
 def test_align_against_xi_params(workdir, tmp_path):
     out = tmp_path / "align_xi"
-    assert main(["align", "--embeddings", str(workdir["train"] / "embeddings.csv"),
-                 "--params", str(workdir["data"]), "--columns", "xi1", "xi2",
-                 "--out", str(out)]) == 0
+    argv = ["align", "--embeddings", str(workdir["train"] / "embeddings.csv"),
+            "--params", str(workdir["data"]), "--columns", "xi1", "xi2", "--out", str(out)]
+    assert main(argv) == 0
     report = json.loads((out / "align_report.json").read_text())
     assert set(report["r_squared"]) == {"xi1", "xi2"}
+    assert report["n_samples"] == 80
     header, rows = read_rows(out / "transformed.csv")
     assert header == ["sample_id", "pred_xi1", "pred_xi2"]
     assert len(rows) == 80
+    # a second run into the directory the first one made rewrites the same bytes
+    first = {name: (out / name).read_bytes() for name in ("align_report.json", "transformed.csv")}
+    assert main(argv) == 0
+    assert {name: (out / name).read_bytes() for name in first} == first
 
 
 def test_generate_default_config_sizes(tmp_path):
@@ -924,11 +945,13 @@ def test_baseline_dim_outside_one_to_n_gives_exit_1(workdir, tmp_path, capsys, m
 
 
 def test_train_rerun_reproduces_outputs_exactly(workdir, tmp_path):
+    # the second run writes into the directory the first one made
     out = tmp_path / "again"
-    assert main(["train", "--config", workdir["ini"], "--dataset", str(workdir["data"]),
-                 "--out", str(out), "--quiet"]) == 0
-    for name in ("checkpoint.json", "history.csv", "embeddings.csv"):
-        assert (out / name).read_bytes() == (workdir["train"] / name).read_bytes(), name
+    for _ in range(2):
+        assert main(["train", "--config", workdir["ini"], "--dataset", str(workdir["data"]),
+                     "--out", str(out), "--quiet"]) == 0
+        for name in ("checkpoint.json", "history.csv", "embeddings.csv"):
+            assert (out / name).read_bytes() == (workdir["train"] / name).read_bytes(), name
 
 
 def test_metric_reads_k_and_r_from_config(workdir, tmp_path):

@@ -2,8 +2,8 @@
 `src/gmvlab` names a standard-library module or numpy. scipy may be installed
 next to it, and the benchmark harness sits beside it, but neither is declared.
 
-No import under `src/gmvlab` is dead: each name a module imports is used there
-or listed in its `__all__`."""
+No import under `src/gmvlab`, `tests/` or `scripts/` is dead: each name a
+module imports is used there or listed in its `__all__`."""
 
 import ast
 import sys
@@ -64,6 +64,15 @@ def test_a_third_party_import_is_caught(tmp_path):
 def test_package_has_no_unused_imports():
     dead = [f"{path.relative_to(PACKAGE)}:{line}: {name}"
             for path in sorted(PACKAGE.rglob("*.py")) for line, name in unused_imports(path)]
+    assert dead == []
+
+
+def test_tests_and_scripts_have_no_unused_imports():
+    root = PACKAGE.parent.parent
+    files = sorted(root.glob("tests/*.py")) + sorted(root.glob("scripts/*.py"))
+    assert len(files) > 10
+    dead = [f"{path.relative_to(root)}:{line}: {name}"
+            for path in files for line, name in unused_imports(path)]
     assert dead == []
 
 

@@ -267,6 +267,15 @@ def test_eta_rejects_zero_energy_and_bad_r():
             interpretability_report(points, {"q": points[:, 0]}, MetricConfig(k=2, r_percent=r))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_report_rejects_a_non_finite_quantity_naming_it(bad):
+    points = np.random.default_rng(9).standard_normal((20, 2))
+    q = points[:, 0].copy()
+    q[3] = bad
+    with pytest.raises(InputError, match="quantity 'q' has non-finite values"):
+        interpretability_report(points, {"x": points[:, 1], "q": q}, MetricConfig(k=4))
+
+
 def test_eta_low_set_is_the_ceiling_of_r_percent_of_the_modes():
     assert eta(np.ones(128), 20.0) == 26 / 128
     assert eta(np.ones(10), 1.0) == 1 / 10
