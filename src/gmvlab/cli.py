@@ -47,17 +47,19 @@ def _same_file(a: Path, b: Path) -> bool:
 def _check_outputs(*paths, inputs=()) -> None:
     """Raise InputError when one of the output `paths` is also another of them
     or one of `inputs`, naming both; then the OSError that writing one would
-    meet: the path is a directory, its parent directory is missing, or neither
-    the existing file nor the parent is writable. A None (an output or input
-    not asked for) is skipped. Creates and writes nothing."""
-    outputs = [Path(p) for p in paths if p]
+    meet: the path is a directory or its text ends in a separator, its parent
+    directory is missing, or neither the existing file nor the parent is
+    writable. A None (an output or input not asked for) is skipped. Creates
+    and writes nothing."""
+    texts = [p for p in paths if p]
+    outputs = [Path(p) for p in texts]
     named = [("output", p) for p in outputs] + [("input", Path(p)) for p in inputs if p]
     for i, path in enumerate(outputs):
         for kind, other in named[i + 1:]:
             if _same_file(path, other):
                 raise InputError(f"output {path} is also the {kind} {other}")
-    for path in outputs:
-        if path.is_dir():
+    for text, path in zip(texts, outputs):
+        if path.is_dir() or os.path.basename(text) == "":  # Path("out.csv/") drops the "/"
             code = errno.EISDIR
         elif not path.parent.is_dir():
             code = errno.ENOENT
@@ -65,7 +67,7 @@ def _check_outputs(*paths, inputs=()) -> None:
             code = errno.EACCES
         else:
             continue
-        raise OSError(code, os.strerror(code), str(path))
+        raise OSError(code, os.strerror(code), str(text))
 
 
 def _check_output_dir(path, *names, inputs=()) -> list[Path]:

@@ -143,18 +143,15 @@ def load_csv(path) -> Dataset:
     """Inverse of save_csv."""
     table = tables.Table(path, floats=_PARAM_NAMES, blocks=("rho_",),
                          text=("sample_id", "label", "split"))
-    for i, sid in enumerate(table.sample_ids()):
+    for i, sid in enumerate(table.sample_ids):
         if sid != i:
             raise InputError(f"{path}, line {i + 2}: sample_id {sid}, expected {i}")
-    rho = table.block("rho_")
-    if rho is None:
-        raise InputError(f"{path}: no rho_* columns found")
-    params = table.floats(_PARAM_NAMES)
     text = {}
     for name, allowed in (("split", SPLIT_NAMES), ("label", (LABEL_STABLE, LABEL_REACTIVE))):
-        text[name] = np.array(table.column(name))
+        text[name] = np.array(table.text[name])
         unknown = np.flatnonzero(~np.isin(text[name], allowed))
         if unknown.size:
             raise InputError(f"{path}, line {unknown[0] + 2}: unknown {name} "
                              f"{str(text[name][unknown[0]])!r}")
-    return Dataset(rho=rho, params=dict(zip(_PARAM_NAMES, params.T)), **text)
+    return Dataset(rho=table.blocks["rho_"], params=dict(zip(_PARAM_NAMES, table.floats.T)),
+                   **text)

@@ -121,10 +121,6 @@ class GmVae:
         return cls(encoder=encoder, decoder=decoder, latent_dim=d,
                    decoder_var=float(cfg.decoder_var), beta=float(cfg.beta), gmm=gmm)
 
-    @property
-    def data_dim(self) -> int:
-        return self.encoder.layer_dims[0]
-
 
 def _posterior(model: GmVae, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(mu, var) from the encoder output [mu, log var]; mu is a view."""
@@ -227,8 +223,6 @@ def sample(model: GmVae, count: int, rng: np.random.Generator,
         ids = rng.choice(k, size=count, p=model.gmm.pi)
     else:
         ids = np.full(count, cluster, dtype=int)
-    if count == 0:
-        return np.zeros((0, model.data_dim)), ids
     eps = rng.standard_normal((count, model.latent_dim))
     z = model.gmm.means[ids] + np.sqrt(model.gmm.variances[ids]) * eps
     return decode(model, z), ids

@@ -10,9 +10,12 @@ Python string (about 70 B) per cell of the file. It checks only what it
 keeps, so a command checks only the columns it reads (`metric` and `align`:
 `sample_id` and `mu_*` of an embeddings file), and raises InputError for the
 first defect in file order, naming the file, and the line and column where
-one applies. Embeddings, history, report, spectrum and samples tables are
-mapped onto them here; the dataset in `datagen` and the aligned coordinates
-in the CLI.
+one applies: a declared column or numbered block that the header lacks comes
+before any row. What a caller checks of the values it is given comes after
+the whole file, such as `datagen.load_csv`'s sample_id order and its label
+and split names. A read gives back what was declared as plain attributes.
+Embeddings, history, report, spectrum and samples tables are mapped onto
+them here; the dataset in `datagen` and the aligned coordinates in the CLI.
 """
 
 from __future__ import annotations
@@ -99,9 +102,15 @@ class Table:
     exist. It may instead be a function of (header, first data row) that
     returns those names. `blocks` gives prefixes: the columns `prefix`1,
     `prefix`2, ... are kept as one float64 block, in order of their distinct
-    numbers, and a prefix may match no column. `text` names the columns kept
-    as strings; each must exist, and a `sample_id` column must hold distinct
-    integers. Every other column is dropped as the file streams.
+    numbers, and each prefix must match a column. `text` names the columns
+    kept as strings; each must exist, and a `sample_id` column must hold
+    distinct integers. Every other column is dropped as the file streams.
+    The header is checked against all of these before any data row is.
+
+    The read leaves `float_names`, the `floats` as an (n, m) array in their
+    order, `blocks` as {prefix: (n, k) array}, `text` as {name: list of
+    strings} of the text columns other than `sample_id`, and, when that is
+    declared, `sample_ids` as a list of ints in row order.
     """
 
     def __init__(self, path, floats=(), blocks=(), text=()):
@@ -125,7 +134,10 @@ class Table:
                     rows = list(islice(reader, _ROWS_PER_CHUNK))
         except (csv.Error, UnicodeDecodeError) as e:
             raise InputError(f"{path}: not a readable CSV file ({e})") from None
-        self._blocks = {key: np.concatenate(parts) for key, parts in self._parts.items()}
+        self.blocks = {key: np.concatenate(parts) for key, parts in self._parts.items()}
+        self.floats = self.blocks.pop(None)
+        if self._id is not None:
+            self.sample_ids = list(self._line_of)
         del self._parts
 
     def _declare(self, floats, blocks, text) -> None:
@@ -145,12 +157,14 @@ class Table:
                 if first != name:
                     raise InputError(f"{self.path}: column {name!r} repeats number "
                                      f"{int(name[len(prefix):])} of {first!r}")
-            if numbered:
-                groups[prefix] = [index[numbered[number]] for number in sorted(numbered)]
+            if not numbered:
+                raise InputError(f"{self.path}: no {prefix}* columns found")
+            groups[prefix] = [index[numbered[number]] for number in sorted(numbered)]
         self._groups = groups
         self._parts = {key: [] for key in groups}
-        self._text = {name: (index[name], []) for name in text}
-        self._id = self._text["sample_id"][0] if "sample_id" in self._text else None
+        self.text = {name: [] for name in text if name != "sample_id"}
+        self._text = [(index[name], cells) for name, cells in self.text.items()]
+        self._id = index["sample_id"] if "sample_id" in text else None
         self._line_of = {}  # sample_id -> its line
         # the checks of a row in header order: (position, whether it is the sample_id check)
         checks = {(j, False) for idx in groups.values() for j in idx}
@@ -188,7 +202,7 @@ class Table:
             self._parts[key].append(block)
         if self._id is not None:
             self._line_of |= ids
-        for j, cells in self._text.values():
+        for j, cells in self._text:
             cells.extend(row[j] for row in rows)
 
     def _raise_first_defect(self, rows, start: int):
@@ -214,24 +228,6 @@ class Table:
                     raise InputError(f"{self._at(i, name)}: non-finite value {cell!r}")
         raise AssertionError(f"{self.path}: rows from line {start + 2} failed to parse "
                              "but no cell is at fault")
-
-    def column(self, name: str) -> list:
-        """A declared text column's cells as strings."""
-        return self._text[name][1]
-
-    def floats(self, names) -> np.ndarray:
-        """Named float columns, declared in `floats`, as an (n_rows, len(names)) array."""
-        pos = {name: k for k, name in enumerate(self.float_names)}
-        return self._blocks[None][:, [pos[name] for name in names]]
-
-    def block(self, prefix: str) -> np.ndarray | None:
-        """The block of a prefix declared in `blocks`; None when the file has no
-        such column."""
-        return self._blocks.get(prefix)
-
-    def sample_ids(self) -> list:
-        """The sample_id column, declared in `text`, as distinct integers in row order."""
-        return list(self._line_of)
 
 
 def write_embeddings_csv(path, sample_ids, splits, mu, var=None, gamma=None,
@@ -263,10 +259,7 @@ def read_embeddings_csv(path) -> tuple[list, np.ndarray]:
     mu the (n, d) block of the mu_* columns. Only these are checked; any
     other column (var_*, gamma_*, split, labels) is dropped unchecked."""
     table = Table(path, blocks=("mu_",), text=("sample_id",))
-    mu = table.block("mu_")
-    if mu is None:
-        raise InputError(f"{path}: no mu_* columns found")
-    return table.sample_ids(), mu
+    return table.sample_ids, table.blocks["mu_"]
 
 
 def write_history_csv(path, history: dict) -> None:
@@ -296,8 +289,7 @@ def read_quantities_csv(path, columns=None) -> tuple[list, dict]:
     if columns is not None:
         _check_distinct(columns, f"{path}: requested column")
     table = Table(path, floats=numeric if columns is None else columns, text=("sample_id",))
-    values = table.floats(table.float_names)
-    return table.sample_ids(), {name: values[:, j] for j, name in enumerate(table.float_names)}
+    return table.sample_ids, dict(zip(table.float_names, table.floats.T))
 
 
 def _is_float(text: str) -> bool:

@@ -90,9 +90,9 @@ def test_train_outputs_exist_and_parse(workdir):
     assert len(rows) == 120
     assert "pi_1" in header and "total_loss" in header
     emb = Table(out / "embeddings.csv", blocks=("mu_", "gamma_"), text=("split",))
-    assert emb.block("mu_").shape == (80, 2)
-    assert emb.block("gamma_").shape == (80, 2)
-    assert set(emb.column("split")) == {"train", "val", "test"}
+    assert emb.blocks["mu_"].shape == (80, 2)
+    assert emb.blocks["gamma_"].shape == (80, 2)
+    assert set(emb.text["split"]) == {"train", "val", "test"}
 
 
 def test_train_accuracy_line_matches_the_reloaded_checkpoint(workdir):
@@ -345,8 +345,8 @@ def test_baseline_mds_deterministic_and_schema(workdir, tmp_path):
                  "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
     emb = Table(out1, blocks=("mu_",), text=("true_label",))
-    assert emb.block("mu_").shape == (80, 2)
-    assert len(emb.column("true_label")) == 80
+    assert emb.blocks["mu_"].shape == (80, 2)
+    assert len(emb.text["true_label"]) == 80
 
 
 def test_baseline_isomap_runs(workdir, tmp_path, capsys):
@@ -482,7 +482,8 @@ PATH_RUNS = [
 # the paths, relative to the test's directory, that each kind of path flag cannot use
 UNUSABLE_PATHS = {
     "input": {"missing": "missing.csv", "directory": "a_dir"},
-    "{out}": {"under-missing-directory": "missing/out.csv", "directory": "a_dir"},
+    "{out}": {"under-missing-directory": "missing/out.csv", "directory": "a_dir",
+              "ends-in-a-separator": "new.csv/"},
     "{dir}": {"existing-file": "a_file", "under-a-file": "a_file/run"},
 }
 # the files that the subcommands with an output directory write into it
@@ -515,7 +516,7 @@ def _run_with_bad_path(capsys, tmp_path, argv, at, bad, named, fill):
     before = set(tmp_path.rglob("*"))
     argv = [fill.get(value, str(tmp_path / f"out{i}")) if value.startswith("{") else value
             for i, value in enumerate(argv)]
-    argv[at] = str(tmp_path / bad)
+    argv[at] = os.path.join(tmp_path, bad)  # as text: tmp_path / "new.csv/" drops the "/"
     assert main(argv) == 1
     return capsys.readouterr().err, set(tmp_path.rglob("*")) - before
 

@@ -92,12 +92,13 @@ def test_embeddings_round_trip_full_schema(tmp_path):
                          hard_labels=[0, 1, 2, 0, 1], true_labels=["a"] * 5)
     back = Table(path, blocks=("mu_", "var_", "gamma_"),
                  text=("sample_id", "split", "hard_label", "true_label"))
-    assert back.sample_ids() == [0, 1, 2, 3, 4]
-    assert np.array_equal(back.block("mu_"), mu)
-    assert np.array_equal(back.block("var_"), var)
-    assert np.array_equal(back.block("gamma_"), gamma)
-    assert back.column("hard_label") == ["0", "1", "2", "0", "1"]
-    assert back.column("true_label") == ["a"] * 5
+    assert back.sample_ids == [0, 1, 2, 3, 4]
+    assert np.array_equal(back.blocks["mu_"], mu)
+    assert np.array_equal(back.blocks["var_"], var)
+    assert np.array_equal(back.blocks["gamma_"], gamma)
+    assert back.text == {"split": ["train"] * 5, "hard_label": ["0", "1", "2", "0", "1"],
+                         "true_label": ["a"] * 5}
+    assert back.floats.shape == (5, 0)
     sample_ids, back_mu = read_embeddings_csv(path)
     assert sample_ids == [0, 1, 2, 3, 4] and np.array_equal(back_mu, mu)
 
@@ -106,10 +107,13 @@ def test_embeddings_minimal_schema(tmp_path):
     mu = np.zeros((3, 2))
     path = tmp_path / "emb.csv"
     write_embeddings_csv(path, [7, 8, 9], ["test"] * 3, mu)
-    back = Table(path, blocks=("mu_", "var_", "gamma_"), text=("sample_id",))
-    assert back.sample_ids() == [7, 8, 9]
-    assert back.block("var_") is None and back.block("gamma_") is None
-    assert "hard_label" not in back.header
+    back = Table(path, blocks=("mu_",), text=("sample_id",))
+    assert back.sample_ids == [7, 8, 9] and back.text == {}
+    assert list(back.blocks) == ["mu_"]
+    assert back.header == ["sample_id", "split", "mu_1", "mu_2"]
+    for prefix in ("var_", "gamma_"):
+        with pytest.raises(InputError, match=rf"no {prefix}\* columns found"):
+            Table(path, blocks=("mu_", prefix), text=("sample_id",))
 
 
 def test_read_embeddings_checks_only_sample_id_and_mu(tmp_path):
@@ -135,14 +139,22 @@ def test_numbered_block_is_ordered_by_number_not_by_position(tmp_path):
     assert read_embeddings_csv(path)[1].tolist() == [[1.0, 2.0, 10.0]]
 
 
-@pytest.mark.parametrize("floats, text", [(["a", "b"], ["sample_id"]), (["a"], ["sample_id", "b"])],
-                         ids=["float", "text"])
-def test_a_missing_declared_column_is_the_first_defect(tmp_path, floats, text):
-    # the header comes before every cell, so its defects are reported first
+@pytest.mark.parametrize("read, message", [
+    (lambda path: Table(path, floats=["a", "b"], text=["sample_id"]), "missing column 'b'"),
+    (lambda path: Table(path, floats=["a"], text=["sample_id", "b"]), "missing column 'b'"),
+    (lambda path: Table(path, floats=["a"], blocks=["v_"], text=["sample_id"]),
+     r"no v_\* columns found"),
+    (read_embeddings_csv, r"no mu_\* columns found"),
+    (datagen.load_csv, r"no rho_\* columns found"),
+], ids=["float", "text", "block", "embeddings-mu", "dataset-rho"])
+def test_a_missing_declared_column_is_the_first_defect(tmp_path, read, message):
+    # the header comes before every cell, so its defects are reported first: line 2
+    # has a sample_id that is not an integer and a non-finite float
     path = tmp_path / "t.csv"
-    path.write_text("sample_id,a\n0,1.0\nx,nan\n")
-    with pytest.raises(InputError, match="missing column 'b'"):
-        Table(path, floats=floats, text=text)
+    path.write_text("sample_id,a,xi1,xi2,alpha,gamma,label,split\n"
+                    "x,nan,0,0,1,1,stable,train\n")
+    with pytest.raises(InputError, match=message):
+        read(path)
 
 
 @pytest.mark.parametrize("prefix", ["mu_", "rho_"])
@@ -194,13 +206,12 @@ def test_history_round_trip(tmp_path):
              for prefix in ("mean", "var")}
     table = Table(path, floats=[*ElboTerms.COLUMNS, *names["mean"], *names["var"]],
                   blocks=["pi_"], text=["epoch"])
-    assert table.column("epoch") == ["0", "1", "2"]
-    terms = table.floats(["recon", "cluster_kl", "posterior_entropy", "categorical_term",
-                          "reg", "total_loss"])
+    assert table.text == {"epoch": ["0", "1", "2"]}
+    terms, mean, var = np.split(table.floats, [len(ElboTerms.COLUMNS), -6], axis=1)
     assert np.array_equal(terms, np.column_stack([history[name] for name in ElboTerms.COLUMNS]))
-    assert np.array_equal(table.block("pi_"), history["pi"])
-    for prefix in ("mean", "var"):
-        assert np.array_equal(table.floats(names[prefix]), np.reshape(history[prefix], (3, 6)))
+    assert np.array_equal(table.blocks["pi_"], history["pi"])
+    assert np.array_equal(mean, np.reshape(history["mean"], (3, 6)))
+    assert np.array_equal(var, np.reshape(history["var"], (3, 6)))
     assert table.header == ["epoch", *ElboTerms.COLUMNS, "pi_1", "pi_2", *names["mean"],
                             *names["var"]]
 
@@ -219,8 +230,8 @@ def test_report_round_trip(tmp_path):
     path = tmp_path / "report.csv"
     write_report_csv(path, report)
     table = Table(path, floats=["k", "r_percent", "eta", "n_components"], text=["quantity"])
-    assert table.column("quantity") == ["alpha", "gamma"]
-    assert np.array_equal(table.floats(["k", "r_percent", "eta", "n_components"]),
+    assert table.text == {"quantity": ["alpha", "gamma"]}
+    assert np.array_equal(table.floats,
                           [[3, 20.0, report.eta[name], 1] for name in ("alpha", "gamma")])
 
 
@@ -229,9 +240,9 @@ def test_spectrum_round_trip(tmp_path):
     path = tmp_path / "spectrum.csv"
     write_spectrum_csv(path, report)
     table = Table(path, floats=["eigenvalue", "alpha"], text=["quantity", "mode"])
-    assert table.column("quantity") == ["alpha"] * 4 + ["gamma"] * 4
-    assert table.column("mode") == ["0", "1", "2", "3"] * 2
-    values = table.floats(["eigenvalue", "alpha"])
+    assert table.text == {"quantity": ["alpha"] * 4 + ["gamma"] * 4,
+                          "mode": ["0", "1", "2", "3"] * 2}
+    values = table.floats
     for i, name in enumerate(("alpha", "gamma")):
         assert np.array_equal(values[4 * i:4 * i + 4, 0], report.eigenvalues)
         assert np.array_equal(values[4 * i:4 * i + 4, 1], report.coefficients[name])
@@ -243,9 +254,9 @@ def test_samples_round_trip(tmp_path):
     path = tmp_path / "samples.csv"
     write_samples_csv(path, curves, clusters)
     table = Table(path, blocks=["rho_"], text=["sample_id", "cluster"])
-    assert table.sample_ids() == [0, 1, 2, 3, 4]
-    assert np.array_equal(table.block("rho_"), curves)
-    assert table.column("cluster") == ["0", "1", "1", "0", "1"]
+    assert table.sample_ids == [0, 1, 2, 3, 4]
+    assert np.array_equal(table.blocks["rho_"], curves)
+    assert table.text == {"cluster": ["0", "1", "1", "0", "1"]}
 
 
 def _mutated(text, draw):
@@ -383,9 +394,9 @@ def test_streamed_read_matches_a_csv_reader_oracle(tmp_path_factory, n, seed, da
             assert f"line {line}, column {name!r}" in str(e), (want, e)
         return
     assert isinstance(want, dict), want
-    assert table.sample_ids() == want["ids"] and table.column("tag") == want["tag"]
-    assert table.floats(_ORACLE_FLOATS).tobytes() == want["floats"].tobytes()
-    assert table.block("v_").tobytes() == want["block"].tobytes()
+    assert table.sample_ids == want["ids"] and table.text == {"tag": want["tag"]}
+    assert table.floats.tobytes() == want["floats"].tobytes()
+    assert table.blocks["v_"].tobytes() == want["block"].tobytes()
 
 
 @pytest.mark.parametrize("defects, first", [
