@@ -13,6 +13,16 @@
         manifest.json) differ in files and commands. Exits 0 when they are
         identical, 1 when not. The environment is not compared.
 
+    python scripts/walkthrough.py --compare A B --rtol X
+        As --compare, but a CSV or JSON file whose digests differ is read
+        from both run directories A and B and compared number by number.
+        For each file and each column (CSV) or key (JSON) whose numbers
+        differ, prints the largest difference relative to the largest
+        magnitude in A's column or key. Exits 0 when each is at most X.
+        A difference in anything else stays fatal: a header, a shape, a
+        non-numeric or non-finite value, a file present in one run only,
+        any other kind of file, and a command's exit code, stdout or stderr.
+
 Each command runs in a fresh interpreter on the `src/` tree next to this
 script, with one BLAS thread and relative paths from inside DIR, and fails
 on a text file opened in the locale's encoding. Two runs of the same tree on
@@ -23,13 +33,17 @@ across machines: BLAS kernels differ by CPU.
 from __future__ import annotations
 
 import argparse
+import csv
 import difflib
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -105,14 +119,116 @@ def _load(path: Path) -> dict:
     return json.loads(path.read_text(encoding="utf-8"))
 
 
-def compare(a: dict, b: dict) -> list[str]:
-    """Lines that describe how manifest `b` differs from manifest `a`; empty when identical."""
+class Mismatch(Exception):
+    """Two files differ in more than their numbers."""
+
+
+def _csv_numbers(a: Path, b: Path) -> dict:
+    """{column: (A's numbers, B's numbers)} of two CSV files whose text cells are equal."""
+    tables = []
+    for path in (a, b):
+        with open(path, newline="", encoding="utf-8") as fh:
+            tables.append(list(csv.reader(fh)))
+    (header, *rows_a), (header_b, *rows_b) = tables
+    if header != header_b:
+        raise Mismatch("the headers differ")
+    if len(rows_a) != len(rows_b):
+        raise Mismatch(f"A has {len(rows_a)} rows, B has {len(rows_b)}")
+    numbers = {}
+    for line, (row_a, row_b) in enumerate(zip(rows_a, rows_b), 2):
+        if len(row_a) != len(header) or len(row_b) != len(header):
+            raise Mismatch(f"line {line}: {len(row_a)} and {len(row_b)} cells, "
+                           f"header has {len(header)}")
+        for name, cell_a, cell_b in zip(header, row_a, row_b):
+            _add(numbers, f"column {name!r}", cell_a, cell_b, f"line {line}, column {name!r}")
+    return numbers
+
+
+def _json_numbers(a, b, key: str = "", numbers=None) -> dict:
+    """{key: (A's numbers, B's numbers)} of two JSON values equal but for their
+    numbers; a key is the path of object keys, list positions left out."""
+    numbers = {} if numbers is None else numbers
+    if isinstance(a, dict) and isinstance(b, dict):
+        if a.keys() != b.keys():
+            raise Mismatch(f"the keys under {key or 'the top'!r} differ")
+        for name in a:
+            _json_numbers(a[name], b[name], f"{key}.{name}" if key else name, numbers)
+    elif isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            raise Mismatch(f"key {key!r} has {len(a)} entries in A, {len(b)} in B")
+        for item_a, item_b in zip(a, b):
+            _json_numbers(item_a, item_b, key, numbers)
+    elif all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b)):
+        _add(numbers, f"key {key!r}", a, b, f"key {key!r}")
+    elif type(a) is not type(b) or a != b:
+        raise Mismatch(f"key {key!r}: {a!r} in A, {b!r} in B")
+    return numbers
+
+
+def _add(numbers: dict, key: str, a, b, where: str) -> None:
+    """Add the pair of values a, b to `numbers[key]` when both are finite
+    numbers; raise Mismatch when they are unequal and are not."""
+    try:
+        x, y = float(a), float(b)
+    except (TypeError, ValueError, OverflowError):
+        x = y = math.nan
+    if math.isfinite(x) and math.isfinite(y):
+        xs, ys = numbers.setdefault(key, ([], []))
+        xs.append(x)
+        ys.append(y)
+    elif a != b:
+        raise Mismatch(f"{where}: {a!r} in A, {b!r} in B")
+
+
+def numeric_differences(a: Path, b: Path) -> dict:
+    """{column or key: largest |A - B| relative to the largest |A| there} of
+    two CSV or JSON files, for each whose numbers differ; Mismatch when they
+    differ in anything but their numbers."""
+    if a.suffix == ".csv":
+        numbers = _csv_numbers(a, b)
+    elif a.suffix == ".json":
+        numbers = _json_numbers(*(json.loads(path.read_text(encoding="utf-8")) for path in (a, b)))
+    else:
+        raise Mismatch("neither a CSV nor a JSON file")
+    worst = {}
+    for key, (xs, ys) in numbers.items():
+        xs, ys = np.array(xs), np.array(ys)
+        largest = np.abs(xs - ys).max()
+        if largest:
+            scale = np.abs(xs).max()
+            worst[key] = largest / scale if scale else math.inf
+    return worst
+
+
+def compare(a: dict, b: dict, rtol=None, dirs=None) -> tuple[list[str], bool]:
+    """Lines that describe how manifest `b` differs from manifest `a`, and
+    whether they agree: when identical, or, given `rtol` and the two run
+    directories `dirs`, when changed files differ only in numbers within `rtol`."""
     lines = []
+    agree = True
     fa, fb = a["files"], b["files"]
     for name in sorted(fa.keys() | fb.keys()):
-        if fa.get(name) != fb.get(name):
-            state = "only in A" if name not in fb else "only in B" if name not in fa else "changed"
+        if fa.get(name) == fb.get(name):
+            continue
+        state = "only in A" if name not in fb else "only in B" if name not in fa else "changed"
+        if rtol is None or state != "changed":
             lines.append(f"{state}: {name}")
+            agree = False
+            continue
+        try:
+            worst = numeric_differences(*(Path(d) / name for d in dirs))
+        except Mismatch as e:
+            lines.append(f"changed: {name}: {e}")
+            agree = False
+            continue
+        if not worst:
+            lines.append(f"changed: {name}: every number is equal")
+        for key, rel in worst.items():
+            within = rel <= rtol
+            agree &= within
+            lines.append(f"changed: {name}, {key}: largest relative difference {rel:.3g}, "
+                         f"{'within' if within else 'beyond'} rtol {rtol:g}")
+    n_file_lines = len(lines)  # each line past these is a command difference, always fatal
     if len(a["commands"]) != len(b["commands"]):
         lines.append(f"A ran {len(a['commands'])} commands, B ran {len(b['commands'])}")
     for ca, cb in zip(a["commands"], b["commands"]):
@@ -127,7 +243,7 @@ def compare(a: dict, b: dict) -> list[str]:
                 lines.append(f"{stream} of {label}:")
                 lines += ["  " + line for line in difflib.unified_diff(
                     ca[stream].splitlines(), cb[stream].splitlines(), "A", "B", lineterm="")]
-    return lines
+    return lines, agree and len(lines) == n_file_lines
 
 
 def main(argv=None) -> int:
@@ -136,13 +252,22 @@ def main(argv=None) -> int:
     mode.add_argument("--out", type=Path, help="run the walkthrough in this new or empty directory")
     mode.add_argument("--compare", type=Path, nargs=2, metavar=("A", "B"),
                       help="diff two manifests (files or directories holding manifest.json)")
+    parser.add_argument("--rtol", type=float,
+                        help="with --compare of two run directories: let CSV and JSON numbers "
+                             "differ by this much, relative to their column's largest in A")
     args = parser.parse_args(argv)
     if args.out is not None:
+        if args.rtol is not None:
+            parser.error("--rtol needs --compare")
         run(args.out)
         return 0
-    lines = compare(*(_load(path) for path in args.compare))
+    if args.rtol is not None and not all(path.is_dir() for path in args.compare):
+        parser.error("--rtol needs the two run directories, not manifest files")
+    lines, agree = compare(*(_load(path) for path in args.compare), args.rtol, args.compare)
     print("\n".join(lines) if lines else "manifests are identical")
-    return 1 if lines else 0
+    if lines and agree:
+        print(f"manifests agree within rtol {args.rtol:g}")
+    return 0 if agree else 1
 
 
 if __name__ == "__main__":

@@ -141,8 +141,7 @@ def save_csv(dataset: Dataset, path) -> None:
 
 def load_csv(path) -> Dataset:
     """Inverse of save_csv."""
-    table = tables.Table(path, floats=_PARAM_NAMES, blocks=("rho_",),
-                         text=("sample_id", "label", "split"))
+    table = tables.Table(path, floats=_PARAM_NAMES, blocks=("rho_",), text=("label", "split"))
     for i, sid in enumerate(table.sample_ids):
         if sid != i:
             raise InputError(f"{path}, line {i + 2}: sample_id {sid}, expected {i}")

@@ -48,11 +48,16 @@ def _mlp_from_dict(d, what: str) -> Mlp:
     return Mlp(dims, weights, biases)
 
 
-def _number(payload: dict, key: str, kinds=(int, float)):
+def _number(payload: dict, key: str, kind=float):
+    """payload[key] as a `kind`: a JSON number that is not a bool, and an int
+    when `kind` is int."""
     value = payload[key]
-    if isinstance(value, bool) or not isinstance(value, kinds):
+    if isinstance(value, bool) or not isinstance(value, (int, kind)):
         raise InputError(f"{key} must be a number, got {value!r}")
-    return value
+    try:
+        return kind(value)
+    except OverflowError:  # an int too large for a float
+        raise InputError(f"{key} is too large for a float") from None
 
 
 def _model_from_payload(payload: dict) -> GmVae:
@@ -60,8 +65,8 @@ def _model_from_payload(payload: dict) -> GmVae:
     if missing:
         raise InputError(f"missing keys {missing}")
     latent_dim = _number(payload, "latent_dim", int)
-    decoder_var = float(_number(payload, "decoder_var"))
-    beta = float(_number(payload, "beta"))
+    decoder_var = _number(payload, "decoder_var")
+    beta = _number(payload, "beta")
     ModelConfig(latent_dim=latent_dim, decoder_var=decoder_var, beta=beta)  # checks the ranges
     encoder = _mlp_from_dict(payload["encoder"], "encoder")
     decoder = _mlp_from_dict(payload["decoder"], "decoder")

@@ -2,7 +2,8 @@
 
 `write_table` writes a header and equal-length columns, floats with 17
 significant digits so files round-trip exactly, in the bytes `csv.writer`
-would write. `Table` streams one back and keeps only the columns its caller
+would write. `Table` streams back a table keyed by `sample_id`, the one kind
+the package reads, and keeps only that key and the columns its caller
 declares: numeric ones as float64 blocks, text ones as strings. It takes
 `csv.reader` rows a chunk at a time and drops every other cell as it passes,
 so a read holds about 8 B per numeric cell plus one chunk of text, not one
@@ -10,12 +11,14 @@ Python string (about 70 B) per cell of the file. It checks only what it
 keeps, so a command checks only the columns it reads (`metric` and `align`:
 `sample_id` and `mu_*` of an embeddings file), and raises InputError for the
 first defect in file order, naming the file, and the line and column where
-one applies: a declared column or numbered block that the header lacks comes
-before any row. What a caller checks of the values it is given comes after
-the whole file, such as `datagen.load_csv`'s sample_id order and its label
-and split names. A read gives back what was declared as plain attributes.
-Embeddings, history, report, spectrum and samples tables are mapped onto
-them here; the dataset in `datagen` and the aligned coordinates in the CLI.
+one applies. What it keeps follows from the header alone, so a declared
+column or numbered block that the header lacks is reported before any row is
+read, and a file reads the same whatever order its rows are in. What a
+caller checks of the values it is given comes after the whole file, such as
+`datagen.load_csv`'s sample_id order and its label and split names. A read
+gives back what was declared as plain attributes. The embeddings, history,
+report, spectrum and samples schemas live here; the dataset's in `datagen`
+and the aligned coordinates' in the CLI.
 """
 
 from __future__ import annotations
@@ -95,22 +98,22 @@ def _check_distinct(names, what: str) -> None:
 
 
 class Table:
-    """The declared columns of a CSV file with a header row of distinct names
-    and at least one data row, every row of the header's width.
+    """The `sample_id` key, a column of distinct integers, and the declared
+    columns of a CSV file with a header row of distinct names and at least
+    one data row, every row of the header's width.
 
     `floats` names the columns kept as finite float64 numbers; each must
-    exist. It may instead be a function of (header, first data row) that
-    returns those names. `blocks` gives prefixes: the columns `prefix`1,
-    `prefix`2, ... are kept as one float64 block, in order of their distinct
-    numbers, and each prefix must match a column. `text` names the columns
-    kept as strings; each must exist, and a `sample_id` column must hold
-    distinct integers. Every other column is dropped as the file streams.
-    The header is checked against all of these before any data row is.
+    exist. It may instead be a function of the header that returns those
+    names. `blocks` gives prefixes: the columns `prefix`1, `prefix`2, ... are
+    kept as one float64 block, in order of their distinct numbers, and each
+    prefix must match a column. `text` names the other columns kept as
+    strings; each must exist. Every other column is dropped as the file
+    streams. The header is checked against all of these before any data row
+    is read.
 
-    The read leaves `float_names`, the `floats` as an (n, m) array in their
-    order, `blocks` as {prefix: (n, k) array}, `text` as {name: list of
-    strings} of the text columns other than `sample_id`, and, when that is
-    declared, `sample_ids` as a list of ints in row order.
+    The read leaves `sample_ids` as a list of ints in row order,
+    `float_names`, the `floats` as an (n, m) array in their order, `blocks`
+    as {prefix: (n, k) array} and `text` as {name: list of strings}.
     """
 
     def __init__(self, path, floats=(), blocks=(), text=()):
@@ -119,32 +122,28 @@ class Table:
             with open(path, newline="", encoding="utf-8") as fh:
                 reader = csv.reader(fh)
                 self.header = next(reader, [])
-                _check_distinct(self.header, f"{path}: column")
-                rows = list(islice(reader, _ROWS_PER_CHUNK))
-                if not rows:
+                if not self.header:
                     raise InputError(f"{path}: needs a header row and at least one data row")
-                if callable(floats):
-                    self._check_width(rows[0], 0)
-                    floats = floats(self.header, rows[0])
-                self._declare(floats, blocks, text)
+                _check_distinct(self.header, f"{path}: column")
+                self._declare(floats(self.header) if callable(floats) else floats, blocks, text)
                 n = 0
-                while rows:
+                while rows := list(islice(reader, _ROWS_PER_CHUNK)):
                     self._take(rows, n)
                     n += len(rows)
-                    rows = list(islice(reader, _ROWS_PER_CHUNK))
         except (csv.Error, UnicodeDecodeError) as e:
             raise InputError(f"{path}: not a readable CSV file ({e})") from None
+        if not n:
+            raise InputError(f"{path}: needs a header row and at least one data row")
         self.blocks = {key: np.concatenate(parts) for key, parts in self._parts.items()}
         self.floats = self.blocks.pop(None)
-        if self._id is not None:
-            self.sample_ids = list(self._line_of)
+        self.sample_ids = list(self._line_of)
         del self._parts
 
     def _declare(self, floats, blocks, text) -> None:
         """Resolve the declared columns against the header."""
         index = {name: j for j, name in enumerate(self.header)}
         self.float_names = list(floats)
-        for name in [*self.float_names, *text]:
+        for name in [*self.float_names, "sample_id", *text]:
             if name not in index:
                 raise InputError(f"{self.path}: missing column {name!r}")
         groups = {None: [index[name] for name in self.float_names]}  # None: the named floats
@@ -162,21 +161,16 @@ class Table:
             groups[prefix] = [index[numbered[number]] for number in sorted(numbered)]
         self._groups = groups
         self._parts = {key: [] for key in groups}
-        self.text = {name: [] for name in text if name != "sample_id"}
+        self.text = {name: [] for name in text}
         self._text = [(index[name], cells) for name, cells in self.text.items()]
-        self._id = index["sample_id"] if "sample_id" in text else None
+        self._id = index["sample_id"]
         self._line_of = {}  # sample_id -> its line
         # the checks of a row in header order: (position, whether it is the sample_id check)
-        checks = {(j, False) for idx in groups.values() for j in idx}
-        self._checks = sorted(checks | ({(self._id, True)} if self._id is not None else set()))
+        self._checks = sorted({(j, False) for idx in groups.values() for j in idx}
+                              | {(self._id, True)})
 
     def _at(self, i: int, name: str) -> str:
         return f"{self.path}, line {i + 2}, column {name!r}"
-
-    def _check_width(self, row, i: int) -> None:
-        if len(row) != len(self.header):
-            raise InputError(f"{self.path}, line {i + 2}: {len(row)} cells, "
-                             f"header has {len(self.header)}")
 
     def _take(self, rows, start: int) -> None:
         """Keep the declared cells of data rows start, start+1, ...; a chunk
@@ -192,23 +186,23 @@ class Table:
                 if not np.isfinite(block).all():
                     raise ValueError
                 parsed[key] = block
-            if self._id is not None:
-                ids = {int(row[self._id]): i + 2 for i, row in enumerate(rows, start)}
-                if len(ids) < len(rows) or not ids.keys().isdisjoint(self._line_of):
-                    raise ValueError
+            ids = {int(row[self._id]): i + 2 for i, row in enumerate(rows, start)}
+            if len(ids) < len(rows) or not ids.keys().isdisjoint(self._line_of):
+                raise ValueError
         except ValueError:
             self._raise_first_defect(rows, start)
         for key, block in parsed.items():
             self._parts[key].append(block)
-        if self._id is not None:
-            self._line_of |= ids
+        self._line_of |= ids
         for j, cells in self._text:
             cells.extend(row[j] for row in rows)
 
     def _raise_first_defect(self, rows, start: int):
         line_of = dict(self._line_of)
         for i, row in enumerate(rows, start):
-            self._check_width(row, i)
+            if len(row) != len(self.header):
+                raise InputError(f"{self.path}, line {i + 2}: {len(row)} cells, "
+                                 f"header has {len(self.header)}")
             for j, is_id in self._checks:
                 cell, name = row[j], self.header[j]
                 if is_id:
@@ -258,7 +252,7 @@ def read_embeddings_csv(path) -> tuple[list, np.ndarray]:
     """The columns `metric` and `align` join on: returns (sample_ids, mu),
     mu the (n, d) block of the mu_* columns. Only these are checked; any
     other column (var_*, gamma_*, split, labels) is dropped unchecked."""
-    table = Table(path, blocks=("mu_",), text=("sample_id",))
+    table = Table(path, blocks=("mu_",))
     return table.sample_ids, table.blocks["mu_"]
 
 
@@ -275,29 +269,21 @@ def read_quantities_csv(path, columns=None) -> tuple[list, dict]:
     """Numeric per-sample quantities keyed by sample_id.
 
     Returns (sample_ids, {name: array}). Picks `columns` when given, each
-    named once, otherwise every column whose first row parses as a float and
-    that is not an identifier, a rho_* curve value, or a label/split tag.
+    named once, otherwise every column but sample_id, the label, split,
+    hard_label and true_label tags and the rho_* curve values; either way
+    each picked column must hold finite numbers.
     """
-    def numeric(header, first_row):
+    def quantities(header):
         skip = {"sample_id", "label", "split", "hard_label", "true_label"}
-        names = [name for name, cell in zip(header, first_row)
-                 if name not in skip and not name.startswith("rho_") and _is_float(cell)]
+        names = [name for name in header if name not in skip and not name.startswith("rho_")]
         if not names:
-            raise InputError(f"{path}: no numeric quantity columns")
+            raise InputError(f"{path}: no quantity columns")
         return names
 
     if columns is not None:
         _check_distinct(columns, f"{path}: requested column")
-    table = Table(path, floats=numeric if columns is None else columns, text=("sample_id",))
+    table = Table(path, floats=quantities if columns is None else columns)
     return table.sample_ids, dict(zip(table.float_names, table.floats.T))
-
-
-def _is_float(text: str) -> bool:
-    try:
-        float(text)
-        return True
-    except ValueError:
-        return False
 
 
 def write_report_csv(path, report) -> None:

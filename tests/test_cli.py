@@ -999,6 +999,9 @@ BAD_CHECKPOINTS = {
     # json.dumps writes these as the token Infinity, which json.loads reads back
     "decoder-var-inf": lambda c: c.update(decoder_var=float("inf")),
     "beta-inf": lambda c: c.update(beta=float("inf")),
+    # json.dumps writes these as integers, which json.loads reads back as ints past float range
+    "decoder-var-huge-int": lambda c: c.update(decoder_var=10**400),
+    "beta-huge-int": lambda c: c.update(beta=10**400),
 }
 
 

@@ -90,8 +90,7 @@ def test_embeddings_round_trip_full_schema(tmp_path):
     path = tmp_path / "emb.csv"
     write_embeddings_csv(path, list(range(5)), ["train"] * 5, mu, var=var, gamma=gamma,
                          hard_labels=[0, 1, 2, 0, 1], true_labels=["a"] * 5)
-    back = Table(path, blocks=("mu_", "var_", "gamma_"),
-                 text=("sample_id", "split", "hard_label", "true_label"))
+    back = Table(path, blocks=("mu_", "var_", "gamma_"), text=("split", "hard_label", "true_label"))
     assert back.sample_ids == [0, 1, 2, 3, 4]
     assert np.array_equal(back.blocks["mu_"], mu)
     assert np.array_equal(back.blocks["var_"], var)
@@ -107,13 +106,13 @@ def test_embeddings_minimal_schema(tmp_path):
     mu = np.zeros((3, 2))
     path = tmp_path / "emb.csv"
     write_embeddings_csv(path, [7, 8, 9], ["test"] * 3, mu)
-    back = Table(path, blocks=("mu_",), text=("sample_id",))
+    back = Table(path, blocks=("mu_",))
     assert back.sample_ids == [7, 8, 9] and back.text == {}
     assert list(back.blocks) == ["mu_"]
     assert back.header == ["sample_id", "split", "mu_1", "mu_2"]
     for prefix in ("var_", "gamma_"):
         with pytest.raises(InputError, match=rf"no {prefix}\* columns found"):
-            Table(path, blocks=("mu_", prefix), text=("sample_id",))
+            Table(path, blocks=("mu_", prefix))
 
 
 def test_read_embeddings_checks_only_sample_id_and_mu(tmp_path):
@@ -140,10 +139,9 @@ def test_numbered_block_is_ordered_by_number_not_by_position(tmp_path):
 
 
 @pytest.mark.parametrize("read, message", [
-    (lambda path: Table(path, floats=["a", "b"], text=["sample_id"]), "missing column 'b'"),
-    (lambda path: Table(path, floats=["a"], text=["sample_id", "b"]), "missing column 'b'"),
-    (lambda path: Table(path, floats=["a"], blocks=["v_"], text=["sample_id"]),
-     r"no v_\* columns found"),
+    (lambda path: Table(path, floats=["a", "b"]), "missing column 'b'"),
+    (lambda path: Table(path, floats=["a"], text=["b"]), "missing column 'b'"),
+    (lambda path: Table(path, floats=["a"], blocks=["v_"]), r"no v_\* columns found"),
     (read_embeddings_csv, r"no mu_\* columns found"),
     (datagen.load_csv, r"no rho_\* columns found"),
 ], ids=["float", "text", "block", "embeddings-mu", "dataset-rho"])
@@ -175,12 +173,27 @@ def test_unreadable_file_raises_input_error_naming_it(tmp_path, content):
         read_embeddings_csv(path)
 
 
+def test_every_table_is_keyed_by_sample_id(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("id,mu_1\n0,1.0\n")
+    with pytest.raises(InputError, match="missing column 'sample_id'"):
+        Table(path, blocks=("mu_",))
+
+
+def test_the_header_is_checked_before_any_row_is_read(tmp_path):
+    # line 3's cell is past csv's field limit; the header, which lacks mu_*, comes first
+    path = tmp_path / "emb.csv"
+    path.write_bytes(b"sample_id,split\n0,train\n1," + b"9" * 200_000 + b"\n")
+    with pytest.raises(InputError, match=r"no mu_\* columns found"):
+        read_embeddings_csv(path)
+
+
 def test_quantities_auto_column_selection(tmp_path):
     path = tmp_path / "q.csv"
     path.write_text(
-        "sample_id,rho_0,rho_1,alpha,gamma,label,split\n"
-        "0,0.89,0.9,1.1,0.011,reactive,train\n"
-        "1,0.89,0.8,1.2,0.012,stable,test\n"
+        "sample_id,rho_0,rho_1,alpha,gamma,label,split,hard_label,true_label\n"
+        "0,0.89,0.9,1.1,0.011,reactive,train,1,reactive\n"
+        "1,0.89,0.8,1.2,0.012,stable,test,0,stable\n"
     )
     ids, quantities = read_quantities_csv(path)
     assert ids == [0, 1]
@@ -188,11 +201,39 @@ def test_quantities_auto_column_selection(tmp_path):
     assert np.array_equal(quantities["alpha"], [1.1, 1.2])
 
 
+@pytest.mark.parametrize("rows, line", [(["0,1.0,x", "1,2.0,3"], 2), (["1,2.0,3", "0,1.0,x"], 3)],
+                         ids=["text-first", "number-first"])
+def test_default_quantities_follow_from_the_header_not_the_rows(tmp_path, rows, line):
+    # every column but the key, the tags and rho_* is a quantity, whatever row comes first
+    path = tmp_path / "q.csv"
+    path.write_text("sample_id,a,note\n" + "\n".join(rows) + "\n")
+    with pytest.raises(InputError, match=f"line {line}, column 'note': not a number 'x'"):
+        read_quantities_csv(path)
+    ids, quantities = read_quantities_csv(path, columns=["a"])
+    assert ids == [int(row[0]) for row in rows] and list(quantities) == ["a"]
+
+
 def test_quantities_missing_requested_column(tmp_path):
     path = tmp_path / "q.csv"
     path.write_text("sample_id,alpha\n0,1.0\n")
     with pytest.raises(InputError, match="pressure"):
         read_quantities_csv(path, columns=["pressure"])
+    path.write_text("sample_id,rho_0,label\n0,0.5,stable\n")
+    with pytest.raises(InputError, match="no quantity columns"):
+        read_quantities_csv(path)
+
+
+def _read_columns(path):
+    """A written table as {name: list of cells}, read with csv.reader: the
+    history, report and spectrum tables have no sample_id, so `Table` does
+    not read them."""
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    return {name: [row[j] for row in rows] for j, name in enumerate(header)}
+
+
+def _floats(columns, names):
+    return np.array([columns[name] for name in names], dtype=np.float64).T
 
 
 def test_history_round_trip(tmp_path):
@@ -204,16 +245,15 @@ def test_history_round_trip(tmp_path):
     write_history_csv(path, history)
     names = {prefix: [f"{prefix}_{c + 1}_{j + 1}" for c in range(2) for j in range(3)]
              for prefix in ("mean", "var")}
-    table = Table(path, floats=[*ElboTerms.COLUMNS, *names["mean"], *names["var"]],
-                  blocks=["pi_"], text=["epoch"])
-    assert table.text == {"epoch": ["0", "1", "2"]}
-    terms, mean, var = np.split(table.floats, [len(ElboTerms.COLUMNS), -6], axis=1)
-    assert np.array_equal(terms, np.column_stack([history[name] for name in ElboTerms.COLUMNS]))
-    assert np.array_equal(table.blocks["pi_"], history["pi"])
-    assert np.array_equal(mean, np.reshape(history["mean"], (3, 6)))
-    assert np.array_equal(var, np.reshape(history["var"], (3, 6)))
-    assert table.header == ["epoch", *ElboTerms.COLUMNS, "pi_1", "pi_2", *names["mean"],
-                            *names["var"]]
+    columns = _read_columns(path)
+    assert columns["epoch"] == ["0", "1", "2"]
+    assert np.array_equal(_floats(columns, ElboTerms.COLUMNS),
+                          np.column_stack([history[name] for name in ElboTerms.COLUMNS]))
+    assert np.array_equal(_floats(columns, ["pi_1", "pi_2"]), history["pi"])
+    assert np.array_equal(_floats(columns, names["mean"]), np.reshape(history["mean"], (3, 6)))
+    assert np.array_equal(_floats(columns, names["var"]), np.reshape(history["var"], (3, 6)))
+    assert list(columns) == ["epoch", *ElboTerms.COLUMNS, "pi_1", "pi_2", *names["mean"],
+                             *names["var"]]
 
 
 def _report():
@@ -229,9 +269,9 @@ def test_report_round_trip(tmp_path):
     report = _report()
     path = tmp_path / "report.csv"
     write_report_csv(path, report)
-    table = Table(path, floats=["k", "r_percent", "eta", "n_components"], text=["quantity"])
-    assert table.text == {"quantity": ["alpha", "gamma"]}
-    assert np.array_equal(table.floats,
+    columns = _read_columns(path)
+    assert columns["quantity"] == ["alpha", "gamma"]
+    assert np.array_equal(_floats(columns, ["k", "r_percent", "eta", "n_components"]),
                           [[3, 20.0, report.eta[name], 1] for name in ("alpha", "gamma")])
 
 
@@ -239,10 +279,10 @@ def test_spectrum_round_trip(tmp_path):
     report = _report()
     path = tmp_path / "spectrum.csv"
     write_spectrum_csv(path, report)
-    table = Table(path, floats=["eigenvalue", "alpha"], text=["quantity", "mode"])
-    assert table.text == {"quantity": ["alpha"] * 4 + ["gamma"] * 4,
-                          "mode": ["0", "1", "2", "3"] * 2}
-    values = table.floats
+    columns = _read_columns(path)
+    assert columns["quantity"] == ["alpha"] * 4 + ["gamma"] * 4
+    assert columns["mode"] == ["0", "1", "2", "3"] * 2
+    values = _floats(columns, ["eigenvalue", "alpha"])
     for i, name in enumerate(("alpha", "gamma")):
         assert np.array_equal(values[4 * i:4 * i + 4, 0], report.eigenvalues)
         assert np.array_equal(values[4 * i:4 * i + 4, 1], report.coefficients[name])
@@ -253,7 +293,7 @@ def test_samples_round_trip(tmp_path):
     clusters = np.array([0, 1, 1, 0, 1])
     path = tmp_path / "samples.csv"
     write_samples_csv(path, curves, clusters)
-    table = Table(path, blocks=["rho_"], text=["sample_id", "cluster"])
+    table = Table(path, blocks=["rho_"], text=["cluster"])
     assert table.sample_ids == [0, 1, 2, 3, 4]
     assert np.array_equal(table.blocks["rho_"], curves)
     assert table.text == {"cluster": ["0", "1", "1", "0", "1"]}
@@ -385,7 +425,7 @@ def test_streamed_read_matches_a_csv_reader_oracle(tmp_path_factory, n, seed, da
                 if n else {name: [] for name in _ORACLE_HEADER})
     want = _oracle(path)
     try:
-        table = Table(path, floats=_ORACLE_FLOATS, blocks=["v_"], text=["sample_id", "tag"])
+        table = Table(path, floats=_ORACLE_FLOATS, blocks=["v_"], text=["tag"])
     except InputError as e:
         assert not isinstance(want, dict), e
         assert str(path) in str(e)
@@ -413,4 +453,4 @@ def test_the_first_defect_in_file_order_is_reported(tmp_path, defects, first):
     write_table(path, dict(zip(_ORACLE_HEADER, map(list, zip(*rows)))))
     assert _oracle(path) == first
     with pytest.raises(InputError, match=f"line {first[0]}, column '{first[1]}'"):
-        Table(path, floats=_ORACLE_FLOATS, blocks=["v_"], text=["sample_id", "tag"])
+        Table(path, floats=_ORACLE_FLOATS, blocks=["v_"], text=["tag"])
