@@ -16,7 +16,7 @@ import json
 import os
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -143,7 +143,7 @@ def cmd_train(args) -> int:
 
     history = train(model, x_train, tc, progress=progress if not args.quiet else None)
 
-    digest = save_checkpoint(model, checkpoint_json, config=cfg.as_dict())
+    digest = save_checkpoint(model, checkpoint_json, config=asdict(cfg))
     tables.write_history_csv(history_csv, history)
     hard = _write_embeddings(model, dataset, embeddings_csv)
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from typing import ClassVar
 
 from .errors import InputError
@@ -120,12 +120,10 @@ class RunConfig:
     training: TrainConfig = field(default_factory=TrainConfig)
     metric: MetricConfig = field(default_factory=MetricConfig)
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 def _parse_hidden_dims(text: str) -> tuple:
-    return tuple(int(part) for part in text.replace(" ", "").split(",") if part)
+    """Comma-separated widths, e.g. "32, 16, 8"; empty parts are skipped."""
+    return tuple(int(part) for part in text.split(",") if part.strip())
 
 
 # section -> key -> parser: each key is parsed with its default's type

@@ -9,6 +9,8 @@ posterior log-variance (through the reparameterization z = mu + sqrt(var)
 * eps); `backward` chains it through the decoder and encoder. All network
 parameters live in one flat vector that Adam updates in place; the
 gradient is written into one preallocated vector of the same layout.
+`_layer_views` is that layout, written once: the parameters, the gradient
+and the names in a non-finite-gradient error are all views through it.
 
 `batch_loss` is the only forward pass, and the one place the sample
 z = mu + sqrt(var) * eps is formed: each batch runs it for its gradient, and
@@ -110,7 +112,9 @@ def batch_terms(model: GmVae, cache: BatchCache) -> ElboTerms:
 
 def _layer_views(model: GmVae, flat: np.ndarray) -> list[tuple[list, list]]:
     """Per net, encoder then decoder, the (weights, biases) lists of views into
-    `flat` in `pack_params` order: each layer's weights before its biases."""
+    `flat`: each layer's weights before its biases. This is the one statement
+    of the flat vector's layout, shared by the parameters, their gradient and
+    their names."""
     views, start = [], 0
     for net in (model.encoder, model.decoder):
         ws, bs = [], []
@@ -123,19 +127,20 @@ def _layer_views(model: GmVae, flat: np.ndarray) -> list[tuple[list, list]]:
     return views
 
 
-class FlatGradient:
-    """A flat gradient vector in `pack_params` order and, per net, the per-layer
-    dW and db views into it that `Mlp.backward` fills."""
+def _param_names(model: GmVae, size: int) -> np.ndarray:
+    """The name of each entry of a flat vector in `_layer_views` layout, e.g.
+    'enc.w0' or 'dec.b3', as an object array."""
+    names = np.empty(size, dtype=object)
+    for prefix, (ws, bs) in zip(("enc", "dec"), _layer_views(model, names)):
+        for i, (w, b) in enumerate(zip(ws, bs)):
+            w[...], b[...] = f"{prefix}.w{i}", f"{prefix}.b{i}"
+    return names
 
-    def __init__(self, model: GmVae):
-        self.flat = np.empty(model.encoder.n_params() + model.decoder.n_params())
-        self.nets = _layer_views(model, self.flat)
 
-
-def backward(model: GmVae, cache: BatchCache, out: FlatGradient) -> np.ndarray:
+def backward(model: GmVae, cache: BatchCache, views: list) -> None:
     """Gradient of the batch objective, responsibilities held fixed, written into
-    and returned as `out.flat` (`pack_params` order)."""
-    (enc_dws, enc_dbs), (dec_dws, dec_dbs) = out.nets
+    `views`, the `_layer_views` of a flat gradient vector."""
+    (enc_dws, enc_dbs), (dec_dws, dec_dbs) = views
     gmm = model.gmm
     beta = model.beta
     d = model.latent_dim
@@ -151,26 +156,22 @@ def backward(model: GmVae, cache: BatchCache, out: FlatGradient) -> np.ndarray:
     np.multiply(0.5, g_z * cache.std_eps + cache.var * (precision + beta) - 1.0 - beta,
                 out=g_enc[:, d:])
     model.encoder.backward(cache.enc_acts, g_enc, enc_dws, enc_dbs, input_grad=False)
-    return out.flat
 
 
-def pack_params(model: GmVae) -> tuple[np.ndarray, tuple]:
-    """Move the encoder and decoder arrays into one flat float64 vector.
+def pack_params(model: GmVae) -> np.ndarray:
+    """Move the encoder and decoder arrays into one flat float64 vector, laid
+    out by `_layer_views`, and return it.
 
     The nets' weights and biases become views into the returned vector, so
-    updating it in place updates the model. The order is the encoder, then
-    the decoder, each layer's weights before its biases. Returns the vector
-    and its (name, size) layout, e.g. ("enc.w0", 1600).
+    updating it in place updates the model.
     """
-    nets = (("enc.", model.encoder), ("dec.", model.decoder))
-    theta = np.concatenate([a.ravel() for _, net in nets
-                            for pair in zip(net.weights, net.biases) for a in pair])
-    layout = []
-    for (prefix, net), (ws, bs) in zip(nets, _layer_views(model, theta)):
+    nets = (model.encoder, model.decoder)
+    theta = np.empty(sum(a.size for net in nets for a in (*net.weights, *net.biases)))
+    for net, (ws, bs) in zip(nets, _layer_views(model, theta)):
+        for view, a in zip(ws + bs, net.weights + net.biases):
+            view[...] = a
         net.weights[:], net.biases[:] = ws, bs
-        layout += [(f"{prefix}{kind}{i}", arrays[i].size)
-                   for i in range(net.n_layers) for kind, arrays in (("w", ws), ("b", bs))]
-    return theta, tuple(layout)
+    return theta
 
 
 def _last_good(epoch: int) -> str:
@@ -197,9 +198,10 @@ def train(model: GmVae, x_train: np.ndarray, cfg: TrainConfig,
     if n == 0:
         raise InputError("train needs a non-empty training set")
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    theta, layout = pack_params(model)
-    grad = FlatGradient(model)
-    adam = AdamState(lr=cfg.lr, layout=layout)
+    theta = pack_params(model)
+    grad = np.empty_like(theta)
+    grad_views = _layer_views(model, grad)
+    adam = AdamState(lr=cfg.lr)
     shape = (cfg.epochs, *model.gmm.means.shape)
     history = {name: np.empty(cfg.epochs) for name in ElboTerms.COLUMNS}
     history |= {"pi": np.empty(shape[:2]), "mean": np.empty(shape), "var": np.empty(shape)}
@@ -211,7 +213,12 @@ def train(model: GmVae, x_train: np.ndarray, cfg: TrainConfig,
             stop = start + cfg.batch_size
             try:
                 cache = batch_loss(model, x_train[perm[start:stop]], noise[start:stop])
-                adam_step(theta, backward(model, cache, grad), adam)
+                backward(model, cache, grad_views)
+                if not np.isfinite(grad).all():
+                    bad = int(np.flatnonzero(~np.isfinite(grad))[0])
+                    raise NumericalError("non-finite gradient for parameter "
+                                         f"{_param_names(model, grad.size)[bad]!r}")
+                adam_step(theta, grad, adam)
             except NumericalError as e:
                 raise NumericalError(f"epoch {epoch}, batch {batch}: {e} ({_last_good(epoch)})")
 

@@ -41,9 +41,6 @@ class Mlp:
     def n_layers(self) -> int:
         return len(self.weights)
 
-    def n_params(self) -> int:
-        return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
-
     def forward(self, x: np.ndarray) -> list[np.ndarray]:
         """Activations [input, hidden tanh outputs..., output] of a batch.
 

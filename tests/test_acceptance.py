@@ -32,7 +32,7 @@ from gmvlab.gmvae import (
     sample,
     train,
 )
-from gmvlab.gmvae.train import FlatGradient, backward, batch_terms, pack_params
+from gmvlab.gmvae.train import _layer_views, backward, batch_terms, pack_params
 from gmvlab.spectral import build_knn, eta, interpretability_report, laplacian, project, spectrum
 
 FULL = os.environ.get("GMVLAB_FULL_ACCEPTANCE", "") == "1"
@@ -114,14 +114,15 @@ def test_gradient_correctness():
         x = rng.standard_normal((4, 6))
         eps = rng.standard_normal((4, 2))  # fixed noise for the whole check
         gamma = batch_loss(model, x, eps).gamma
-        theta, _ = pack_params(model)
+        theta = pack_params(model)
 
         def loss_value():
             return batch_terms(model, dataclasses.replace(batch_loss(model, x, eps),
                                                           gamma=gamma)).total_loss
 
-        grad = backward(model, dataclasses.replace(batch_loss(model, x, eps), gamma=gamma),
-                        FlatGradient(model))
+        grad = np.empty_like(theta)
+        backward(model, dataclasses.replace(batch_loss(model, x, eps), gamma=gamma),
+                 _layer_views(model, grad))
         for i, g in enumerate(grad):
             orig = theta[i]
             theta[i] = orig + h

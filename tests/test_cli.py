@@ -718,6 +718,16 @@ def test_empty_hidden_dims_gives_exit_1_through_the_model_rule(tmp_path, capsys)
     assert capsys.readouterr().err == "error: model.hidden_dims must be positive ints, got ()\n"
 
 
+def test_space_separated_hidden_dims_gives_exit_1(tmp_path, capsys):
+    # the widths are comma-separated; spaces alone do not separate them
+    bad = tmp_path / "bad.ini"
+    bad.write_text("[model]\nhidden_dims = 32 16 8\n")
+    assert main(["generate", "--config", str(bad), "--out", str(tmp_path / "d.csv")]) == 1
+    assert capsys.readouterr().err == \
+        f"error: config {bad}: bad value '32 16 8' for model.hidden_dims\n"
+    assert not (tmp_path / "d.csv").exists()
+
+
 FLOAT_KEYS = [(section.name, key.name) for section in fields(RunConfig)
               for key in fields(section.default_factory) if type(key.default) is float]
 

@@ -1,6 +1,6 @@
 """Config file parsing and validation."""
 
-from dataclasses import FrozenInstanceError, fields, replace
+from dataclasses import FrozenInstanceError, asdict, fields, replace
 
 import pytest
 
@@ -150,5 +150,5 @@ def test_config_sections_are_frozen():
 def test_as_dict_is_json_friendly():
     import json
 
-    blob = json.dumps(RunConfig().as_dict(), sort_keys=True)
+    blob = json.dumps(asdict(RunConfig()), sort_keys=True)
     assert "hidden_dims" in blob

@@ -3,7 +3,11 @@
 next to it, and the benchmark harness sits beside it, but neither is declared.
 
 No import under `src/gmvlab`, `tests/` or `scripts/` is dead: each name a
-module imports is used there or listed in its `__all__`."""
+module imports is used there or listed in its `__all__`.
+
+`gmvlab.ndmath` is the bottom layer: from the package it imports only
+`gmvlab.errors` and its own modules, so its numerics know nothing of the
+model, such as the names of the parameters Adam updates."""
 
 import ast
 import sys
@@ -24,6 +28,29 @@ def absolute_imports(path: Path):
             continue
         for name in names:
             yield node.lineno, name.partition(".")[0]
+
+
+def package_imports(path: Path, package: str):
+    """(line, module) of each import in the file, a module of `package`, that
+    resolves into gmvlab, relative imports resolved."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        elif isinstance(node, ast.ImportFrom):
+            base = package.rsplit(".", node.level - 1)[0]
+            names = [f"{base}.{node.module}"] if node.module else \
+                [f"{base}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        yield from ((node.lineno, name) for name in names
+                    if name.partition(".")[0] == "gmvlab")
+
+
+def reaches_above_ndmath(module: str) -> bool:
+    return module not in ("gmvlab.errors", "gmvlab.ndmath") \
+        and not module.startswith("gmvlab.ndmath.")
 
 
 def unused_imports(path: Path):
@@ -59,6 +86,24 @@ def test_a_third_party_import_is_caught(tmp_path):
     path.write_text("import numpy as np\nfrom scipy import sparse\nfrom . import tables\n"
                     "import perfbench.tracing\n")
     assert [m for _, m in absolute_imports(path) if m not in ALLOWED] == ["scipy", "perfbench"]
+
+
+def test_ndmath_imports_nothing_from_the_package_but_errors():
+    files = sorted((PACKAGE / "ndmath").glob("*.py"))
+    assert len(files) >= 4
+    above = [f"ndmath/{path.name}:{line}: {module}" for path in files
+             for line, module in package_imports(path, "gmvlab.ndmath")
+             if reaches_above_ndmath(module)]
+    assert above == []
+
+
+def test_an_import_above_ndmath_is_caught(tmp_path):
+    path = tmp_path / "probe.py"
+    path.write_text("import numpy as np\nfrom ..errors import InputError\nfrom .mlp import Mlp\n"
+                    "from . import adam\nfrom ..gmvae.train import _layer_views\n"
+                    "from .. import config\nimport gmvlab.tables\n")
+    assert [m for _, m in package_imports(path, "gmvlab.ndmath") if reaches_above_ndmath(m)] \
+        == ["gmvlab.gmvae.train", "gmvlab.config", "gmvlab.tables"]
 
 
 def test_package_has_no_unused_imports():

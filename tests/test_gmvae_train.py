@@ -23,7 +23,13 @@ from gmvlab.gmvae import (
     save_checkpoint,
     train,
 )
-from gmvlab.gmvae.train import FlatGradient, backward, batch_terms, pack_params
+from gmvlab.gmvae.train import (
+    _layer_views,
+    _param_names,
+    backward,
+    batch_terms,
+    pack_params,
+)
 from gmvlab.ndmath import AdamState, adam_step
 
 TRAIN_MODULE = sys.modules["gmvlab.gmvae.train"]
@@ -56,16 +62,16 @@ def test_total_loss_gradients_match_finite_differences(seed, k, beta):
     eps = rng.standard_normal((4, 2))
     # freeze responsibilities so the objective is a fixed function of the nets
     gamma = batch_loss(model, x, eps).gamma
-    theta, layout = pack_params(model)
-    names = [name for name, size in layout for _ in range(size)]
+    theta = pack_params(model)
+    names = _param_names(model, theta.size)
 
     def loss_value():
         return batch_terms(model, dataclasses.replace(batch_loss(model, x, eps),
                                                       gamma=gamma)).total_loss
 
-    grad = backward(model, dataclasses.replace(batch_loss(model, x, eps), gamma=gamma),
-                    FlatGradient(model))
-    assert grad.shape == theta.shape
+    grad = np.full_like(theta, np.nan)
+    backward(model, dataclasses.replace(batch_loss(model, x, eps), gamma=gamma),
+             _layer_views(model, grad))
 
     h = 1e-5
     for i, g in enumerate(grad):
@@ -83,14 +89,29 @@ def test_total_loss_gradients_match_finite_differences(seed, k, beta):
 def test_pack_params_points_the_nets_at_one_vector():
     model = make_model()
     before = model_arrays(model)
-    theta, layout = pack_params(model)
-    assert theta.size == model.encoder.n_params() + model.decoder.n_params()
-    assert sum(size for _, size in layout) == theta.size
-    assert layout[0] == ("enc.w0", model.encoder.weights[0].size)
+    theta = pack_params(model)
+    assert theta.size == sum(a.size for a in before)
+    names, w0 = _param_names(model, theta.size), model.encoder.weights[0].size
+    assert list(names[:w0 + 1]) == ["enc.w0"] * w0 + ["enc.b0"]
+    assert names[-1] == f"dec.b{model.decoder.n_layers - 1}"
     for a, b in zip(before, model_arrays(model)):
         assert np.array_equal(a, b)
     theta[0] += 1.0
     assert model.encoder.weights[0][0, 0] == before[0][0, 0] + 1.0
+
+
+def test_pack_params_again_moves_the_nets_to_the_new_vector():
+    # train packs a model whose nets may already be views of an earlier vector
+    model = make_model()
+    theta1 = pack_params(model)
+    theta1[0] += 1.0
+    theta2 = pack_params(model)
+    assert theta2.tobytes() == theta1.tobytes()
+    theta2[0] += 1.0
+    assert model.encoder.weights[0][0, 0] == theta2[0]
+    theta1[:] = np.nan
+    assert all(np.isfinite(a).all() for a in model_arrays(model))
+    assert model.encoder.weights[0][0, 0] == theta2[0]
 
 
 # A plain per-batch training loop that `train` must match bit for bit: a noise
@@ -152,8 +173,8 @@ def _ref_gradient(model, x, eps):
 
 def _ref_train(model, x, cfg):
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    theta, layout = pack_params(model)
-    adam = AdamState(lr=cfg.lr, layout=layout)
+    theta = pack_params(model)
+    adam = AdamState(lr=cfg.lr)
     n, d = x.shape[0], model.latent_dim
     history = {name: [] for name in (*ElboTerms.COLUMNS, "pi", "mean", "var")}
     for _ in range(cfg.epochs):
@@ -188,7 +209,7 @@ def test_fused_loop_matches_the_per_batch_reference_bit_for_bit(n, batch_size, k
     reference = copy.deepcopy(fused)
     history = train(fused, x, cfg)
     want = _ref_train(reference, x, cfg)
-    assert pack_params(fused)[0].tobytes() == pack_params(reference)[0].tobytes()
+    assert pack_params(fused).tobytes() == pack_params(reference).tobytes()
     assert list(history) == list(want)
     for name in want:  # every epoch's objective terms and mixture after EM
         assert history[name].tobytes() == want[name].tobytes(), name
@@ -287,7 +308,7 @@ def _overflow_gradient(model):
 BLOW_UPS = [
     pytest.param(_overflow_latent, 4, "epoch 1, batch 1: encoder produced non-finite latent state",
                  "(last good epoch 0)", id="latent"),
-    pytest.param(_overflow_gradient, 4, "epoch 1, batch 1: adam_step: non-finite gradient",
+    pytest.param(_overflow_gradient, 4, "epoch 1, batch 1: non-finite gradient",
                  "(last good epoch 0)", id="gradient"),
     pytest.param(_overflow_latent, 3,
                  "epoch 0, re-embed pass: encoder produced non-finite latent state",
@@ -308,6 +329,35 @@ def test_blow_up_names_its_epoch_batch_and_last_good_epoch(monkeypatch, corrupti
         train(model, x, TrainConfig(epochs=3, batch_size=8, seed=19))
     assert str(info.value).startswith(start), info.value
     assert str(info.value).endswith(end), info.value
+
+
+@pytest.mark.parametrize("net,layer,kind,name", [
+    pytest.param("encoder", 0, "weights", "'enc.w0'", id="enc.w0"),
+    pytest.param("decoder", -1, "biases", "'dec.b2'", id="dec.b2"),
+])
+def test_non_finite_gradient_names_its_parameter_and_takes_no_step(monkeypatch, net, layer,
+                                                                   kind, name):
+    # the first batch's gradient gets a nan in one parameter: train names that
+    # parameter, and the Adam step that would spread it never runs
+    model = make_model(seed=17)
+    before = model_arrays(model)
+    real = TRAIN_MODULE.backward
+
+    def backward_then_nan(model, cache, views):
+        real(model, cache, views)
+        enc_views, dec_views = views
+        ws, bs = enc_views if net == "encoder" else dec_views
+        (ws if kind == "weights" else bs)[layer].flat[-1] = np.nan
+
+    monkeypatch.setattr(TRAIN_MODULE, "backward", backward_then_nan)
+    x = np.random.default_rng(18).standard_normal((20, 6))
+    with pytest.raises(NumericalError) as info:
+        train(model, x, TrainConfig(epochs=3, batch_size=8, seed=19))
+    assert str(info.value) == (f"epoch 0, batch 0: non-finite gradient for parameter {name} "
+                               "(no completed epoch)")
+    for a, b in zip(before, model_arrays(model)):
+        assert np.isfinite(b).all()
+        assert np.array_equal(a, b)
 
 
 def test_zero_epochs_leaves_model_untouched():

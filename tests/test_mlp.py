@@ -73,7 +73,7 @@ def test_backward_into_given_arrays_matches_fresh_ones():
     acts = net.forward(rng.standard_normal((7, 5)))
     g = rng.standard_normal((7, 2))
     dws, dbs, dx = backward(net, acts, g)
-    flat = np.full(net.n_params(), np.nan)
+    flat = np.full(sum(a.size for a in net.weights + net.biases), np.nan)
     out_w, out_b, start = [], [], 0
     for w, b in zip(net.weights, net.biases):
         out_w.append(flat[start:start + w.size].reshape(w.shape))
