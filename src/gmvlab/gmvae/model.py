@@ -1,9 +1,11 @@
 """Mixture-prior VAE: model types, the E-step and M-step of EM, sampling.
 
 The generative model is c ~ Cat(pi), z | c ~ N(mean_c, diag var_c),
-x | z ~ N(decoder(z), decoder_var * I). The encoder emits [mu, log var], the
-posterior (mu, var) that `encode` returns; training samples it with the
-reparameterization z = mu + sqrt(var) * eps (`train.batch_loss`).
+x | z ~ N(decoder(z), decoder_var * I). The encoder emits [mu, log var];
+`_posterior` is the one place that splits it, exponentiates the log-variance
+and rejects a non-finite or overflowing output, for `encode` (the posterior
+(mu, var)) and for training, which samples it with the reparameterization
+z = mu + sqrt(var) * eps (`train.batch_loss`).
 
 EM on the mixture is `responsibilities` (the E-step: gamma at latent points)
 then `em_step` (the M-step: moment updates from gamma and the posterior).
@@ -29,6 +31,7 @@ from ..errors import InputError, NumericalError
 from ..ndmath import Mlp
 
 LOG_2PI = float(np.log(2.0 * np.pi))
+MAX_LOG = float(np.log(np.finfo(np.float64).max))  # the largest x whose exp is finite
 
 
 @dataclass(frozen=True)
@@ -122,27 +125,28 @@ class GmVae:
                    decoder_var=float(cfg.decoder_var), beta=float(cfg.beta), gmm=gmm)
 
 
-def _posterior(model: GmVae, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(mu, var) from the encoder output [mu, log var]; mu is a view."""
+def _posterior(model: GmVae, out: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(mu, log var, var) from the encoder output [mu, log var]; mu and log var
+    are views. The one split of that output, for training and `encode` alike."""
+    if not np.isfinite(out).all():
+        raise NumericalError("encoder produced non-finite output")
     d = model.latent_dim
-    return out[:, :d], np.exp(out[:, d:])
+    mu, logvar = out[:, :d], out[:, d:]
+    if (logvar > MAX_LOG).any():  # raised here, before exp can overflow
+        raise NumericalError("encoder log-variance overflows: non-finite posterior variance")
+    return mu, logvar, np.exp(logvar)
 
 
 def encode(model: GmVae, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The posterior (mu, var) of a batch, each (n, latent_dim)."""
-    out = model.encoder.infer(np.atleast_2d(np.asarray(x, dtype=np.float64)))
-    if not np.all(np.isfinite(out)):
-        raise NumericalError("encoder produced non-finite output")
-    with np.errstate(over="ignore"):  # an overflowing exp is raised below instead
-        mu, var = _posterior(model, out)
-    if not np.all(np.isfinite(var)):
-        raise NumericalError("encoder log-variance overflows: non-finite posterior variance")
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    mu, _, var = _posterior(model, model.encoder.forward(x)[-1])
     return mu, var
 
 
 def decode(model: GmVae, z: np.ndarray) -> np.ndarray:
     """Decoded reconstruction means for a batch of latent points."""
-    out = model.decoder.infer(np.atleast_2d(np.asarray(z, dtype=np.float64)))
+    out = model.decoder.forward(np.atleast_2d(np.asarray(z, dtype=np.float64)))[-1]
     if not np.all(np.isfinite(out)):
         raise NumericalError("decoder produced non-finite output")
     return out

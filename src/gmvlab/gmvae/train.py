@@ -10,10 +10,14 @@ posterior log-variance (through the reparameterization z = mu + sqrt(var)
 parameters live in one flat vector that Adam updates in place; the
 gradient is written into one preallocated vector of the same layout.
 `_layer_views` is that layout, written once: the parameters, the gradient
-and the names in a non-finite-gradient error are all views through it.
+and the names in a gradient error are all views through it. Before each Adam
+step `train` squares the gradient once; an entry that is not finite, or whose
+square overflows, stops training before any parameter or Adam moment moves.
 
 `batch_loss` is the only forward pass, and the one place the sample
-z = mu + sqrt(var) * eps is formed: each batch runs it for its gradient, and
+z = mu + sqrt(var) * eps is formed. Its posterior comes from `_posterior`, the
+split that `encode` uses too, and its `BatchCache` carries mu and log var to
+`batch_terms`, `backward` and the EM pass. Each batch runs it for its gradient, and
 the re-embed pass that feeds EM makes the same call once per epoch on the
 whole training set. Only that pass evaluates the objective (`batch_terms`): the network after
 the epoch's Adam pass, the re-embed noise, responsibilities under the mixture
@@ -51,6 +55,8 @@ class BatchCache:
 
     x: np.ndarray
     gamma: np.ndarray     # (n, K) responsibilities, held fixed
+    mu: np.ndarray        # (n, d) posterior mean, a view of enc_acts[-1]
+    logvar: np.ndarray    # (n, d) posterior log-variance, a view of enc_acts[-1]
     var: np.ndarray       # (n, d) posterior variance
     std_eps: np.ndarray   # (n, d) sigma * eps, so z = mu + std_eps
     enc_acts: list        # encoder activations; the last is [mu, log var]
@@ -69,21 +75,17 @@ def batch_loss(model: GmVae, x: np.ndarray, eps: np.ndarray) -> BatchCache:
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     enc_acts = model.encoder.forward(x)
-    mu, var = _posterior(model, enc_acts[-1])
+    mu, logvar, var = _posterior(model, enc_acts[-1])
     std_eps = np.sqrt(var) * eps
     z = mu + std_eps
-    if not np.isfinite(z).all():
-        raise NumericalError("encoder produced non-finite latent state")
-    return BatchCache(x=x, gamma=responsibilities(model.gmm, z), var=var, std_eps=std_eps,
-                      enc_acts=enc_acts, dec_acts=model.decoder.forward(z))
+    return BatchCache(x=x, gamma=responsibilities(model.gmm, z), mu=mu, logvar=logvar, var=var,
+                      std_eps=std_eps, enc_acts=enc_acts, dec_acts=model.decoder.forward(z))
 
 
 def batch_terms(model: GmVae, cache: BatchCache) -> ElboTerms:
     """The batch's objective terms from its cached forward values; `backward`
     returns the gradient of their `total_loss`."""
-    out = cache.enc_acts[-1]
-    d = model.latent_dim
-    mu, var, logvar, gamma = out[:, :d], cache.var, out[:, d:], cache.gamma
+    mu, var, logvar, gamma = cache.mu, cache.var, cache.logvar, cache.gamma
     n, data_dim = cache.x.shape
     gmm = model.gmm
     err = cache.x - cache.dec_acts[-1]
@@ -144,7 +146,7 @@ def backward(model: GmVae, cache: BatchCache, views: list) -> None:
     gmm = model.gmm
     beta = model.beta
     d = model.latent_dim
-    mu = cache.enc_acts[-1][:, :d]
+    mu = cache.mu
     g_x_hat = (cache.dec_acts[-1] - cache.x) / model.decoder_var
     g_z = model.decoder.backward(cache.dec_acts, g_x_hat, dec_dws, dec_dbs)
     # with g_z the loss gradient at z and s_c, m_c the cluster variances and means:
@@ -214,10 +216,14 @@ def train(model: GmVae, x_train: np.ndarray, cfg: TrainConfig,
             try:
                 cache = batch_loss(model, x_train[perm[start:stop]], noise[start:stop])
                 backward(model, cache, grad_views)
-                if not np.isfinite(grad).all():
-                    bad = int(np.flatnonzero(~np.isfinite(grad))[0])
-                    raise NumericalError("non-finite gradient for parameter "
-                                         f"{_param_names(model, grad.size)[bad]!r}")
+                with np.errstate(over="ignore"):  # an overflowing square is raised below
+                    grad_sq = grad * grad  # as Adam's second moment will
+                if not np.isfinite(grad_sq).all():
+                    bad = int(np.flatnonzero(~np.isfinite(grad_sq))[0])
+                    name = _param_names(model, grad.size)[bad]
+                    raise NumericalError(
+                        f"non-finite gradient for parameter {name!r}" if not np.isfinite(grad[bad])
+                        else f"gradient too large for parameter {name!r}: its square overflows")
                 adam_step(theta, grad, adam)
             except NumericalError as e:
                 raise NumericalError(f"epoch {epoch}, batch {batch}: {e} ({_last_good(epoch)})")
@@ -229,10 +235,9 @@ def train(model: GmVae, x_train: np.ndarray, cfg: TrainConfig,
         terms = batch_terms(model, cache)
         if not np.isfinite(terms.total_loss):
             raise NumericalError(f"non-finite objective at epoch {epoch} ({_last_good(epoch)})")
-        mu, z = cache.enc_acts[-1][:, :model.latent_dim], cache.dec_acts[0]
-        for i in range(cfg.n_em):
-            gamma = cache.gamma if i == 0 else responsibilities(model.gmm, z)
-            model.gmm = em_step(model.gmm, gamma, mu, cache.var,
+        for i in range(cfg.n_em):  # the re-embed z is dec_acts[0]
+            gamma = cache.gamma if i == 0 else responsibilities(model.gmm, cache.dec_acts[0])
+            model.gmm = em_step(model.gmm, gamma, cache.mu, cache.var,
                                 variance_floor=cfg.variance_floor)
 
         epoch_terms = ElboTerms(*(v / n for v in astuple(terms)))

@@ -1,4 +1,5 @@
-"""Small fully connected networks: tanh hidden layers, identity output."""
+"""Small fully connected networks: tanh hidden layers, identity output. A
+batch's output is the last of `Mlp.forward`'s activations; there is no other pass."""
 
 from __future__ import annotations
 
@@ -61,10 +62,6 @@ class Mlp:
                 np.tanh(h, out=h)
             acts.append(h)
         return acts
-
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        """Network output for a batch (the last of `forward`'s activations)."""
-        return self.forward(x)[-1]
 
     def backward(self, acts: list[np.ndarray], grad_out: np.ndarray, dws: list, dbs: list,
                  input_grad: bool = True):

@@ -36,7 +36,7 @@ def forward(model, x, eps):
     """`batch_loss`'s cache of x under the model's mixture, then its posterior
     mu and var and its sample z."""
     cache = batch_loss(model, x, eps)
-    return cache, cache.enc_acts[-1][:, :model.latent_dim], cache.var, cache.dec_acts[0]
+    return cache, cache.mu, cache.var, cache.dec_acts[0]
 
 
 @pytest.mark.parametrize("key, value", [("decoder_var", math.inf), ("beta", math.inf),
@@ -56,7 +56,7 @@ def test_encode_returns_the_posterior_mean_and_variance():
     model = make_model()
     x = np.random.default_rng(1).standard_normal((4, 6))
     mu, var = encode(model, x)
-    out = model.encoder.infer(x)
+    out = model.encoder.forward(x)[-1]
     assert mu.tobytes() == out[:, :2].tobytes()
     assert var.tobytes() == np.exp(out[:, 2:]).tobytes()
 
@@ -68,6 +68,15 @@ def test_zero_weight_encoder_gives_standard_posterior():
     mu, var = encode(model, np.ones((3, 6)))
     assert np.array_equal(mu, np.zeros((3, 2)))
     assert np.array_equal(var, np.ones((3, 2)))
+
+
+def test_encode_of_an_empty_batch_is_two_empty_arrays():
+    # the log-variance overflow check must hold on zero rows too, where a
+    # reduction such as max() would raise
+    mu, var = encode(make_model(), np.empty((0, 6)))
+    for a in (mu, var):
+        assert a.shape == (0, 2)
+        assert a.dtype == np.float64
 
 
 def test_encode_deterministic_for_fixed_seed():

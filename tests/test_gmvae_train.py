@@ -6,6 +6,7 @@ import copy
 import dataclasses
 import json
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from gmvlab.gmvae import (
     ElboTerms,
     GmVae,
     batch_loss,
+    decode,
     em_step,
     embed_dataset,
     encode,
@@ -302,23 +304,27 @@ def _overflow_gradient(model):
     return corrupt
 
 
+OVERFLOW_WARNINGS = pytest.mark.filterwarnings("ignore:overflow encountered",
+                                               "ignore:invalid value encountered")
+
 # 20 rows in batches of 8 are 3 Adam steps per epoch: after step 4 (epoch 1's
 # batch 0) epoch 1's batch 1 is the first to fail; after step 3 (epoch 0's
-# last batch) the failure comes in epoch 0's re-embed pass
+# last batch) the failure comes in epoch 0's re-embed pass. The posterior raises
+# its overflow before numpy can warn; the decoder's overflow warns on its way
 BLOW_UPS = [
-    pytest.param(_overflow_latent, 4, "epoch 1, batch 1: encoder produced non-finite latent state",
+    pytest.param(_overflow_latent, 4,
+                 "epoch 1, batch 1: encoder log-variance overflows: non-finite posterior variance",
                  "(last good epoch 0)", id="latent"),
     pytest.param(_overflow_gradient, 4, "epoch 1, batch 1: non-finite gradient",
-                 "(last good epoch 0)", id="gradient"),
+                 "(last good epoch 0)", id="gradient", marks=OVERFLOW_WARNINGS),
     pytest.param(_overflow_latent, 3,
-                 "epoch 0, re-embed pass: encoder produced non-finite latent state",
-                 "(no completed epoch)", id="re-embed"),
+                 "epoch 0, re-embed pass: encoder log-variance overflows: non-finite posterior "
+                 "variance", "(no completed epoch)", id="re-embed"),
     pytest.param(_overflow_gradient, 3, "non-finite objective at epoch 0",
-                 "(no completed epoch)", id="re-embed-decoder"),
+                 "(no completed epoch)", id="re-embed-decoder", marks=OVERFLOW_WARNINGS),
 ]
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 @pytest.mark.parametrize("corruption,step,start,end", BLOW_UPS)
 def test_blow_up_names_its_epoch_batch_and_last_good_epoch(monkeypatch, corruption, step,
                                                            start, end):
@@ -331,33 +337,78 @@ def test_blow_up_names_its_epoch_batch_and_last_good_epoch(monkeypatch, corrupti
     assert str(info.value).endswith(end), info.value
 
 
-@pytest.mark.parametrize("net,layer,kind,name", [
-    pytest.param("encoder", 0, "weights", "'enc.w0'", id="enc.w0"),
-    pytest.param("decoder", -1, "biases", "'dec.b2'", id="dec.b2"),
+def _nan_output(model):
+    model.encoder.biases[-1][0] = np.nan
+
+
+POSTERIOR_PATHS = {
+    "encode": encode,
+    "batch_loss": lambda model, x: batch_loss(model, x, np.zeros((len(x), model.latent_dim))),
+    "train": lambda model, x: train(model, x, TrainConfig(epochs=1, batch_size=8, seed=19)),
+}
+
+
+@pytest.mark.parametrize("path", POSTERIOR_PATHS)
+@pytest.mark.parametrize("corrupt,message", [
+    pytest.param(_nan_output, "encoder produced non-finite output", id="nan"),
+    pytest.param(lambda model: _overflow_latent(model)(),
+                 "encoder log-variance overflows: non-finite posterior variance",
+                 id="logvar-overflow"),
+])
+def test_encode_and_training_share_one_posterior_rule(path, corrupt, message):
+    # evaluation and training read the encoder output through one check, which
+    # raises before numpy can warn: any warning here would fail as an error
+    model = make_model(seed=17)
+    corrupt(model)
+    x = np.random.default_rng(18).standard_normal((20, 6))
+    with warnings.catch_warnings(), pytest.raises(NumericalError) as info:
+        warnings.simplefilter("error")
+        POSTERIOR_PATHS[path](model, x)
+    if path == "train":
+        message = f"epoch 0, batch 0: {message} (no completed epoch)"
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("net,layer,kind,value,message", [
+    pytest.param("encoder", 0, "weights", np.nan, "non-finite gradient for parameter 'enc.w0'",
+                 id="enc.w0"),
+    pytest.param("decoder", -1, "biases", np.nan, "non-finite gradient for parameter 'dec.b2'",
+                 id="dec.b2"),
+    pytest.param("encoder", -1, "weights", 1e200,
+                 "gradient too large for parameter 'enc.w2': its square overflows",
+                 id="enc.w2-square-overflows"),
 ])
 def test_non_finite_gradient_names_its_parameter_and_takes_no_step(monkeypatch, net, layer,
-                                                                   kind, name):
-    # the first batch's gradient gets a nan in one parameter: train names that
-    # parameter, and the Adam step that would spread it never runs
+                                                                   kind, value, message):
+    # the first batch's gradient gets a nan, or a finite entry whose square would
+    # make Adam's second moment inf and freeze it for good, in one parameter:
+    # train names that parameter, and the Adam step that would take it never runs
     model = make_model(seed=17)
     before = model_arrays(model)
+    states = []
     real = TRAIN_MODULE.backward
 
-    def backward_then_nan(model, cache, views):
+    def recorded_adam(lr):
+        states.append(AdamState(lr=lr))
+        return states[-1]
+
+    def backward_then_corrupt(model, cache, views):
         real(model, cache, views)
         enc_views, dec_views = views
         ws, bs = enc_views if net == "encoder" else dec_views
-        (ws if kind == "weights" else bs)[layer].flat[-1] = np.nan
+        (ws if kind == "weights" else bs)[layer].flat[-1] = value
 
-    monkeypatch.setattr(TRAIN_MODULE, "backward", backward_then_nan)
+    monkeypatch.setattr(TRAIN_MODULE, "AdamState", recorded_adam)
+    monkeypatch.setattr(TRAIN_MODULE, "backward", backward_then_corrupt)
     x = np.random.default_rng(18).standard_normal((20, 6))
     with pytest.raises(NumericalError) as info:
         train(model, x, TrainConfig(epochs=3, batch_size=8, seed=19))
-    assert str(info.value) == (f"epoch 0, batch 0: non-finite gradient for parameter {name} "
-                               "(no completed epoch)")
+    assert str(info.value) == f"epoch 0, batch 0: {message} (no completed epoch)"
     for a, b in zip(before, model_arrays(model)):
         assert np.isfinite(b).all()
         assert np.array_equal(a, b)
+    [adam] = states
+    assert adam.step_count == 0 and adam.first_moment is None and adam.second_moment is None
 
 
 def test_zero_epochs_leaves_model_untouched():
@@ -448,8 +499,7 @@ def test_checkpoint_roundtrip(tmp_path):
     assert np.array_equal(loaded.gmm.pi, model.gmm.pi)
     assert np.array_equal(loaded.gmm.means, model.gmm.means)
     x = np.random.default_rng(0).standard_normal((3, 6))
-    assert np.array_equal(model.decoder.infer(model.encoder.infer(x)[:, :2]),
-                          loaded.decoder.infer(loaded.encoder.infer(x)[:, :2]))
+    assert np.array_equal(decode(model, encode(model, x)[0]), decode(loaded, encode(loaded, x)[0]))
 
 
 def test_checkpoint_rejects_unknown_format(tmp_path):

@@ -40,7 +40,7 @@ def test_mlp_mse_gradient_matches_finite_differences():
     x = rng.standard_normal((8, 4))
 
     def loss():
-        out = net.infer(x)
+        out = net.forward(x)[-1]
         return np.sum(out * out) / out.size
 
     acts = net.forward(x)
@@ -90,19 +90,17 @@ def test_forward_shape_mismatch_raises():
     net = Mlp.init([4, 3], rng)
     with pytest.raises(InputError):
         net.forward(np.ones((2, 5)))
-    with pytest.raises(InputError):
-        net.infer(np.ones((2, 5)))
 
 
 def test_zero_net_maps_to_zero():
     net = Mlp([3, 2], [np.zeros((2, 3))], [np.zeros(2)])
-    assert np.array_equal(net.infer(np.ones((4, 3))), np.zeros((4, 2)))
+    assert np.array_equal(net.forward(np.ones((4, 3)))[-1], np.zeros((4, 2)))
 
 
 def test_identity_layer_is_identity():
     net = Mlp([3, 3], [np.eye(3)], [np.zeros(3)])
     x = np.random.default_rng(1).standard_normal((5, 3))
-    assert np.array_equal(net.infer(x), x)
+    assert np.array_equal(net.forward(x)[-1], x)
 
 
 def test_two_layer_forward_matches_manual_composition():
@@ -114,4 +112,3 @@ def test_two_layer_forward_matches_manual_composition():
     manual = hidden @ net.weights[1].T + net.biases[1]
     assert np.array_equal(acts[1], hidden)
     assert np.array_equal(acts[2], manual)
-    assert np.array_equal(net.infer(x), manual)
