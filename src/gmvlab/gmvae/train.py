@@ -13,6 +13,15 @@ gradient is written into one preallocated vector of the same layout.
 and the names in a gradient error are all views through it. Before each Adam
 step `train` squares the gradient once; an entry that is not finite, or whose
 square overflows, stops training before any parameter or Adam moment moves.
+Each epoch's batch loop and re-embed pass run with numpy's overflow and
+invalid-operation errors raised, so a blow-up anywhere in them stops training
+with a `NumericalError` that names the epoch, and numpy prints no warning first.
+
+`train` allocates its workspace once per run, and the epoch loop allocates no
+array of n rows by a data or layer width: each epoch refills the shuffled copy of
+the training rows (every batch is a row slice of it), the noise, the re-embed
+pass's activations and its squared error. What an epoch still allocates is
+either batch-sized or n rows by the latent dimension or cluster count.
 
 `batch_loss` is the only forward pass, and the one place the sample
 z = mu + sqrt(var) * eps is formed. Its posterior comes from `_posterior`, the
@@ -63,32 +72,37 @@ class BatchCache:
     dec_acts: list        # decoder activations; the last is x_hat
 
 
-def batch_loss(model: GmVae, x: np.ndarray, eps: np.ndarray) -> BatchCache:
+def batch_loss(model: GmVae, x: np.ndarray, eps: np.ndarray,
+               out: tuple[list, list] | None = None) -> BatchCache:
     """The training forward pass for one batch; returns its cache.
 
     Runs encoder -> z = mu + sqrt(var) * eps -> decoder (z is `dec_acts[0]`)
     under `model.gmm`, with responsibilities at z held fixed (no gradient
     flows through them). The re-embed pass over the whole training set is the
-    same call. The objective is `batch_terms(model, cache)`, its gradient
-    `backward`; both read `model.gmm`, so they follow this pass before the
-    mixture changes.
+    same call. `out`, if given, is the (encoder, decoder) pair of activation
+    lists that `Mlp.forward` writes into. The objective is
+    `batch_terms(model, cache)`, its gradient `backward`; both read
+    `model.gmm`, so they follow this pass before the mixture changes.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    enc_acts = model.encoder.forward(x)
+    enc_out, dec_out = out or (None, None)
+    enc_acts = model.encoder.forward(x, enc_out)
     mu, logvar, var = _posterior(model, enc_acts[-1])
     std_eps = np.sqrt(var) * eps
     z = mu + std_eps
     return BatchCache(x=x, gamma=responsibilities(model.gmm, z), mu=mu, logvar=logvar, var=var,
-                      std_eps=std_eps, enc_acts=enc_acts, dec_acts=model.decoder.forward(z))
+                      std_eps=std_eps, enc_acts=enc_acts,
+                      dec_acts=model.decoder.forward(z, dec_out))
 
 
-def batch_terms(model: GmVae, cache: BatchCache) -> ElboTerms:
+def batch_terms(model: GmVae, cache: BatchCache, out: np.ndarray | None = None) -> ElboTerms:
     """The batch's objective terms from its cached forward values; `backward`
-    returns the gradient of their `total_loss`."""
+    returns the gradient of their `total_loss`. `out`, if given, is an array of
+    `cache.x`'s shape that the squared error is formed in."""
     mu, var, logvar, gamma = cache.mu, cache.var, cache.logvar, cache.gamma
     n, data_dim = cache.x.shape
     gmm = model.gmm
-    err = cache.x - cache.dec_acts[-1]
+    err = np.subtract(cache.x, cache.dec_acts[-1], out=out)
     err *= err
     sq_err = err.sum()
     recon = -0.5 * (n * data_dim * (LOG_2PI + np.log(model.decoder_var))
@@ -207,32 +221,50 @@ def train(model: GmVae, x_train: np.ndarray, cfg: TrainConfig,
     shape = (cfg.epochs, *model.gmm.means.shape)
     history = {name: np.empty(cfg.epochs) for name in ElboTerms.COLUMNS}
     history |= {"pi": np.empty(shape[:2]), "mean": np.empty(shape), "var": np.empty(shape)}
+    # the run's workspace (see the module docstring); the noise holds the batch noise,
+    # then the re-embed noise. Fresh arrays each epoch would be trimmed by the allocator
+    # and faulted back in, about 250 minor page faults per epoch at 1024 rows
+    shuffled, noise = np.empty(x_train.shape), np.empty((n, model.latent_dim))
+    acts = tuple([np.empty((n, width)) for width in net.layer_dims[1:]]
+                 for net in (model.encoder, model.decoder))
+    sq_err = np.empty(x_train.shape)
 
     for epoch in range(cfg.epochs):
         perm = rng.permutation(n)
-        noise = rng.standard_normal((n, model.latent_dim))
-        for batch, start in enumerate(range(0, n, cfg.batch_size)):
-            stop = start + cfg.batch_size
-            try:
-                cache = batch_loss(model, x_train[perm[start:stop]], noise[start:stop])
-                backward(model, cache, grad_views)
-                with np.errstate(over="ignore"):  # an overflowing square is raised below
-                    grad_sq = grad * grad  # as Adam's second moment will
-                if not np.isfinite(grad_sq).all():
-                    bad = int(np.flatnonzero(~np.isfinite(grad_sq))[0])
-                    name = _param_names(model, grad.size)[bad]
-                    raise NumericalError(
-                        f"non-finite gradient for parameter {name!r}" if not np.isfinite(grad[bad])
-                        else f"gradient too large for parameter {name!r}: its square overflows")
-                adam_step(theta, grad, adam)
-            except NumericalError as e:
-                raise NumericalError(f"epoch {epoch}, batch {batch}: {e} ({_last_good(epoch)})")
+        # perm is in range, and unlike "raise", "clip" writes into `out` without a copy
+        np.take(x_train, perm, axis=0, out=shuffled, mode="clip")
+        rng.standard_normal(out=noise)
+        with np.errstate(over="raise", invalid="raise"):
+            for batch, start in enumerate(range(0, n, cfg.batch_size)):
+                stop = start + cfg.batch_size
+                try:
+                    cache = batch_loss(model, shuffled[start:stop], noise[start:stop])
+                    backward(model, cache, grad_views)
+                    with np.errstate(over="ignore"):  # an overflowing square is raised below
+                        grad_sq = grad * grad  # as Adam's second moment will
+                    if not np.isfinite(grad_sq).all():
+                        bad = int(np.flatnonzero(~np.isfinite(grad_sq))[0])
+                        name = _param_names(model, grad.size)[bad]
+                        raise NumericalError(
+                            f"non-finite gradient for parameter {name!r}"
+                            if not np.isfinite(grad[bad])
+                            else f"gradient too large for parameter {name!r}: its square overflows")
+                    adam_step(theta, grad, adam)
+                except NumericalError as e:
+                    raise NumericalError(f"epoch {epoch}, batch {batch}: {e} ({_last_good(epoch)})")
+                except FloatingPointError as e:
+                    raise NumericalError(f"epoch {epoch}, batch {batch}: non-finite gradient: {e} "
+                                         f"({_last_good(epoch)})")
 
-        try:
-            cache = batch_loss(model, x_train, rng.standard_normal(noise.shape))
-        except NumericalError as e:
-            raise NumericalError(f"epoch {epoch}, re-embed pass: {e} ({_last_good(epoch)})")
-        terms = batch_terms(model, cache)
+            rng.standard_normal(out=noise)
+            try:
+                cache = batch_loss(model, x_train, noise, acts)
+                terms = batch_terms(model, cache, sq_err)
+            except NumericalError as e:
+                raise NumericalError(f"epoch {epoch}, re-embed pass: {e} ({_last_good(epoch)})")
+            except FloatingPointError as e:
+                raise NumericalError(f"non-finite objective at epoch {epoch}: {e} "
+                                     f"({_last_good(epoch)})")
         if not np.isfinite(terms.total_loss):
             raise NumericalError(f"non-finite objective at epoch {epoch} ({_last_good(epoch)})")
         for i in range(cfg.n_em):  # the re-embed z is dec_acts[0]

@@ -1,5 +1,7 @@
 """Small fully connected networks: tanh hidden layers, identity output. A
-batch's output is the last of `Mlp.forward`'s activations; there is no other pass."""
+batch's output is the last of `Mlp.forward`'s activations; there is no other pass.
+The matrix products call `np.dot`, which gives `@`'s bits at a cheaper dispatch
+on 64-row batches."""
 
 from __future__ import annotations
 
@@ -42,10 +44,12 @@ class Mlp:
     def n_layers(self) -> int:
         return len(self.weights)
 
-    def forward(self, x: np.ndarray) -> list[np.ndarray]:
+    def forward(self, x: np.ndarray, out: list | None = None) -> list[np.ndarray]:
         """Activations [input, hidden tanh outputs..., output] of a batch.
 
-        Each layer's output is a fresh (n, width) array; the bias add and the
+        Layer i's output is a fresh (n, width) array, or `out[i]` when `out`
+        is given: one C-contiguous (n, width) array per layer, so a caller that
+        runs the same batch size again allocates nothing. The bias add and the
         tanh run in place on it.
         """
         h = np.asarray(x, dtype=np.float64)
@@ -56,7 +60,7 @@ class Mlp:
         acts = [h]
         last = self.n_layers - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w.T
+            h = np.dot(h, w.T, out=None if out is None else out[i])
             h += b
             if i < last:
                 np.tanh(h, out=h)
@@ -76,10 +80,12 @@ class Mlp:
         last = self.n_layers - 1
         g = grad_out
         for i in range(last, -1, -1):
-            if i < last:
-                g = g * (1.0 - acts[i + 1] * acts[i + 1])  # tanh' at layer i's output
-            np.matmul(g.T, acts[i], out=dws[i])
+            if i < last:  # g is the product formed at layer i + 1, not grad_out: scale it in place
+                slope = acts[i + 1] * acts[i + 1]
+                np.subtract(1.0, slope, out=slope)  # tanh' at layer i's output
+                g *= slope
+            np.dot(g.T, acts[i], out=dws[i])
             np.add.reduce(g, axis=0, out=dbs[i])
             if i or input_grad:
-                g = g @ self.weights[i]
+                g = np.dot(g, self.weights[i])
         return g if input_grad else None

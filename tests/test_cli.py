@@ -946,6 +946,27 @@ def test_diverging_learning_rate_gives_exit_2(tmp_path, capsys, lr):
     assert not (tmp_path / "run" / "checkpoint.json").exists()
 
 
+@pytest.mark.parametrize("setting, cause", [
+    ("decoder_var = 5e-324", "overflow encountered in divide"),
+    ("beta = 1e308", "overflow encountered in multiply"),
+], ids=["decoder_var", "beta"])
+def test_decoder_side_blow_up_gives_exit_2_and_no_warning(tmp_path, capsys, setting, cause):
+    # the first batch's gradient overflows, in (x_hat - x) / decoder_var or in a
+    # beta-weighted term. The overflow raises where it happens, so numpy prints no
+    # warning line before the failure
+    ini = tmp_path / "blow_up.ini"
+    ini.write_text(f"[dataset]\nn_samples = 100\n[training]\nepochs = 5\n[model]\n{setting}\n")
+    data = tmp_path / "data.csv"
+    assert main(["generate", "--config", str(ini), "--out", str(data)]) == 0
+    capsys.readouterr()
+    code = main(["train", "--config", str(ini), "--dataset", str(data),
+                 "--out", str(tmp_path / "run"), "--quiet"])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"numerical failure: epoch 0, batch 0: non-finite gradient: {cause} (no completed epoch)"]
+    assert not (tmp_path / "run" / "checkpoint.json").exists()
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 def test_overflowing_mds_gives_exit_2(workdir, tmp_path, capsys):
     # squares of the centred coordinates overflow to inf, so the Gram matrix is not finite

@@ -85,6 +85,21 @@ def test_backward_into_given_arrays_matches_fresh_ones():
         assert p.tobytes() == q.tobytes()
 
 
+@pytest.mark.parametrize("rows", [7, 64, 1024])
+def test_forward_into_given_arrays_matches_fresh_ones(rows):
+    rng = np.random.default_rng(rows)
+    # the default encoder and decoder shapes; the training loop's re-embed pass
+    # runs them over the whole training set into arrays it allocates once
+    for dims in ([50, 32, 16, 8, 4], [2, 8, 16, 32, 50]):
+        net = Mlp.init(dims, rng)
+        bufs = [np.full((rows, width), np.nan) for width in dims[1:]]
+        for _ in range(2):  # the second pass overwrites the first
+            x = rng.standard_normal((rows, dims[0]))
+            acts = net.forward(x, out=bufs)
+            assert all(a is b for a, b in zip(acts[1:], bufs))
+            assert [a.tobytes() for a in acts] == [a.tobytes() for a in net.forward(x)]
+
+
 def test_forward_shape_mismatch_raises():
     rng = np.random.default_rng(0)
     net = Mlp.init([4, 3], rng)
