@@ -96,7 +96,8 @@ class TrainConfig(_Section):
         "batch_size": (">= 1", lambda v: v >= 1),
         "epochs": (">= 0", lambda v: v >= 0),
         "n_em": (">= 0", lambda v: v >= 0),
-        "variance_floor": ("> 0", lambda v: v > 0),
+        "variance_floor": ("> 0 with a finite reciprocal",
+                           lambda v: v > 0 and math.isfinite(1.0 / v)),
         "seed": (">= 0", lambda v: v >= 0),
     }
 

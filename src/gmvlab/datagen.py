@@ -72,27 +72,35 @@ def integrate(alpha, gamma, cfg: DatasetConfig) -> np.ndarray:
     """Classic RK4 on a uniform grid, vectorized over m parameter draws.
 
     Integrates `cfg.substeps` internal stages per stored interval; returns
-    the (m, cfg.steps) array of stored samples starting at RHO0.
+    the (m, cfg.steps) array of stored samples starting at RHO0. `alpha` and
+    `gamma` must be finite (InputError). The loop runs with numpy's overflow
+    and invalid-operation errors raised, so a blow-up is raised before numpy
+    can warn, as one `NumericalError("integration at step i: <cause>")` naming
+    the stored step it was integrating towards.
     """
     kappa, steps, substeps = cfg.kappa, cfg.steps, cfg.substeps
     alpha = np.atleast_1d(np.asarray(alpha, dtype=np.float64))
     gamma = np.atleast_1d(np.asarray(gamma, dtype=np.float64))
+    if not (np.isfinite(alpha).all() and np.isfinite(gamma).all()):
+        raise InputError("integrate: alpha and gamma must be finite")  # a nan raises no flag
     m = alpha.shape[0]
 
     h = cfg.horizon / (steps - 1) / substeps
     out = np.empty((m, steps))
     rho = np.full(m, RHO0)
     out[:, 0] = rho
-    for i in range(1, steps):
-        for _ in range(substeps):
-            k1 = reaction_rhs(rho, alpha, gamma, kappa)
-            k2 = reaction_rhs(rho + 0.5 * h * k1, alpha, gamma, kappa)
-            k3 = reaction_rhs(rho + 0.5 * h * k2, alpha, gamma, kappa)
-            k4 = reaction_rhs(rho + h * k3, alpha, gamma, kappa)
-            rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(rho)):
-            raise NumericalError(f"integration produced non-finite state at step {i}")
-        out[:, i] = rho
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for i in range(1, steps):
+                for _ in range(substeps):
+                    k1 = reaction_rhs(rho, alpha, gamma, kappa)
+                    k2 = reaction_rhs(rho + 0.5 * h * k1, alpha, gamma, kappa)
+                    k3 = reaction_rhs(rho + 0.5 * h * k2, alpha, gamma, kappa)
+                    k4 = reaction_rhs(rho + h * k3, alpha, gamma, kappa)
+                    rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                out[:, i] = rho
+    except FloatingPointError as e:
+        raise NumericalError(f"integration at step {i}: {e}") from e
     return out
 
 

@@ -20,6 +20,7 @@ it from a training forward pass (`train.batch_loss`).
 from __future__ import annotations
 
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
@@ -73,10 +74,14 @@ class GmmParams:
         for name in ("pi", "means", "variances"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise InputError(f"mixture {name} must be finite, got {getattr(self, name)}")
-        if abs(self.pi.sum() - 1.0) > 1e-12 or np.any(self.pi < 0):
+        # the range is checked first, so that the sum cannot overflow
+        if np.any((self.pi < 0) | (self.pi > 1)) or abs(self.pi.sum() - 1.0) > 1e-12:
             raise InputError(f"mixture weights must form a simplex, got {self.pi}")
         if np.any(self.variances <= 0):
             raise InputError("cluster variances below the variance floor")
+        with np.errstate(over="ignore"):  # an overflowing reciprocal is rejected here
+            if not np.isfinite(self.inv_var).all():
+                raise InputError("cluster variances too small: 1 / variance overflows")
 
 
 @dataclass
@@ -137,17 +142,31 @@ def _posterior(model: GmVae, out: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     return mu, logvar, np.exp(logvar)
 
 
+@contextmanager
+def _raised(what: str):
+    """Run numpy with overflow and invalid operations raised, so a blow-up is a
+    `NumericalError("<what>: <cause>")` before numpy can warn."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as e:
+        raise NumericalError(f"{what}: {e}") from e
+
+
 def encode(model: GmVae, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The posterior (mu, var) of a batch, each (n, latent_dim)."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    mu, _, var = _posterior(model, model.encoder.forward(x)[-1])
+    with _raised("encoder"):
+        out = model.encoder.forward(x)[-1]
+    mu, _, var = _posterior(model, out)
     return mu, var
 
 
 def decode(model: GmVae, z: np.ndarray) -> np.ndarray:
     """Decoded reconstruction means for a batch of latent points."""
-    out = model.decoder.forward(np.atleast_2d(np.asarray(z, dtype=np.float64)))[-1]
-    if not np.all(np.isfinite(out)):
+    with _raised("decoder"):
+        out = model.decoder.forward(np.atleast_2d(np.asarray(z, dtype=np.float64)))[-1]
+    if not np.all(np.isfinite(out)):  # from a non-finite z, which raises no flag
         raise NumericalError("decoder produced non-finite output")
     return out
 
@@ -158,10 +177,11 @@ def _log_joint(gmm: GmmParams, z) -> tuple[np.ndarray, np.ndarray]:
     z = np.atleast_2d(np.asarray(z, dtype=np.float64))
     if z.shape[1:] != gmm.means.shape[1:]:
         raise InputError(f"latent points have shape {z.shape}, expected (n, {gmm.means.shape[1]})")
-    diff = z[:, None, :] - gmm.means  # (n, K, d)
-    log_joint = gmm.log_pi + -0.5 * (gmm.logdet + (diff * diff / gmm.variances).sum(axis=2))
-    top = log_joint.max(axis=1, keepdims=True)
-    return log_joint, top + np.log(np.exp(log_joint - top).sum(axis=1, keepdims=True))
+    with _raised("E-step"):
+        diff = z[:, None, :] - gmm.means  # (n, K, d)
+        log_joint = gmm.log_pi + -0.5 * (gmm.logdet + (diff * diff / gmm.variances).sum(axis=2))
+        top = log_joint.max(axis=1, keepdims=True)
+        return log_joint, top + np.log(np.exp(log_joint - top).sum(axis=1, keepdims=True))
 
 
 def responsibilities(gmm: GmmParams, z: np.ndarray) -> np.ndarray:

@@ -13,9 +13,13 @@ gradient is written into one preallocated vector of the same layout.
 and the names in a gradient error are all views through it. Before each Adam
 step `train` squares the gradient once; an entry that is not finite, or whose
 square overflows, stops training before any parameter or Adam moment moves.
-Each epoch's batch loop and re-embed pass run with numpy's overflow and
-invalid-operation errors raised, so a blow-up anywhere in them stops training
-with a `NumericalError` that names the epoch, and numpy prints no warning first.
+Each epoch (its batch loop, re-embed pass and EM pass) runs with numpy's
+overflow and invalid-operation errors raised, so a blow-up is raised before numpy
+can warn. One handler reports it, in one format: `NumericalError("epoch E,
+<stage>: <cause> (last good epoch E-1)")`, which ends in `(no completed epoch)`
+in epoch 0. `<stage>` is the step that raised: `batch B, forward pass`, `batch B,
+gradient` (`backward` and the scan), `batch B, Adam step`, `re-embed pass` (its
+forward pass and objective) or `EM pass`.
 
 `train` allocates its workspace once per run, and the epoch loop allocates no
 array of n rows by a data or layer width: each epoch refills the shuffled copy of
@@ -190,10 +194,6 @@ def pack_params(model: GmVae) -> np.ndarray:
     return theta
 
 
-def _last_good(epoch: int) -> str:
-    return f"last good epoch {epoch - 1}" if epoch else "no completed epoch"
-
-
 def train(model: GmVae, x_train: np.ndarray, cfg: TrainConfig,
           progress=None) -> dict[str, np.ndarray]:
     """Train `model` in place on the (n, data_dim) matrix; returns the history.
@@ -234,11 +234,13 @@ def train(model: GmVae, x_train: np.ndarray, cfg: TrainConfig,
         # perm is in range, and unlike "raise", "clip" writes into `out` without a copy
         np.take(x_train, perm, axis=0, out=shuffled, mode="clip")
         rng.standard_normal(out=noise)
-        with np.errstate(over="raise", invalid="raise"):
-            for batch, start in enumerate(range(0, n, cfg.batch_size)):
-                stop = start + cfg.batch_size
-                try:
+        try:  # `stage` names the step that is running when one raises
+            with np.errstate(over="raise", invalid="raise"):
+                for batch, start in enumerate(range(0, n, cfg.batch_size)):
+                    stop = start + cfg.batch_size
+                    stage = f"batch {batch}, forward pass"
                     cache = batch_loss(model, shuffled[start:stop], noise[start:stop])
+                    stage = f"batch {batch}, gradient"
                     backward(model, cache, grad_views)
                     with np.errstate(over="ignore"):  # an overflowing square is raised below
                         grad_sq = grad * grad  # as Adam's second moment will
@@ -249,28 +251,23 @@ def train(model: GmVae, x_train: np.ndarray, cfg: TrainConfig,
                             f"non-finite gradient for parameter {name!r}"
                             if not np.isfinite(grad[bad])
                             else f"gradient too large for parameter {name!r}: its square overflows")
+                    stage = f"batch {batch}, Adam step"
                     adam_step(theta, grad, adam)
-                except NumericalError as e:
-                    raise NumericalError(f"epoch {epoch}, batch {batch}: {e} ({_last_good(epoch)})")
-                except FloatingPointError as e:
-                    raise NumericalError(f"epoch {epoch}, batch {batch}: non-finite gradient: {e} "
-                                         f"({_last_good(epoch)})")
 
-            rng.standard_normal(out=noise)
-            try:
+                rng.standard_normal(out=noise)
+                stage = "re-embed pass"
                 cache = batch_loss(model, x_train, noise, acts)
                 terms = batch_terms(model, cache, sq_err)
-            except NumericalError as e:
-                raise NumericalError(f"epoch {epoch}, re-embed pass: {e} ({_last_good(epoch)})")
-            except FloatingPointError as e:
-                raise NumericalError(f"non-finite objective at epoch {epoch}: {e} "
-                                     f"({_last_good(epoch)})")
-        if not np.isfinite(terms.total_loss):
-            raise NumericalError(f"non-finite objective at epoch {epoch} ({_last_good(epoch)})")
-        for i in range(cfg.n_em):  # the re-embed z is dec_acts[0]
-            gamma = cache.gamma if i == 0 else responsibilities(model.gmm, cache.dec_acts[0])
-            model.gmm = em_step(model.gmm, gamma, cache.mu, cache.var,
-                                variance_floor=cfg.variance_floor)
+                if not np.isfinite(terms.total_loss):
+                    raise NumericalError("non-finite objective")
+                stage = "EM pass"
+                for i in range(cfg.n_em):  # the re-embed z is dec_acts[0]
+                    gamma = responsibilities(model.gmm, cache.dec_acts[0]) if i else cache.gamma
+                    model.gmm = em_step(model.gmm, gamma, cache.mu, cache.var,
+                                        variance_floor=cfg.variance_floor)
+        except (NumericalError, FloatingPointError) as e:
+            last_good = f"last good epoch {epoch - 1}" if epoch else "no completed epoch"
+            raise NumericalError(f"epoch {epoch}, {stage}: {e} ({last_good})") from e
 
         epoch_terms = ElboTerms(*(v / n for v in astuple(terms)))
         for name in ElboTerms.COLUMNS:

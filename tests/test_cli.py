@@ -144,6 +144,58 @@ def test_embed_with_overflowing_encoder_variance_gives_exit_2(workdir, tmp_path,
     assert not out.exists()
 
 
+_TINY_VARIANCE = "error: checkpoint {path}: cluster variances too small: 1 / variance overflows"
+_HUGE_WEIGHTS = ("error: checkpoint {path}: mixture weights must form a simplex, "
+                 "got [1.e+308 1.e+308]")
+
+
+@pytest.mark.parametrize("edits, embed_line, sample_line", [
+    pytest.param({("gmm", "variances", 0, 0): 5e-324}, _TINY_VARIANCE, _TINY_VARIANCE,
+                 id="variance-reciprocal"),
+    pytest.param({("gmm", "variances", 0, 0): 1e-308},
+                 "numerical failure: E-step: overflow encountered in divide", None,
+                 id="variance-e-step"),
+    pytest.param({("gmm", "means", 0, 0): -1e308},
+                 "numerical failure: E-step: overflow encountered in multiply", None,
+                 id="mean-e-step"),
+    pytest.param({("gmm", "pi", 0): 1e308, ("gmm", "pi", 1): 1e308}, _HUGE_WEIGHTS, _HUGE_WEIGHTS,
+                 id="weights-sum"),
+    pytest.param({("encoder", "weights", 0, 0, j): 1e308 for j in range(3)},
+                 "numerical failure: encoder: overflow encountered in dot", None,
+                 id="encoder-overflow"),
+    pytest.param({("gmm", "means", 0, 0): 1e308, ("decoder", "weights", 0, 0, 0): 1e308},
+                 "numerical failure: E-step: overflow encountered in multiply",
+                 "numerical failure: decoder: overflow encountered in dot",
+                 id="decoder-overflow"),
+])
+def test_checkpoint_that_overflows_fails_with_one_line(workdir, tmp_path, capsys, edits,
+                                                       embed_line, sample_line):
+    # each checkpoint made embed or sample print a numpy warning, and then most
+    # wrote their output from overflowed intermediates and exited 0; now a value
+    # is rejected at load or its overflow raised before numpy can warn. A None is
+    # a success with nothing on stderr (sample runs neither the encoder nor the E-step)
+    ckpt = json.loads((workdir["train"] / "checkpoint.json").read_text())
+    for (*keys, last), value in edits.items():
+        node = ckpt
+        for key in keys:
+            node = node[key]
+        node[last] = value
+    bad = tmp_path / "overflow.json"
+    bad.write_text(json.dumps(ckpt))
+    emb, gen = tmp_path / "emb.csv", tmp_path / "gen.csv"
+    embed = ["embed", "--dataset", str(workdir["data"]), "--out", str(emb)]
+    sample = ["sample", "--count", "12", "--cluster", "0", "--out", str(gen)]
+    for argv, line in ((embed, embed_line), (sample, sample_line)):
+        code = main([argv[0], "--checkpoint", str(bad), *argv[1:]])
+        err = capsys.readouterr().err.splitlines()
+        if line is None:
+            assert (code, err) == (0, []), argv[0]
+        else:
+            assert (code, err) == (1 if line.startswith("error") else 2,
+                                   [line.format(path=bad)]), argv[0]
+    assert not emb.exists()
+
+
 def test_sample_conditional_and_empty(workdir, tmp_path):
     out = tmp_path / "gen.csv"
     assert main(["sample", "--checkpoint", str(workdir["train"] / "checkpoint.json"),
@@ -921,8 +973,8 @@ def test_training_blow_up_gives_exit_2_naming_epoch_and_batch(workdir, tmp_path,
     assert code == 2
     # the posterior raises before numpy can warn, so the failure is all stderr says
     assert capsys.readouterr().err.splitlines() == [
-        "numerical failure: epoch 1, batch 1: encoder log-variance overflows: non-finite "
-        "posterior variance (last good epoch 0)"]
+        "numerical failure: epoch 1, batch 1, forward pass: encoder log-variance overflows: "
+        "non-finite posterior variance (last good epoch 0)"]
     assert not (tmp_path / "run" / "checkpoint.json").exists()
 
 
@@ -963,8 +1015,38 @@ def test_decoder_side_blow_up_gives_exit_2_and_no_warning(tmp_path, capsys, sett
                  "--out", str(tmp_path / "run"), "--quiet"])
     assert code == 2
     assert capsys.readouterr().err.splitlines() == [
-        f"numerical failure: epoch 0, batch 0: non-finite gradient: {cause} (no completed epoch)"]
+        f"numerical failure: epoch 0, batch 0, gradient: {cause} (no completed epoch)"]
     assert not (tmp_path / "run" / "checkpoint.json").exists()
+
+
+@pytest.mark.parametrize("setting", ["kappa = 1e308", "horizon = 1e300"])
+def test_integration_blow_up_gives_exit_2_and_one_line(tmp_path, capsys, setting):
+    # the RK4 loop raises its overflow where it happens, so numpy prints no
+    # warning line before the failure
+    ini = tmp_path / "blow_up.ini"
+    ini.write_text(f"[dataset]\nn_samples = 20\n{setting}\n")
+    out = tmp_path / "data.csv"
+    assert main(["generate", "--config", str(ini), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical failure: integration at step 1: "), err
+    assert not out.exists()
+
+
+def test_forward_pass_overflow_is_not_named_a_gradient(tmp_path, capsys):
+    # the first Adam step at lr 1e308 moves every parameter by about 1e308, so
+    # batch 1's encoder product overflows: the message names the step that raised
+    ini = tmp_path / "huge_lr.ini"
+    ini.write_text("[dataset]\nn_samples = 100\n[training]\nepochs = 5\nlr = 1e308\n")
+    data = tmp_path / "data.csv"
+    assert main(["generate", "--config", str(ini), "--out", str(data)]) == 0
+    capsys.readouterr()
+    code = main(["train", "--config", str(ini), "--dataset", str(data),
+                 "--out", str(tmp_path / "run"), "--quiet"])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1, err
+    assert err[0].startswith("numerical failure: epoch 0, batch 1, forward pass: "), err
+    assert err[0].endswith(" (no completed epoch)") and "gradient" not in err[0], err
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")

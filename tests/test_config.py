@@ -125,6 +125,15 @@ def test_out_of_range_value_is_rejected_where_the_section_is_built(tmp_path, sec
     assert str(built.value) == str(loaded.value) == message
 
 
+def test_variance_floor_needs_a_finite_reciprocal():
+    # the bound a checkpoint's mixture variances are held to: 1 / 5e-324 overflows
+    with pytest.raises(InputError) as info:
+        replace(RunConfig().training, variance_floor=5e-324)
+    assert str(info.value) == ("training.variance_floor must be > 0 with a finite reciprocal, "
+                               "got 5e-324")
+    assert replace(RunConfig().training, variance_floor=1e-308).variance_floor == 1e-308
+
+
 def test_load_config_reports_parse_errors_first_then_sections_in_run_config_order(tmp_path):
     path = tmp_path / "run.ini"
     path.write_text("[metric]\nk = 0\n[dataset]\nsteps = 1\n")

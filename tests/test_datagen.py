@@ -16,7 +16,7 @@ from gmvlab.datagen import (
     split_sizes,
 )
 from gmvlab.config import DatasetConfig
-from gmvlab.errors import InputError
+from gmvlab.errors import InputError, NumericalError
 
 
 KAPPA = DatasetConfig.kappa
@@ -86,6 +86,28 @@ def test_integrate_validates_arguments():
     for kwargs in [{"steps": 1}, {"horizon": -5.0}, {"substeps": 0}]:
         with pytest.raises(InputError):
             generate(DatasetConfig(seed=1, n_samples=20, **kwargs))
+
+
+@pytest.mark.parametrize("setting, cause", [
+    ({"kappa": 1e308}, "overflow encountered in multiply"),
+    ({"horizon": 1e300}, "overflow encountered in square"),
+], ids=["kappa", "horizon"])
+def test_integration_blow_up_is_one_error_naming_its_step(setting, cause):
+    # the loop raises numpy's overflow where it happens: no warning comes first
+    # (one would fail here as an error), and the step is the stored one
+    p = params_from_xi(0.0, 0.0)
+    with pytest.raises(NumericalError) as info:
+        integrate(p["alpha"], p["gamma"], DatasetConfig(**setting))
+    assert str(info.value) == f"integration at step 1: {cause}"
+
+
+@pytest.mark.parametrize("name", ["alpha", "gamma"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_integrate_rejects_non_finite_rates(name, value):
+    # a nan would pass through the loop without raising an overflow or invalid flag
+    p = params_from_xi(0.0, 0.0) | {name: value}
+    with pytest.raises(InputError, match="alpha and gamma must be finite"):
+        integrate(p["alpha"], p["gamma"], DatasetConfig())
 
 
 def test_label_thresholding():

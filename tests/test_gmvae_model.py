@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gmvlab.config import ModelConfig
-from gmvlab.errors import InputError
+from gmvlab.errors import InputError, NumericalError
 from gmvlab.gmvae import (
     GmmParams,
     GmVae,
@@ -302,6 +302,30 @@ def test_non_finite_mixture_fails_validation(name):
         gmm.validate()
     with pytest.raises(InputError, match=f"{name} must be finite"):
         em_update(gmm, np.zeros((3, 2)))
+
+
+def test_mixture_variance_needs_a_finite_reciprocal():
+    # 1 / 5e-324 overflows the cached inv_var, 1 / 1e-308 does not; the training
+    # config holds its variance floor to the same bound
+    gmm = GmmParams(pi=np.array([0.5, 0.5]), means=np.array([[0.0, 0.0], [5.0, 5.0]]),
+                    variances=np.array([[5e-324, 1.0], [1.0, 1.0]]))
+    with pytest.raises(InputError, match=r"^cluster variances too small: 1 / variance overflows$"):
+        gmm.validate()
+    dataclasses.replace(gmm, variances=np.array([[1e-308, 1.0], [1.0, 1.0]])).validate()
+
+
+@pytest.mark.parametrize("means, variances, cause", [
+    pytest.param([[-1e308, 0.0], [5.0, 5.0]], [[1.0, 1.0], [1.0, 1.0]], "multiply", id="mean"),
+    pytest.param([[2.0, 0.0], [5.0, 5.0]], [[1e-308, 1.0], [1.0, 1.0]], "divide", id="variance"),
+])
+def test_e_step_overflow_raises_before_numpy_can_warn(means, variances, cause):
+    # valid mixtures whose log-densities at z = 0 overflow; a warning would fail as an error
+    gmm = GmmParams(pi=np.array([0.5, 0.5]), means=np.array(means), variances=np.array(variances))
+    gmm.validate()
+    for e_step in (responsibilities, gmm_log_likelihood):
+        with pytest.raises(NumericalError) as info:
+            e_step(gmm, np.zeros((3, 2)))
+        assert str(info.value) == f"E-step: overflow encountered in {cause}"
 
 
 def test_em_step_rejects_an_empty_embedding():

@@ -326,36 +326,55 @@ def _overflow_gradient(model):
     return corrupt
 
 
+def _overflow_encoder_product(model):
+    def corrupt():
+        model.encoder.weights[0][:] = 1e308  # x @ w overflows in the forward pass
+    return corrupt
+
+
+def _overflow_in_adam(model):
+    def corrupt():  # runs inside the Adam step, where train raises numpy's overflow
+        np.full(1, 1e308) * 10.0
+    return corrupt
+
+
 # 20 rows in batches of 8 are 3 Adam steps per epoch: after step 4 (epoch 1's
 # batch 0) epoch 1's batch 1 is the first to fail; after step 3 (epoch 0's
 # last batch) the failure comes in epoch 0's re-embed pass. The posterior raises
 # its overflow before numpy can warn, and the decoder's overflow raises where it
-# happens, so any warning here would fail as an error
+# happens, so any warning here would fail as an error. The stage is where the
+# raise came from, whatever its exception: a forward-pass overflow is not a gradient
 BLOW_UPS = [
     pytest.param(_overflow_latent, 4,
-                 "epoch 1, batch 1: encoder log-variance overflows: non-finite posterior variance",
-                 "(last good epoch 0)", id="latent"),
+                 "epoch 1, batch 1, forward pass: encoder log-variance overflows: non-finite "
+                 "posterior variance (last good epoch 0)", id="latent"),
     pytest.param(_overflow_gradient, 4,
-                 "epoch 1, batch 1: non-finite gradient: overflow encountered in divide",
-                 "(last good epoch 0)", id="gradient"),
+                 "epoch 1, batch 1, gradient: overflow encountered in divide (last good epoch 0)",
+                 id="gradient"),
+    pytest.param(_overflow_encoder_product, 4,
+                 "epoch 1, batch 1, forward pass: overflow encountered in dot (last good epoch 0)",
+                 id="forward-product"),
+    pytest.param(_overflow_in_adam, 4,
+                 "epoch 1, batch 0, Adam step: overflow encountered in multiply "
+                 "(last good epoch 0)", id="adam-step"),
     pytest.param(_overflow_latent, 3,
                  "epoch 0, re-embed pass: encoder log-variance overflows: non-finite posterior "
-                 "variance", "(no completed epoch)", id="re-embed"),
-    pytest.param(_overflow_gradient, 3, "non-finite objective at epoch 0",
-                 "(no completed epoch)", id="re-embed-decoder"),
+                 "variance (no completed epoch)", id="re-embed"),
+    pytest.param(_overflow_gradient, 3,
+                 "epoch 0, re-embed pass: overflow encountered in multiply (no completed epoch)",
+                 id="re-embed-decoder"),
 ]
 
 
-@pytest.mark.parametrize("corruption,step,start,end", BLOW_UPS)
+@pytest.mark.parametrize("corruption,step,message", BLOW_UPS)
 def test_blow_up_names_its_epoch_batch_and_last_good_epoch(monkeypatch, corruption, step,
-                                                           start, end):
+                                                           message):
     model = make_model(seed=17)
     _break_after_step(monkeypatch, step, corruption(model))
     x = np.random.default_rng(18).standard_normal((20, 6))
     with pytest.raises(NumericalError) as info:
         train(model, x, TrainConfig(epochs=3, batch_size=8, seed=19))
-    assert str(info.value).startswith(start), info.value
-    assert str(info.value).endswith(end), info.value
+    assert str(info.value) == message
 
 
 def _nan_output(model):
@@ -386,7 +405,7 @@ def test_encode_and_training_share_one_posterior_rule(path, corrupt, message):
         warnings.simplefilter("error")
         POSTERIOR_PATHS[path](model, x)
     if path == "train":
-        message = f"epoch 0, batch 0: {message} (no completed epoch)"
+        message = f"epoch 0, batch 0, forward pass: {message} (no completed epoch)"
     assert str(info.value) == message
 
 
@@ -424,7 +443,7 @@ def test_non_finite_gradient_names_its_parameter_and_takes_no_step(monkeypatch, 
     x = np.random.default_rng(18).standard_normal((20, 6))
     with pytest.raises(NumericalError) as info:
         train(model, x, TrainConfig(epochs=3, batch_size=8, seed=19))
-    assert str(info.value) == f"epoch 0, batch 0: {message} (no completed epoch)"
+    assert str(info.value) == f"epoch 0, batch 0, gradient: {message} (no completed epoch)"
     for a, b in zip(before, model_arrays(model)):
         assert np.isfinite(b).all()
         assert np.array_equal(a, b)

@@ -1,17 +1,22 @@
 """CSV schema helpers: exact float round-trips, optional columns, validated reads."""
 
+import contextlib
 import csv
+import io
+import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from gmvlab import datagen
-from gmvlab.config import DatasetConfig
+from gmvlab.cli import main
+from gmvlab.config import DatasetConfig, ModelConfig
 from gmvlab.errors import InputError
-from gmvlab.gmvae import ElboTerms
+from gmvlab.gmvae import ElboTerms, GmVae, save_checkpoint
 from gmvlab.spectral import SpectralReport
 from gmvlab.tables import (
     Table,
@@ -328,7 +333,11 @@ def valid_files(tmp_path_factory):
                          var=rng.uniform(0.1, 1.0, (4, 2)),
                          gamma=rng.dirichlet(np.ones(2), size=4), hard_labels=[0, 1, 0, 1],
                          true_labels=["a", "b", "a", "b"])
-    return directory, {"dataset": dataset.read_text(), "embeddings": embeddings.read_text()}
+    checkpoint = directory / "checkpoint.json"
+    model = GmVae.init(small.steps, ModelConfig(hidden_dims=(4,)), np.random.default_rng(6))
+    save_checkpoint(model, checkpoint, config={})
+    return directory, {"dataset": dataset.read_text(), "embeddings": embeddings.read_text(),
+                       "checkpoint": checkpoint.read_text()}
 
 
 @settings(max_examples=100, deadline=None, database=None)
@@ -343,6 +352,54 @@ def test_mutated_files_load_or_raise_input_error(valid_files, kind, data):
             reader(path)
         except InputError as e:
             assert str(path) in str(e)
+
+
+# what a checkpoint's numbers are set to. Layer widths and latent_dim are never
+# mutated: a huge one would allocate for minutes rather than fail
+_EXTREMES = [1e308, -1e308, 5e-324, 1e-308, 10**400, -10**400, "1.0", [1.0]]
+
+
+def _number_paths(node, path=()):
+    """The key and index path of every number in a checkpoint payload but its sizes."""
+    if isinstance(node, dict):
+        return [p for key, value in node.items() if key not in ("layer_dims", "latent_dim")
+                for p in _number_paths(value, path + (key,))]
+    if isinstance(node, list):
+        return [p for i, value in enumerate(node) for p in _number_paths(value, path + (i,))]
+    return [path] if isinstance(node, (int, float)) else []
+
+
+@seed(14)
+@settings(max_examples=100, deadline=None, database=None)
+@given(data=st.data())
+def test_mutated_checkpoints_exit_cleanly_through_the_cli(valid_files, data):
+    # the exit-code contract at the CLI boundary: a code of 0, 1 or 2 and no
+    # exception; a failure is exactly one stderr line, and a success prints no
+    # numpy warning (here shown as the CLI shows it, not raised)
+    directory, texts = valid_files
+    payload = json.loads(texts["checkpoint"])
+    for *keys, last in data.draw(st.lists(st.sampled_from(_number_paths(payload)),
+                                          min_size=1, max_size=2, unique=True)):
+        node = payload
+        for key in keys:
+            node = node[key]
+        node[last] = data.draw(st.sampled_from(_EXTREMES))
+    checkpoint = directory / "mutated.json"
+    checkpoint.write_text(json.dumps(payload))
+    embed = ["embed", "--dataset", str(directory / "dataset.csv")]
+    for argv in (embed, ["sample", "--count", "5"]):
+        stderr = io.StringIO()
+        with (contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr),
+              warnings.catch_warnings()):
+            warnings.simplefilter("always")
+            code = main([*argv, "--checkpoint", str(checkpoint),
+                         "--out", str(directory / "out.csv")])
+        lines = stderr.getvalue().splitlines()
+        assert code in (0, 1, 2), (argv, code)
+        if code:
+            assert len(lines) == 1, (argv, lines)
+        else:
+            assert not [line for line in lines if line.startswith("warning:")], (argv, lines)
 
 
 def test_reading_a_dataset_peaks_at_a_small_multiple_of_its_floats(tmp_path):
