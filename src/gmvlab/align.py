@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, numerical_failures
 
 RANK_RTOL = 1e-10
 
@@ -34,7 +34,9 @@ def fit_affine(z: np.ndarray, b: np.ndarray) -> FitReport:
 
     Raises on non-finite input and on a rank-deficient design (singular
     values at most RANK_RTOL times the largest count as zero; the message
-    reports the numerical rank), and warns when n < 3 (d + 1).
+    reports the numerical rank), and warns when n < 3 (d + 1). Targets so
+    large that a squared residual overflows raise NumericalError before numpy
+    can warn.
     """
     z = np.atleast_2d(np.asarray(z, dtype=np.float64))
     b = np.asarray(b, dtype=np.float64)
@@ -52,22 +54,23 @@ def fit_affine(z: np.ndarray, b: np.ndarray) -> FitReport:
         warnings.warn(f"fit_affine: only {n} samples for {d + 1} design columns; "
                       "the fit may overfit")
     z_aug = np.hstack([z, np.ones((n, 1))])
-    m_t, _, rank, _ = np.linalg.lstsq(z_aug, b, rcond=RANK_RTOL)  # m_t: (d+1, p)
-    if rank < d + 1:
-        raise InputError(f"fit_affine: design matrix is rank deficient "
-                         f"(numerical rank {rank} < {d + 1})")
-    a = m_t[:d].T
-    c = m_t[d]
-    z0 = None
-    if a.shape[0] == d:
-        sva = np.linalg.svd(a, compute_uv=False)
-        if sva[-1] > RANK_RTOL * sva[0]:
-            z0 = -np.linalg.solve(a, c)
-    fitted = z_aug @ m_t
-    residual = b - fitted
-    ss_res = np.sum(residual**2, axis=0)
-    ss_tot = np.sum((b - b.mean(axis=0)) ** 2, axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r2 = np.where(ss_tot > 0.0, 1.0 - ss_res / ss_tot, 0.0)
-    return FitReport(a=a, c=c, z0=z0, fitted=fitted,
-                     residual_rms=float(np.sqrt(np.mean(residual**2))), r_squared=r2)
+    with numerical_failures("fit_affine"):
+        m_t, _, rank, _ = np.linalg.lstsq(z_aug, b, rcond=RANK_RTOL)  # m_t: (d+1, p)
+        if rank < d + 1:
+            raise InputError(f"fit_affine: design matrix is rank deficient "
+                             f"(numerical rank {rank} < {d + 1})")
+        a = m_t[:d].T
+        c = m_t[d]
+        z0 = None
+        if a.shape[0] == d:
+            sva = np.linalg.svd(a, compute_uv=False)
+            if sva[-1] > RANK_RTOL * sva[0]:
+                z0 = -np.linalg.solve(a, c)
+        fitted = z_aug @ m_t
+        residual = b - fitted
+        ss_res = np.sum(residual**2, axis=0)
+        ss_tot = np.sum((b - b.mean(axis=0)) ** 2, axis=0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r2 = np.where(ss_tot > 0.0, 1.0 - ss_res / ss_tot, 0.0)
+        residual_rms = float(np.sqrt(np.mean(residual**2)))
+    return FitReport(a=a, c=c, z0=z0, fitted=fitted, residual_rms=residual_rms, r_squared=r2)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, numerical_failures
 from .ndmath import sign_columns, symmetric_eig
 from .spectral import build_knn, component_sizes, squared_distances
 
@@ -112,18 +112,20 @@ def coordinate_mds(x: np.ndarray, dim: int) -> Embedding2D:
     Xc: this solves the smaller of Xc^T Xc (p, p) and Xc Xc^T (n, n).
     Each column is signed by `ndmath.sign_columns`, the rule `classical_mds`
     inherits from `symmetric_eig`, and missing coordinates are zero-padded
-    with the same warning.
+    with the same warning. Coordinates so large that the Gram product
+    overflows raise NumericalError before numpy can warn.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     n, p = x.shape
     _check_dim(dim, n)
-    xc = x - x.mean(axis=0)
-    if p <= n:
-        _, v = _leading_eigenpairs(xc.T @ xc, dim)
-        coords = xc @ v
-    else:
-        w, v = _leading_eigenpairs(xc @ xc.T, dim)
-        coords = v * np.sqrt(w)
+    with numerical_failures("coordinate_mds"):
+        xc = x - x.mean(axis=0)
+        if p <= n:
+            _, v = _leading_eigenpairs(xc.T @ xc, dim)
+            coords = xc @ v
+        else:
+            w, v = _leading_eigenpairs(xc @ xc.T, dim)
+            coords = v * np.sqrt(w)
     return _padded(sign_columns(coords), dim)
 
 

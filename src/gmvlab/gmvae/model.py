@@ -20,7 +20,6 @@ it from a training forward pass (`train.batch_loss`).
 from __future__ import annotations
 
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
@@ -28,7 +27,7 @@ from itertools import permutations
 import numpy as np
 
 from ..config import ModelConfig, TrainConfig
-from ..errors import InputError, NumericalError
+from ..errors import InputError, NumericalError, numerical_failures
 from ..ndmath import Mlp
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -142,21 +141,10 @@ def _posterior(model: GmVae, out: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     return mu, logvar, np.exp(logvar)
 
 
-@contextmanager
-def _raised(what: str):
-    """Run numpy with overflow and invalid operations raised, so a blow-up is a
-    `NumericalError("<what>: <cause>")` before numpy can warn."""
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            yield
-    except FloatingPointError as e:
-        raise NumericalError(f"{what}: {e}") from e
-
-
 def encode(model: GmVae, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The posterior (mu, var) of a batch, each (n, latent_dim)."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    with _raised("encoder"):
+    with numerical_failures("encoder"):
         out = model.encoder.forward(x)[-1]
     mu, _, var = _posterior(model, out)
     return mu, var
@@ -164,7 +152,7 @@ def encode(model: GmVae, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def decode(model: GmVae, z: np.ndarray) -> np.ndarray:
     """Decoded reconstruction means for a batch of latent points."""
-    with _raised("decoder"):
+    with numerical_failures("decoder"):
         out = model.decoder.forward(np.atleast_2d(np.asarray(z, dtype=np.float64)))[-1]
     if not np.all(np.isfinite(out)):  # from a non-finite z, which raises no flag
         raise NumericalError("decoder produced non-finite output")
@@ -172,22 +160,31 @@ def decode(model: GmVae, z: np.ndarray) -> np.ndarray:
 
 
 def _log_joint(gmm: GmmParams, z) -> tuple[np.ndarray, np.ndarray]:
-    """log pi_c + log N(z_n | mean_c, diag var_c) as (n, K), and its log-sum-exp
-    over c as (n, 1)."""
+    """log pi_c + log N(z_n | mean_c, diag var_c) as (K, n), and its log-sum-exp
+    over c as (n,).
+
+    Cluster-major, so every inner loop runs over the n points. numpy sums an
+    axis shorter than 8 left to right whether or not it is contiguous, so for
+    K and d below 8 this gives the bytes of the (n, K, d) broadcast form.
+    """
     z = np.atleast_2d(np.asarray(z, dtype=np.float64))
     if z.shape[1:] != gmm.means.shape[1:]:
         raise InputError(f"latent points have shape {z.shape}, expected (n, {gmm.means.shape[1]})")
-    with _raised("E-step"):
-        diff = z[:, None, :] - gmm.means  # (n, K, d)
-        log_joint = gmm.log_pi + -0.5 * (gmm.logdet + (diff * diff / gmm.variances).sum(axis=2))
-        top = log_joint.max(axis=1, keepdims=True)
-        return log_joint, top + np.log(np.exp(log_joint - top).sum(axis=1, keepdims=True))
+    with numerical_failures("E-step"):
+        diff = z.T - gmm.means[:, :, None]  # (K, d, n)
+        diff *= diff
+        diff /= gmm.variances[:, :, None]
+        log_joint = gmm.log_pi[:, None] + -0.5 * (gmm.logdet[:, None] + diff.sum(axis=1))
+        top = log_joint.max(axis=0)
+        return log_joint, top + np.log(np.exp(log_joint - top).sum(axis=0))
 
 
 def responsibilities(gmm: GmmParams, z: np.ndarray) -> np.ndarray:
-    """The E-step: cluster probabilities (n, K) of latent points, in log space."""
+    """The E-step: cluster probabilities of latent points, in log space, as a
+    C-contiguous (n, K) array."""
     log_joint, log_norm = _log_joint(gmm, z)
-    return np.exp(log_joint - log_norm)
+    gamma = np.subtract(log_joint.T, log_norm[:, None], order="C")
+    return np.exp(gamma, out=gamma)
 
 
 def gmm_log_likelihood(gmm: GmmParams, z: np.ndarray) -> float:
@@ -202,6 +199,8 @@ def em_step(gmm: GmmParams, gamma: np.ndarray, mu: np.ndarray, var: np.ndarray,
 
     Cluster means average the posterior means; variances add the posterior
     variances to the spread around the new mean, clamped at the floor.
+    Each is one product of the cluster's responsibilities with the rows, and
+    the spread is taken around the new mean (two passes), not expanded.
     A cluster whose responsibility mass underflows keeps its parameters.
     """
     if mu.shape[1:] != gmm.means.shape[1:]:
@@ -220,9 +219,9 @@ def em_step(gmm: GmmParams, gamma: np.ndarray, mu: np.ndarray, var: np.ndarray,
         if mass[c] < 1e-12:
             warnings.warn(f"cluster {c} received ~zero responsibility mass; keeping its parameters")
             continue
-        w = gamma[:, c : c + 1]
-        mean_c = (w * mu).sum(axis=0) / mass[c]
-        var_c = (w * ((mu - mean_c) ** 2 + var)).sum(axis=0) / mass[c]
+        w = gamma[:, c]
+        mean_c = (w @ mu) / mass[c]
+        var_c = (w @ ((mu - mean_c) ** 2 + var)) / mass[c]
         means[c] = mean_c
         variances[c] = np.maximum(var_c, variance_floor)
     pi = mass / n  # divided by its sum below to guard the simplex against roundoff

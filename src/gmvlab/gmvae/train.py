@@ -102,7 +102,10 @@ def batch_loss(model: GmVae, x: np.ndarray, eps: np.ndarray,
 def batch_terms(model: GmVae, cache: BatchCache, out: np.ndarray | None = None) -> ElboTerms:
     """The batch's objective terms from its cached forward values; `backward`
     returns the gradient of their `total_loss`. `out`, if given, is an array of
-    `cache.x`'s shape that the squared error is formed in."""
+    `cache.x`'s shape that the squared error is formed in. The cluster term is
+    formed one cluster at a time, as a product of that cluster's responsibilities
+    with its per-row expected log-density, whose squared deviation from the
+    cluster mean is formed before it is scaled by the inverse variance."""
     mu, var, logvar, gamma = cache.mu, cache.var, cache.logvar, cache.gamma
     n, data_dim = cache.x.shape
     gmm = model.gmm
@@ -113,10 +116,9 @@ def batch_terms(model: GmVae, cache: BatchCache, out: np.ndarray | None = None) 
                     + sq_err / model.decoder_var)
 
     # responsibility-weighted expected log-density under each cluster
-    mu_diff = mu[:, None, :] - gmm.means[None, :, :]
-    inner = (np.log(gmm.variances)[None, :, :] + LOG_2PI
-             + (var[:, None, :] + mu_diff**2) / gmm.variances[None, :, :])
-    cluster_kl = -0.5 * float(np.sum(gamma * inner.sum(axis=2)))
+    cluster_kl = -0.5 * sum(
+        float(gamma[:, c] @ (((mu - gmm.means[c]) ** 2 + var) @ gmm.inv_var[c] + gmm.logdet[c]))
+        for c in range(gmm.n_clusters))
 
     posterior_entropy = 0.5 * float(np.sum(logvar + LOG_2PI + 1.0))
 

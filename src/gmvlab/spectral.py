@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import MetricConfig
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, numerical_failures
 from .ndmath import symmetric_eig
 
 
@@ -143,7 +143,10 @@ def interpretability_report(points: np.ndarray, quantities: dict,
 
     `quantities` maps name -> length-n array evaluated at the embedded
     points. Disconnected graphs are allowed but warned about: extra zero
-    modes inflate eta for component-indicator signals.
+    modes inflate eta for component-indicator signals. A quantity so large
+    that its energy (the sum of its squares, which its squared coefficients
+    sum to) overflows raises NumericalError, naming it, once the graph is
+    built but before that warning, the eigensolve, or any numpy warning.
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     n = points.shape[0]
@@ -154,13 +157,19 @@ def interpretability_report(points: np.ndarray, quantities: dict,
         if not np.all(np.isfinite(q)):
             raise InputError(f"quantity {name!r} has non-finite values")
     adjacency = build_knn(points, cfg.k)
+    for name, q in quantities.items():  # the energy that eta divides by
+        with numerical_failures(f"energy of quantity {name!r}"):
+            np.square(q, dtype=np.float64).sum()
     sizes = component_sizes(adjacency)
     if len(sizes) > 1:
         warnings.warn(f"kNN graph is disconnected (component sizes {sizes}); "
                       "eta may be inflated for component-aligned signals")
     eigenvalues, eigenvectors = spectrum(laplacian(adjacency))
-    coefficients = {name: project(eigenvectors, q) for name, q in quantities.items()}
+    coefficients, etas = {}, {}
+    for name, q in quantities.items():  # the same energy, rounded differently, may overflow
+        with numerical_failures(f"eta of quantity {name!r}"):
+            coefficients[name] = project(eigenvectors, q)
+            etas[name] = eta(coefficients[name], cfg.r_percent)
     return SpectralReport(
         k=int(cfg.k), r_percent=float(cfg.r_percent), component_sizes=sizes,
-        eigenvalues=eigenvalues, coefficients=coefficients,
-        eta={name: eta(c, cfg.r_percent) for name, c in coefficients.items()})
+        eigenvalues=eigenvalues, coefficients=coefficients, eta=etas)

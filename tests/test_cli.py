@@ -316,6 +316,38 @@ def test_metric_on_overflowing_embeddings_gives_exit_2(tmp_path, capsys):
     assert not (tmp_path / "report.csv").exists()
 
 
+def test_metric_quantity_whose_squares_overflow_gives_exit_2(tmp_path, capsys):
+    # the squares of a quantity of 1e200 overflow, and so would its squared spectral
+    # coefficients: once two warnings and eta = nan with exit 0, now raised before
+    # the graph is built
+    points = np.random.default_rng(10).standard_normal((12, 2))
+    argv = _metric_inputs(tmp_path, points)
+    values = points[:, 0].copy()
+    values[3] = 1e200
+    write_table(tmp_path / "quant.csv", {"sample_id": range(12), "q": values})
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "numerical failure: energy of quantity 'q': overflow encountered in square"]
+    assert not (tmp_path / "report.csv").exists()
+
+
+def test_align_parameter_whose_squares_overflow_gives_exit_2(workdir, tmp_path, capsys):
+    # a target of 1e200 squares past the largest double in the residual sums:
+    # once three warnings, r_squared = nan and exit 0
+    emb = workdir["train"] / "embeddings.csv"
+    sample_ids, mu = read_embeddings_csv(emb)
+    params = tmp_path / "params.csv"
+    xi1 = mu[:, 0] + 2.0 * mu[:, 1]
+    xi1[0] = 1e200
+    write_table(params, {"sample_id": sample_ids, "xi1": xi1})
+    out = tmp_path / "align"
+    assert main(["align", "--embeddings", str(emb), "--params", str(params),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "numerical failure: fit_affine: overflow encountered in square"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, flag, columns", [
     ("metric", "--quantities", ["alpha", "alpha"]),
     ("align", "--params", ["xi1", "xi2", "xi1"]),
@@ -1049,9 +1081,9 @@ def test_forward_pass_overflow_is_not_named_a_gradient(tmp_path, capsys):
     assert err[0].endswith(" (no completed epoch)") and "gradient" not in err[0], err
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 def test_overflowing_mds_gives_exit_2(workdir, tmp_path, capsys):
-    # squares of the centred coordinates overflow to inf, so the Gram matrix is not finite
+    # squares of the centred coordinates overflow in the Gram product, which
+    # raises before numpy can warn
     lines = workdir["data"].read_text().splitlines()
     parts = lines[1].split(",")
     parts[1] = "1e200"
@@ -1061,7 +1093,8 @@ def test_overflowing_mds_gives_exit_2(workdir, tmp_path, capsys):
     out = tmp_path / "mds.csv"
     code = main(["baseline", "--method", "mds", "--dataset", str(bad), "--out", str(out)])
     assert code == 2
-    assert "numerical failure" in capsys.readouterr().err
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical failure: "), err
     assert not out.exists()
 
 

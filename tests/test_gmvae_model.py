@@ -23,6 +23,7 @@ from gmvlab.gmvae import (
     responsibilities,
     sample,
 )
+from gmvlab.gmvae.model import LOG_2PI
 from gmvlab.gmvae.train import batch_terms
 
 
@@ -126,6 +127,34 @@ def test_zero_pi_cluster_gets_zero_responsibility():
     assert np.array_equal(gamma[:, 1], np.zeros(3))
 
 
+def _broadcast_responsibilities(gmm, z):
+    """The E-step as one (n, K, d) broadcast, summed over d, then over K."""
+    diff = z[:, None, :] - gmm.means
+    log_joint = gmm.log_pi + -0.5 * (gmm.logdet + (diff * diff / gmm.variances).sum(axis=2))
+    top = log_joint.max(axis=1, keepdims=True)
+    return np.exp(log_joint - (top + np.log(np.exp(log_joint - top).sum(axis=1,
+                                                                      keepdims=True))))
+
+
+@pytest.mark.parametrize("n", [0, 37])
+@pytest.mark.parametrize("d", range(1, 8))
+@pytest.mark.parametrize("k", range(1, 8))
+def test_responsibilities_are_the_broadcast_form_byte_for_byte(k, d, n):
+    # the E-step runs cluster-major; below 8 clusters and 8 latent dimensions
+    # numpy sums both short axes left to right, so no byte moves
+    rng = np.random.default_rng(100 * k + 10 * d + n)
+    pi = rng.dirichlet(np.ones(k))
+    if k > 1:  # a zero-weight cluster, whose log weight is -inf
+        pi[k - 1] = 0.0
+        pi /= pi.sum()
+    gmm = GmmParams(pi=pi, means=3.0 * rng.standard_normal((k, d)),
+                    variances=rng.uniform(0.05, 4.0, size=(k, d)))
+    z = 4.0 * rng.standard_normal((n, d))
+    gamma = responsibilities(gmm, z)
+    assert gamma.shape == (n, k) and gamma.flags.c_contiguous
+    assert gamma.tobytes() == _broadcast_responsibilities(gmm, z).tobytes()
+
+
 # ------------------------------------------------------------- objective
 
 def scalar_elbo_reference(model, x, mu, var, z, gamma):
@@ -198,6 +227,28 @@ def test_k1_unit_prior_reduces_to_standard_vae_kl():
     assert terms.categorical_term == 0.0
 
 
+def test_cluster_term_on_a_variance_floor_matches_the_broadcast_form():
+    # cluster 0 sits on a 1e-12 floor at mean 5, its points 1e-6 away. The
+    # squared deviation is formed before it is scaled, so the term agrees with
+    # the (n, K, d) broadcast transcription; expanding it as
+    # z^2/v - 2 z m/v + m^2/v would cancel to about 1e-3 here
+    model = make_model(k=2)
+    model.gmm = GmmParams(pi=np.array([0.6, 0.4]), means=np.array([[5.0, -5.0], [0.5, 1.0]]),
+                          variances=np.array([[1e-12, 1e-12], [0.7, 1.3]]))
+    rng = np.random.default_rng(31)
+    cache = batch_loss(model, rng.standard_normal((9, 6)), rng.standard_normal((9, 2)))
+    mu = model.gmm.means[0] + 1e-6 * rng.standard_normal((9, 2))
+    var = rng.uniform(0.5e-12, 2e-12, size=(9, 2))
+    gamma = rng.dirichlet(np.ones(2), size=9)
+    terms = batch_terms(model, dataclasses.replace(cache, mu=mu, var=var, logvar=np.log(var),
+                                                   gamma=gamma))
+    diff = mu[:, None, :] - model.gmm.means
+    inner = np.log(model.gmm.variances) + LOG_2PI + (var[:, None, :] + diff**2) / \
+        model.gmm.variances
+    want = -0.5 * np.sum(gamma * inner.sum(axis=2))
+    assert terms.cluster_kl == pytest.approx(want, rel=1e-13)
+
+
 # --------------------------------------------------------------- mixture
 
 def test_mixture_is_frozen_and_computes_its_constants_once():
@@ -264,6 +315,35 @@ def test_em_step_with_one_hot_responsibilities_matches_a_transcription():
         assert np.allclose(new.variances[c], want, rtol=1e-14, atol=0)
         assert new.pi[c] == pytest.approx(rows.sum() / 12, rel=1e-15)
     assert new.variances[2, 0] == floor
+
+
+def test_em_step_with_soft_responsibilities_matches_a_per_cluster_transcription():
+    # each cluster's mean is its gamma-weighted posterior mean, its variance the
+    # gamma-weighted spread around that mean plus the posterior variance,
+    # floored; the third cluster gets no mass and keeps its parameters. The rows
+    # sit near 1000 with unit spread, where a one-pass E[mu^2] - mean^2 would
+    # lose about 6 digits
+    rng = np.random.default_rng(13)
+    n = 200
+    mu, var = rng.normal(1e3, 1.0, size=(n, 3)), rng.uniform(1e-3, 0.5, size=(n, 3))
+    gamma = np.zeros((n, 3))
+    gamma[:, :2] = rng.dirichlet([0.7, 1.3], size=n)
+    gmm = GmmParams(pi=np.array([0.3, 0.3, 0.4]), means=rng.standard_normal((3, 3)),
+                    variances=rng.uniform(0.5, 2.0, size=(3, 3)))
+    floor = 1e-4
+    with pytest.warns(UserWarning, match="cluster 2 received ~zero responsibility mass"):
+        new = em_step(gmm, gamma, mu, var, variance_floor=floor)
+    for c in range(2):
+        mass = math.fsum(gamma[:, c])
+        mean = np.array([math.fsum(gamma[:, c] * mu[:, j]) / mass for j in range(3)])
+        spread = np.array([math.fsum(gamma[:, c] * ((mu[:, j] - mean[j]) ** 2 + var[:, j]))
+                           / mass for j in range(3)])
+        assert np.allclose(new.means[c], mean, rtol=1e-13, atol=0)
+        assert np.allclose(new.variances[c], np.maximum(spread, floor), rtol=1e-13, atol=0)
+        assert new.pi[c] == pytest.approx(mass / n, rel=1e-13)
+    assert new.means[2].tobytes() == gmm.means[2].tobytes()
+    assert new.variances[2].tobytes() == gmm.variances[2].tobytes()
+    assert new.pi[2] == 0.0
 
 
 def test_hard_responsibilities_average_assigned_means():
