@@ -90,14 +90,17 @@ def classical_mds(d: DistanceMatrix, dim: int) -> Embedding2D:
 
     Exact for Euclidean distance matrices. If fewer than `dim` positive
     eigenvalues exist, missing coordinates are zero-padded with a warning.
+    Distances so large that the centring overflows raise NumericalError
+    before numpy can warn.
     For points with coordinates, `coordinate_mds` gives the same embedding
     from a smaller eigenproblem.
     """
     _check_dim(dim, d.n)
     # J D^2 J with J = I - 11^T/n: centre the rows, then the columns
-    b = d.d**2
-    b -= b.mean(axis=1, keepdims=True)
-    b -= b.mean(axis=0, keepdims=True)
+    with numerical_failures("classical_mds"):
+        b = d.d**2
+        b -= b.mean(axis=1, keepdims=True)
+        b -= b.mean(axis=0, keepdims=True)
     b *= -0.5
     w, v = _leading_eigenpairs(b, dim)
     return _padded(v * np.sqrt(w), dim)
@@ -112,20 +115,19 @@ def coordinate_mds(x: np.ndarray, dim: int) -> Embedding2D:
     Xc: this solves the smaller of Xc^T Xc (p, p) and Xc Xc^T (n, n).
     Each column is signed by `ndmath.sign_columns`, the rule `classical_mds`
     inherits from `symmetric_eig`, and missing coordinates are zero-padded
-    with the same warning. Coordinates so large that the Gram product
-    overflows raise NumericalError before numpy can warn.
+    with the same warning. Coordinates so large that the Gram product or
+    its trace overflows raise NumericalError before numpy can warn.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     n, p = x.shape
     _check_dim(dim, n)
     with numerical_failures("coordinate_mds"):
         xc = x - x.mean(axis=0)
-        if p <= n:
-            _, v = _leading_eigenpairs(xc.T @ xc, dim)
-            coords = xc @ v
-        else:
-            w, v = _leading_eigenpairs(xc @ xc.T, dim)
-            coords = v * np.sqrt(w)
+        gram = xc.T @ xc if p <= n else xc @ xc.T
+        # the trace bounds the top eigenvalue, which LAPACK returns as inf with no flag
+        gram.trace()
+        w, v = _leading_eigenpairs(gram, dim)
+        coords = xc @ v if p <= n else v * np.sqrt(w)
     return _padded(sign_columns(coords), dim)
 
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import tables
 from .config import DatasetConfig
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, numerical_failures
 
 RHO0 = 0.89
 
@@ -73,10 +73,10 @@ def integrate(alpha, gamma, cfg: DatasetConfig) -> np.ndarray:
 
     Integrates `cfg.substeps` internal stages per stored interval; returns
     the (m, cfg.steps) array of stored samples starting at RHO0. `alpha` and
-    `gamma` must be finite (InputError). The loop runs with numpy's overflow
-    and invalid-operation errors raised, so a blow-up is raised before numpy
-    can warn, as one `NumericalError("integration at step i: <cause>")` naming
-    the stored step it was integrating towards.
+    `gamma` must be finite (InputError). Each stored step's substeps run under
+    `numerical_failures`, so a blow-up is raised before numpy can warn, as one
+    `NumericalError("integration at step i: <cause>")` naming the stored step
+    it was integrating towards.
     """
     kappa, steps, substeps = cfg.kappa, cfg.steps, cfg.substeps
     alpha = np.atleast_1d(np.asarray(alpha, dtype=np.float64))
@@ -89,18 +89,15 @@ def integrate(alpha, gamma, cfg: DatasetConfig) -> np.ndarray:
     out = np.empty((m, steps))
     rho = np.full(m, RHO0)
     out[:, 0] = rho
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            for i in range(1, steps):
-                for _ in range(substeps):
-                    k1 = reaction_rhs(rho, alpha, gamma, kappa)
-                    k2 = reaction_rhs(rho + 0.5 * h * k1, alpha, gamma, kappa)
-                    k3 = reaction_rhs(rho + 0.5 * h * k2, alpha, gamma, kappa)
-                    k4 = reaction_rhs(rho + h * k3, alpha, gamma, kappa)
-                    rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                out[:, i] = rho
-    except FloatingPointError as e:
-        raise NumericalError(f"integration at step {i}: {e}") from e
+    for i in range(1, steps):
+        with numerical_failures(f"integration at step {i}"):
+            for _ in range(substeps):
+                k1 = reaction_rhs(rho, alpha, gamma, kappa)
+                k2 = reaction_rhs(rho + 0.5 * h * k1, alpha, gamma, kappa)
+                k3 = reaction_rhs(rho + 0.5 * h * k2, alpha, gamma, kappa)
+                k4 = reaction_rhs(rho + h * k3, alpha, gamma, kappa)
+                rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out[:, i] = rho
     return out
 
 

@@ -144,9 +144,9 @@ def interpretability_report(points: np.ndarray, quantities: dict,
     `quantities` maps name -> length-n array evaluated at the embedded
     points. Disconnected graphs are allowed but warned about: extra zero
     modes inflate eta for component-indicator signals. A quantity so large
-    that its energy (the sum of its squares, which its squared coefficients
-    sum to) overflows raises NumericalError, naming it, once the graph is
-    built but before that warning, the eigensolve, or any numpy warning.
+    that its squared coefficients or their sum, its energy, overflow raises
+    NumericalError, naming it, once the Laplacian is solved but before that
+    warning or any numpy warning.
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     n = points.shape[0]
@@ -157,19 +157,16 @@ def interpretability_report(points: np.ndarray, quantities: dict,
         if not np.all(np.isfinite(q)):
             raise InputError(f"quantity {name!r} has non-finite values")
     adjacency = build_knn(points, cfg.k)
-    for name, q in quantities.items():  # the energy that eta divides by
+    eigenvalues, eigenvectors = spectrum(laplacian(adjacency))
+    coefficients, etas = {}, {}
+    for name, q in quantities.items():
         with numerical_failures(f"energy of quantity {name!r}"):
-            np.square(q, dtype=np.float64).sum()
+            coefficients[name] = project(eigenvectors, q)
+            etas[name] = eta(coefficients[name], cfg.r_percent)
     sizes = component_sizes(adjacency)
     if len(sizes) > 1:
         warnings.warn(f"kNN graph is disconnected (component sizes {sizes}); "
                       "eta may be inflated for component-aligned signals")
-    eigenvalues, eigenvectors = spectrum(laplacian(adjacency))
-    coefficients, etas = {}, {}
-    for name, q in quantities.items():  # the same energy, rounded differently, may overflow
-        with numerical_failures(f"eta of quantity {name!r}"):
-            coefficients[name] = project(eigenvectors, q)
-            etas[name] = eta(coefficients[name], cfg.r_percent)
     return SpectralReport(
         k=int(cfg.k), r_percent=float(cfg.r_percent), component_sizes=sizes,
         eigenvalues=eigenvalues, coefficients=coefficients, eta=etas)

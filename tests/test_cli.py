@@ -318,13 +318,30 @@ def test_metric_on_overflowing_embeddings_gives_exit_2(tmp_path, capsys):
 
 def test_metric_quantity_whose_squares_overflow_gives_exit_2(tmp_path, capsys):
     # the squares of a quantity of 1e200 overflow, and so would its squared spectral
-    # coefficients: once two warnings and eta = nan with exit 0, now raised before
-    # the graph is built
+    # coefficients: once two warnings and eta = nan with exit 0, now raised as the
+    # energy of the quantity, before numpy can warn
     points = np.random.default_rng(10).standard_normal((12, 2))
     argv = _metric_inputs(tmp_path, points)
     values = points[:, 0].copy()
     values[3] = 1e200
     write_table(tmp_path / "quant.csv", {"sample_id": range(12), "q": values})
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "numerical failure: energy of quantity 'q': overflow encountered in square"]
+    assert not (tmp_path / "report.csv").exists()
+
+
+@pytest.mark.filterwarnings("default:kNN graph is disconnected")
+def test_metric_quantity_that_overflows_on_a_disconnected_graph_gives_one_line(tmp_path,
+                                                                                capsys):
+    # the quantity's energy fails once the Laplacian is solved and before the
+    # disconnected-graph warning, so the failure is all stderr says
+    points = np.vstack([np.zeros((4, 2)), np.full((4, 2), 100.0)])
+    points[:, 0] += np.arange(8)
+    argv = _metric_inputs(tmp_path, points)
+    values = points[:, 0].copy()
+    values[3] = 1e200
+    write_table(tmp_path / "quant.csv", {"sample_id": range(8), "q": values})
     assert main(argv) == 2
     assert capsys.readouterr().err.splitlines() == [
         "numerical failure: energy of quantity 'q': overflow encountered in square"]
@@ -1081,20 +1098,58 @@ def test_forward_pass_overflow_is_not_named_a_gradient(tmp_path, capsys):
     assert err[0].endswith(" (no completed epoch)") and "gradient" not in err[0], err
 
 
-def test_overflowing_mds_gives_exit_2(workdir, tmp_path, capsys):
-    # squares of the centred coordinates overflow in the Gram product, which
-    # raises before numpy can warn
-    lines = workdir["data"].read_text().splitlines()
-    parts = lines[1].split(",")
-    parts[1] = "1e200"
-    lines[1] = ",".join(parts)
+def _scaled_coverage(path, n_samples, factor):
+    """Generate an n_samples-row dataset at `path`, every coverage cell times `factor`."""
+    ini = path.with_suffix(".ini")
+    ini.write_text(f"[dataset]\nn_samples = {n_samples}\n")
+    assert main(["generate", "--config", str(ini), "--out", str(path)]) == 0
+    header, rows = read_rows(path)
+    rho = [j for j, name in enumerate(header) if name.startswith("rho_")]
+    for row in rows:
+        for j in rho:
+            row[j] = repr(float(row[j]) * factor)
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+
+
+@pytest.mark.parametrize("case", ["one-cell-1e200", "coverage-x1e153"])
+def test_overflowing_mds_gives_exit_2(workdir, tmp_path, capsys, case):
+    # one coverage cell of 1e200: squares of the centred coordinates overflow in
+    # the Gram product. Every coverage cell of 100 rows times 1e153: the Gram
+    # matrix is finite but its top eigenvalue is not, and LAPACK returns that as
+    # inf with no flag, so the embedding was all zeros at exit 0; the trace,
+    # which bounds it, overflows. Either raises before numpy can warn
     bad = tmp_path / "huge.csv"
-    bad.write_text("\n".join(lines) + "\n")
+    if case == "one-cell-1e200":
+        lines = workdir["data"].read_text().splitlines()
+        parts = lines[1].split(",")
+        parts[1] = "1e200"
+        lines[1] = ",".join(parts)
+        bad.write_text("\n".join(lines) + "\n")
+    else:
+        _scaled_coverage(bad, 100, 1e153)
+        capsys.readouterr()
     out = tmp_path / "mds.csv"
     code = main(["baseline", "--method", "mds", "--dataset", str(bad), "--out", str(out)])
     assert code == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("numerical failure: "), err
+    assert not out.exists()
+
+
+def test_overflowing_isomap_gives_exit_2(tmp_path, capsys):
+    # every coverage cell of 60 rows times 4e152: the geodesics are finite, but
+    # classical MDS's double-centring of their squares overflows. Once two numpy
+    # warnings, then the eigensolver's failure
+    bad = tmp_path / "huge.csv"
+    _scaled_coverage(bad, 60, 4e152)
+    capsys.readouterr()
+    out = tmp_path / "isomap.csv"
+    code = main(["baseline", "--method", "isomap", "--k", "15", "--dataset", str(bad),
+                 "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "numerical failure: classical_mds: overflow encountered in reduce"]
     assert not out.exists()
 
 

@@ -1,5 +1,7 @@
 """Graph metric: kNN construction, Laplacian spectra, projections, eta."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -371,3 +373,26 @@ def test_report_rejects_overflowing_distances():
     points = overflowing_points()
     with pytest.raises(NumericalError, match="not finite"):
         interpretability_report(points, {"q": points[:, 0]}, MetricConfig(k=2))
+
+
+def test_report_quantity_with_finite_energy_but_overflowing_coefficients():
+    # scaled so that its sum of squares lands at the largest double: of the draws
+    # whose energy stays finite, about a third square or sum past it once rounded
+    # by the projection. Each fails as the quantity's energy overflowing
+    largest = np.finfo(np.float64).max
+    failed = 0
+    for draw in range(30):
+        rng = np.random.default_rng(draw)
+        points, q = rng.standard_normal((12, 2)), rng.standard_normal(12)
+        q *= np.sqrt(largest) / np.sqrt(np.sum(q**2))
+        with np.errstate(over="ignore"):
+            if not np.isfinite(np.square(q).sum()):
+                continue
+        try:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "kNN graph is disconnected")
+                interpretability_report(points, {"q": q}, MetricConfig(k=3))
+        except NumericalError as e:
+            assert str(e).startswith("energy of quantity 'q': overflow encountered in "), e
+            failed += 1
+    assert failed > 0

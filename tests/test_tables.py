@@ -4,6 +4,7 @@ import contextlib
 import csv
 import io
 import json
+import tempfile
 import tracemalloc
 import warnings
 
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from gmvlab import datagen
 from gmvlab.cli import main
-from gmvlab.config import DatasetConfig, ModelConfig
+from gmvlab.config import DatasetConfig, ModelConfig, load_config
 from gmvlab.errors import InputError
 from gmvlab.gmvae import ElboTerms, GmVae, save_checkpoint
 from gmvlab.spectral import SpectralReport
@@ -304,11 +305,20 @@ def test_samples_round_trip(tmp_path):
     assert table.text == {"cluster": ["0", "1", "1", "0", "1"]}
 
 
-def _mutated(text, draw):
+# the float columns each CSV kind's "scale" mutation multiplies by a power of ten,
+# and the readers of each kind
+_SCALED = {"dataset": "rho_", "embeddings": "mu_", "quantities": "q"}
+_READERS = {"dataset": (read_quantities_csv, datagen.load_csv),
+            "embeddings": (read_quantities_csv, read_embeddings_csv),
+            "quantities": (read_quantities_csv,)}
+
+
+def _mutated(text, draw, scaled):
     """`text` truncated at a random byte, with a random cell replaced by random
-    text, or with a column dropped."""
+    text, with a column dropped, or with every cell of the columns whose names
+    start with `scaled` multiplied by 1, 2, 4 or 8 times 10**k."""
     rows = [line.split(",") for line in text.splitlines()]
-    how = draw(st.sampled_from(["truncate", "replace-cell", "drop-column"]))
+    how = draw(st.sampled_from(["truncate", "replace-cell", "drop-column", "scale"]))
     if how == "truncate":
         data = text.encode()
         return data[:draw(st.integers(0, len(data)))]
@@ -316,42 +326,163 @@ def _mutated(text, draw):
         i = draw(st.integers(0, len(rows) - 1))
         j = draw(st.integers(0, len(rows[0]) - 1))
         rows[i][j] = draw(st.text(st.characters(codec="utf-8"), max_size=6))
-    else:
+    elif how == "drop-column":
         j = draw(st.integers(0, len(rows[0]) - 1))
         rows = [row[:j] + row[j + 1:] for row in rows]
+    else:  # 0.0 and inf at the ends
+        factor = float(f"{draw(st.sampled_from([1, 2, 4, 8]))}e{draw(st.integers(-330, 330))}")
+        columns = [j for j, name in enumerate(rows[0]) if name.startswith(scaled)]
+        for row in rows[1:]:
+            for j in columns:
+                row[j] = repr(float(row[j]) * factor)
     return ("\n".join(",".join(row) for row in rows) + "\n").encode()
+
+
+# every size key is set here, small: a mutated config may drop a line, and the
+# default that would replace it (20000 epochs, 1280 rows) runs for minutes
+_CONFIG = """[dataset]
+n_samples = 10
+steps = 5
+substeps = 10
+horizon = 5.0
+seed = 0
+[model]
+latent_dim = 2
+n_clusters = 2
+hidden_dims = 4
+[training]
+epochs = 2
+batch_size = 4
+n_em = 1
+[metric]
+k = 3
+"""
+_SIZE_KEYS = ("n_samples", "steps", "substeps", "latent_dim", "n_clusters", "hidden_dims",
+              "epochs", "batch_size", "n_em")
+# what a size key is set to: never a large value
+_SIZES = ["-1", "0", "1", "2", "3", "11", "", "x", "1.5", "1e3", "2, 2", "3,"]
+_VALUES = ["1e308", "-1e308", "5e-324", "1e-308", "0", "-0", "nan", "inf", "-1", "1" + "0" * 400]
+
+
+def _mutated_config(draw):
+    """`_CONFIG` with a value replaced, or a line other than a size key's dropped
+    or replaced by random text."""
+    lines = _CONFIG.splitlines()
+    keyed = [i for i, line in enumerate(lines) if "=" in line]
+    other = [i for i, line in enumerate(lines) if line.split(" =")[0] not in _SIZE_KEYS]
+    how = draw(st.sampled_from(["replace-value", "drop-line", "replace-line"]))
+    text = st.text(st.characters(codec="utf-8", exclude_characters="\r\n"), max_size=6)
+    if how == "replace-value":
+        i = draw(st.sampled_from(keyed))
+        key = lines[i].split(" =")[0]
+        value = draw(st.sampled_from(_SIZES) if key in _SIZE_KEYS
+                     else st.one_of(st.sampled_from(_VALUES), text))
+        lines[i] = f"{key} = {value}"
+    elif how == "drop-line":
+        del lines[draw(st.sampled_from(other))]
+    else:
+        lines[draw(st.sampled_from(other))] = draw(text)
+    return ("\n".join(lines) + "\n").encode()
 
 
 @pytest.fixture(scope="module")
 def valid_files(tmp_path_factory):
     directory = tmp_path_factory.mktemp("valid")
+    config = directory / "config.ini"
+    config.write_text(_CONFIG)
     dataset, embeddings = directory / "dataset.csv", directory / "embeddings.csv"
-    small = DatasetConfig(seed=0, n_samples=10, steps=5, horizon=5.0)
+    quantities = directory / "quantities.csv"
+    small = load_config(config).dataset
     datagen.save_csv(datagen.generate(small), dataset)
     rng = np.random.default_rng(5)
-    write_embeddings_csv(embeddings, list(range(4)), ["train"] * 4, rng.standard_normal((4, 2)),
-                         var=rng.uniform(0.1, 1.0, (4, 2)),
-                         gamma=rng.dirichlet(np.ones(2), size=4), hard_labels=[0, 1, 0, 1],
-                         true_labels=["a", "b", "a", "b"])
+    n = small.n_samples
+    write_embeddings_csv(embeddings, list(range(n)), ["train"] * n, rng.standard_normal((n, 2)),
+                         var=rng.uniform(0.1, 1.0, (n, 2)),
+                         gamma=rng.dirichlet(np.ones(2), size=n), hard_labels=[0, 1] * (n // 2),
+                         true_labels=["a", "b"] * (n // 2))
+    write_table(quantities, {"sample_id": range(n), "q1": rng.standard_normal(n),
+                             "q2": rng.uniform(0.0, 1.0, n)})
     checkpoint = directory / "checkpoint.json"
     model = GmVae.init(small.steps, ModelConfig(hidden_dims=(4,)), np.random.default_rng(6))
     save_checkpoint(model, checkpoint, config={})
     return directory, {"dataset": dataset.read_text(), "embeddings": embeddings.read_text(),
-                       "checkpoint": checkpoint.read_text()}
+                       "quantities": quantities.read_text(), "checkpoint": checkpoint.read_text()}
 
 
-@settings(max_examples=100, deadline=None, database=None)
-@given(kind=st.sampled_from(["dataset", "embeddings"]), data=st.data())
-def test_mutated_files_load_or_raise_input_error(valid_files, kind, data):
+# the program's own diagnostics, each shown next to a result it qualifies, as when a
+# mutated 10-point embedding's kNN graph splits, coverage scaled towards zero leaves
+# MDS fewer positive eigenvalues than coordinates, or a quoted cell that runs to the
+# end of the file leaves align 4 rows. A numpy warning is never one of them
+_PROGRAM_WARNINGS = ("warning: kNN graph is disconnected", "warning: classical MDS: only ",
+                     "warning: fit_affine: only ", "warning: cluster ")
+
+
+def _exits_cleanly(argv, allowed_warnings=()):
+    """Run `main(argv)` under the exit-code contract: a code of 0, 1 or 2 and no
+    exception; a failure is exactly one stderr line, and a success prints no
+    warning but those starting with one of `allowed_warnings` (numpy's shown as
+    the CLI shows it, not raised)."""
+    stderr = io.StringIO()
+    with (contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr),
+          warnings.catch_warnings()):
+        warnings.simplefilter("always")
+        code = main(argv)
+    lines = stderr.getvalue().splitlines()
+    assert code in (0, 1, 2), (argv, code)
+    if code:
+        assert len(lines) == 1, (argv, lines)
+    else:
+        assert not [line for line in lines if line.startswith("warning:")
+                    and not line.startswith(allowed_warnings)], (argv, lines)
+
+
+def _commands(kind, path, directory, out):
+    """The commands that read a file of `kind` at `path`, the others valid."""
+    d = {name: str(directory / name) for name in
+         ("config.ini", "dataset.csv", "embeddings.csv", "quantities.csv", "checkpoint.json")}
+    if kind == "config":
+        return [["generate", "--config", path, "--out", f"{out}/data.csv"],
+                ["train", "--config", path, "--dataset", d["dataset.csv"], "--out", f"{out}/run",
+                 "--quiet"],
+                ["metric", "--config", path, "--embeddings", d["embeddings.csv"],
+                 "--quantities", d["quantities.csv"], "--out", f"{out}/report.csv"]]
+    embeddings = path if kind == "embeddings" else d["embeddings.csv"]
+    quantities = path if kind != "embeddings" else d["quantities.csv"]
+    commands = [["metric", "--embeddings", embeddings, "--quantities", quantities, "--k", "3",
+                 "--out", f"{out}/report.csv"],
+                ["align", "--embeddings", embeddings, "--params", quantities,
+                 "--out", f"{out}/align"]]
+    if kind == "dataset":
+        commands += [["baseline", "--method", "mds", "--dataset", path, "--out", f"{out}/b.csv"],
+                     ["baseline", "--method", "isomap", "--k", "3", "--dataset", path,
+                      "--out", f"{out}/b.csv"],
+                     ["train", "--config", d["config.ini"], "--dataset", path,
+                      "--out", f"{out}/run", "--quiet"],
+                     ["embed", "--checkpoint", d["checkpoint.json"], "--dataset", path,
+                      "--out", f"{out}/emb.csv"]]
+    return commands
+
+
+@seed(36)
+@settings(max_examples=150, deadline=None, database=None)
+@given(kind=st.sampled_from(["dataset", "embeddings", "quantities", "config"]), data=st.data())
+def test_mutated_inputs_exit_cleanly_through_the_cli(valid_files, kind, data):
+    # a reader of a mutated file loads it or raises an InputError naming it, and
+    # each command that reads it keeps the exit-code contract at the CLI boundary
     directory, texts = valid_files
-    path = directory / "mutated.csv"
-    path.write_bytes(_mutated(texts[kind], data.draw))
-    for reader in (read_quantities_csv,
-                   datagen.load_csv if kind == "dataset" else read_embeddings_csv):
-        try:
-            reader(path)
-        except InputError as e:
-            assert str(path) in str(e)
+    path = directory / ("mutated.ini" if kind == "config" else "mutated.csv")
+    if kind == "config":
+        path.write_bytes(_mutated_config(data.draw))
+    else:
+        path.write_bytes(_mutated(texts[kind], data.draw, _SCALED[kind]))
+        for reader in _READERS[kind]:
+            try:
+                reader(path)
+            except InputError as e:
+                assert str(path) in str(e)
+    with tempfile.TemporaryDirectory() as out:
+        for argv in _commands(kind, str(path), directory, out):
+            _exits_cleanly(argv, allowed_warnings=_PROGRAM_WARNINGS)
 
 
 # what a checkpoint's numbers are set to. Layer widths and latent_dim are never
@@ -373,9 +504,7 @@ def _number_paths(node, path=()):
 @settings(max_examples=100, deadline=None, database=None)
 @given(data=st.data())
 def test_mutated_checkpoints_exit_cleanly_through_the_cli(valid_files, data):
-    # the exit-code contract at the CLI boundary: a code of 0, 1 or 2 and no
-    # exception; a failure is exactly one stderr line, and a success prints no
-    # numpy warning (here shown as the CLI shows it, not raised)
+    # the exit-code contract at the CLI boundary (see `_exits_cleanly`)
     directory, texts = valid_files
     payload = json.loads(texts["checkpoint"])
     for *keys, last in data.draw(st.lists(st.sampled_from(_number_paths(payload)),
@@ -388,18 +517,8 @@ def test_mutated_checkpoints_exit_cleanly_through_the_cli(valid_files, data):
     checkpoint.write_text(json.dumps(payload))
     embed = ["embed", "--dataset", str(directory / "dataset.csv")]
     for argv in (embed, ["sample", "--count", "5"]):
-        stderr = io.StringIO()
-        with (contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr),
-              warnings.catch_warnings()):
-            warnings.simplefilter("always")
-            code = main([*argv, "--checkpoint", str(checkpoint),
-                         "--out", str(directory / "out.csv")])
-        lines = stderr.getvalue().splitlines()
-        assert code in (0, 1, 2), (argv, code)
-        if code:
-            assert len(lines) == 1, (argv, lines)
-        else:
-            assert not [line for line in lines if line.startswith("warning:")], (argv, lines)
+        _exits_cleanly([*argv, "--checkpoint", str(checkpoint),
+                        "--out", str(directory / "out.csv")])
 
 
 def test_reading_a_dataset_peaks_at_a_small_multiple_of_its_floats(tmp_path):
