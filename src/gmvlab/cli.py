@@ -343,23 +343,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
-    print(f"warning: {message}", file=sys.stderr)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    with warnings.catch_warnings():  # restores the caller's warning display on return
-        warnings.showwarning = _print_warning
+    # a command's warnings are held, and printed only when it succeeds, so a failure
+    # is one stderr line; the caller's warning display is restored on return
+    with warnings.catch_warnings(record=True) as held:
         try:
-            return args.func(args)
+            code = args.func(args)
         except (InputError, OSError) as e:  # an OSError's message names its path
             print(f"error: {e}", file=sys.stderr)
             return 1
         except NumericalError as e:
             print(f"numerical failure: {e}", file=sys.stderr)
             return 2
+    for warning in held:
+        print(f"warning: {warning.message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

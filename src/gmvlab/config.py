@@ -41,6 +41,10 @@ class _Section:
                 raise InputError(f"{self.NAME}.{key} must be {rule}, got {value}")
 
 
+# the bound a variance is held to where its reciprocal is taken: 1 / 5e-324 overflows
+_FINITE_RECIPROCAL = ("> 0 with a finite reciprocal", lambda v: v > 0 and math.isfinite(1.0 / v))
+
+
 @dataclass(frozen=True)
 class DatasetConfig(_Section):
     n_samples: int = 1280
@@ -76,7 +80,7 @@ class ModelConfig(_Section):
         "latent_dim": (">= 1", lambda v: v >= 1),
         "n_clusters": (">= 1", lambda v: v >= 1),
         "hidden_dims": ("positive ints", lambda v: len(v) >= 1 and all(h >= 1 for h in v)),
-        "decoder_var": ("> 0", lambda v: v > 0),
+        "decoder_var": _FINITE_RECIPROCAL,
         "beta": (">= 0", lambda v: v >= 0),
     }
 
@@ -86,7 +90,6 @@ class TrainConfig(_Section):
     lr: float = 1e-3
     batch_size: int = 64
     epochs: int = 20000
-    n_em: int = 1
     variance_floor: float = 1e-6
     seed: int = 1
 
@@ -95,9 +98,7 @@ class TrainConfig(_Section):
         "lr": (">= 0", lambda v: v >= 0),
         "batch_size": (">= 1", lambda v: v >= 1),
         "epochs": (">= 0", lambda v: v >= 0),
-        "n_em": (">= 0", lambda v: v >= 0),
-        "variance_floor": ("> 0 with a finite reciprocal",
-                           lambda v: v > 0 and math.isfinite(1.0 / v)),
+        "variance_floor": _FINITE_RECIPROCAL,
         "seed": (">= 0", lambda v: v >= 0),
     }
 

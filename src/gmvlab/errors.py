@@ -24,7 +24,7 @@ class numerical_failures:
     """Run numpy with overflow and invalid operations raised, so a blow-up is a
     `NumericalError("<what>: <cause>")` before numpy can warn.
 
-    Used by `datagen`, `gmvae.model`, `spectral`, `align` and `baselines`; only
+    Used by `datagen`, `gmvae.model`, `ndmath`, `spectral`, `align` and `baselines`; only
     `gmvae.train.train` has its own handler, to name the epoch and stage.
 
     A class rather than a generator context manager: it costs about 1 us less

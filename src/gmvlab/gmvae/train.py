@@ -1,8 +1,8 @@
 """EM-alternating training loop with analytic backprop.
 
 Each epoch runs Adam minibatch descent on the negative ELBO plus the
-beta-KL regularizer, then re-embeds the full training set and applies the
-scheduled number of EM updates to the mixture parameters. Within a batch
+beta-KL regularizer, then re-embeds the full training set and runs one EM
+update of the mixture parameters: one E-step and one M-step. Within a batch
 the responsibilities are held fixed, so the objective has a closed-form
 gradient with respect to the decoded sample, the posterior mean and the
 posterior log-variance (through the reparameterization z = mu + sqrt(var)
@@ -38,8 +38,8 @@ before the epoch's EM pass and the encoder's raw log-variance output. The
 history that `train` returns, and so the history CSV, holds it as per-sample
 means.
 
-Each EM update is an E-step (`responsibilities` at the re-embed z; the first
-update reuses the pass's own) then an M-step (`em_step`).
+The EM update's E-step is the re-embed pass's own responsibilities at its z,
+and its M-step is `em_step` on them and the pass's posterior mean and variance.
 """
 
 from __future__ import annotations
@@ -263,10 +263,8 @@ def train(model: GmVae, x_train: np.ndarray, cfg: TrainConfig,
                 if not np.isfinite(terms.total_loss):
                     raise NumericalError("non-finite objective")
                 stage = "EM pass"
-                for i in range(cfg.n_em):  # the re-embed z is dec_acts[0]
-                    gamma = responsibilities(model.gmm, cache.dec_acts[0]) if i else cache.gamma
-                    model.gmm = em_step(model.gmm, gamma, cache.mu, cache.var,
-                                        variance_floor=cfg.variance_floor)
+                model.gmm = em_step(model.gmm, cache.gamma, cache.mu, cache.var,
+                                    variance_floor=cfg.variance_floor)
         except (NumericalError, FloatingPointError) as e:
             last_good = f"last good epoch {epoch - 1}" if epoch else "no completed epoch"
             raise NumericalError(f"epoch {epoch}, {stage}: {e} ({last_good})") from e

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import InputError, NumericalError
+from ..errors import InputError, NumericalError, numerical_failures
 
 
 SYM_TOL = 1e-10  # largest accepted |m - m.T|, relative to the largest entry
@@ -43,13 +43,18 @@ def symmetric_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     so ``m @ v[:, i] == w[i] * v[:, i]``, each column signed by `sign_columns`
     (a unit column's largest-magnitude entry is never zero). Raises
     InputError when the input is asymmetric beyond `SYM_TOL` (relative to
-    the largest entry) and NumericalError on non-finite input or when
-    LAPACK fails to converge.
+    the largest entry) and NumericalError on non-finite input, when the
+    check or the symmetrizing sum overflows (before numpy can warn), when
+    LAPACK fails to converge, or when it returns a non-finite eigenvalue,
+    which it does without raising a floating-point flag.
     """
     m = np.asarray(m, dtype=np.float64)
-    _check_symmetric(m)
-    try:
-        w, v = np.linalg.eigh(0.5 * (m + m.T))  # kill roundoff asymmetry before solving
-    except np.linalg.LinAlgError as e:
-        raise NumericalError(f"symmetric_eig: LAPACK eigensolver failed: {e}") from e
+    with numerical_failures("symmetric_eig"):
+        _check_symmetric(m)
+        try:
+            w, v = np.linalg.eigh(0.5 * (m + m.T))  # kill roundoff asymmetry before solving
+        except np.linalg.LinAlgError as e:
+            raise NumericalError(f"symmetric_eig: LAPACK eigensolver failed: {e}") from e
+    if not np.isfinite(w).all():
+        raise NumericalError("symmetric_eig: LAPACK returned a non-finite eigenvalue")
     return w, sign_columns(v)

@@ -78,11 +78,6 @@ def build_knn(points: np.ndarray, k: int) -> np.ndarray:
     return (chosen | chosen.T).astype(np.float64)
 
 
-def laplacian(adjacency: np.ndarray) -> np.ndarray:
-    """Unnormalized Laplacian L = D - A; every row sums to zero."""
-    return np.diag(adjacency.sum(axis=1)) - adjacency
-
-
 def component_labels(adjacency: np.ndarray) -> np.ndarray:
     """Connected-component label of every node, numbered 0, 1, ... in the
     order of each component's lowest node (`component_sizes` counts them)."""
@@ -101,14 +96,15 @@ def component_sizes(adjacency: np.ndarray) -> list[int]:
     return sorted(np.bincount(component_labels(adjacency)).tolist(), reverse=True)
 
 
-def spectrum(lap: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and orthonormal eigenvector columns of a
-    Laplacian matrix, as `symmetric_eig` returns them."""
-    lap = np.asarray(lap, dtype=np.float64)
-    row_sums = np.abs(lap.sum(axis=1)).max() if lap.size else 0.0
-    if row_sums > 1e-10 * max(1.0, float(np.abs(lap).max())):
-        raise InputError(f"spectrum: rows must sum to zero (max |row sum| = {row_sums:.3e})")
-    return symmetric_eig(lap)
+def spectrum(adjacency: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and orthonormal eigenvector columns of the graph's
+    unnormalized Laplacian L = D - A, as `symmetric_eig` returns them; a degree
+    that overflows raises NumericalError before numpy can warn."""
+    adjacency = np.asarray(adjacency, dtype=np.float64)
+    if adjacency.ndim != 2 or adjacency.shape[0] != adjacency.shape[1]:
+        raise InputError(f"spectrum expects a square adjacency matrix, got shape {adjacency.shape}")
+    with numerical_failures("spectrum"):
+        return symmetric_eig(np.diag(adjacency.sum(axis=1)) - adjacency)
 
 
 def project(eigenvectors: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -157,7 +153,7 @@ def interpretability_report(points: np.ndarray, quantities: dict,
         if not np.all(np.isfinite(q)):
             raise InputError(f"quantity {name!r} has non-finite values")
     adjacency = build_knn(points, cfg.k)
-    eigenvalues, eigenvectors = spectrum(laplacian(adjacency))
+    eigenvalues, eigenvectors = spectrum(adjacency)
     coefficients, etas = {}, {}
     for name, q in quantities.items():
         with numerical_failures(f"energy of quantity {name!r}"):

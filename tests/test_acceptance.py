@@ -33,7 +33,7 @@ from gmvlab.gmvae import (
     train,
 )
 from gmvlab.gmvae.train import _layer_views, backward, batch_terms, pack_params
-from gmvlab.spectral import build_knn, eta, interpretability_report, laplacian, project, spectrum
+from gmvlab.spectral import build_knn, eta, interpretability_report, project, spectrum
 
 FULL = os.environ.get("GMVLAB_FULL_ACCEPTANCE", "") == "1"
 EPOCHS = 20000 if FULL else 2000
@@ -59,8 +59,7 @@ def trained_runs(dataset):
     for seed in SEEDS:
         rng = np.random.Generator(np.random.PCG64(seed))
         model = GmVae.init(50, ModelConfig(2, 2, (32, 16, 8), 1e-5, 0.1), rng)
-        cfg = TrainConfig(epochs=EPOCHS, batch_size=64, lr=1e-3, n_em=1,
-                          variance_floor=1e-6, seed=seed)
+        cfg = TrainConfig(epochs=EPOCHS, batch_size=64, lr=1e-3, variance_floor=1e-6, seed=seed)
         history = train(model, x_train, cfg)
         runs.append((seed, model, history))
     return runs
@@ -205,7 +204,7 @@ def test_spectral_metric_properties():
     checks = []
 
     points = rng.standard_normal((150, 2))
-    w, v = spectrum(laplacian(build_knn(points, 8)))
+    w, v = spectrum(build_knn(points, 8))
     checks.append(("eigenvalues >= -1e-10", w.min() >= -1e-10))
 
     const_alpha = project(v, np.full(150, 3.0))
@@ -231,7 +230,7 @@ def test_spectral_metric_properties():
     checks.append(("brute-force equivalence N<=12", bf_ok))
 
     big = rng.standard_normal((500, 2))
-    _, v500 = spectrum(laplacian(build_knn(big, 10)))
+    _, v500 = spectrum(build_knn(big, 10))
     noise_etas = [eta(project(v500, rng.standard_normal(500)), 20.0)
                   for _ in range(20)]
     mean_eta = float(np.mean(noise_etas))

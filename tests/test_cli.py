@@ -145,6 +145,8 @@ def test_embed_with_overflowing_encoder_variance_gives_exit_2(workdir, tmp_path,
 
 
 _TINY_VARIANCE = "error: checkpoint {path}: cluster variances too small: 1 / variance overflows"
+_TINY_DECODER_VAR = ("error: checkpoint {path}: model.decoder_var must be > 0 with a finite "
+                     "reciprocal, got 5e-324")
 _HUGE_WEIGHTS = ("error: checkpoint {path}: mixture weights must form a simplex, "
                  "got [1.e+308 1.e+308]")
 
@@ -160,6 +162,8 @@ _HUGE_WEIGHTS = ("error: checkpoint {path}: mixture weights must form a simplex,
                  id="mean-e-step"),
     pytest.param({("gmm", "pi", 0): 1e308, ("gmm", "pi", 1): 1e308}, _HUGE_WEIGHTS, _HUGE_WEIGHTS,
                  id="weights-sum"),
+    pytest.param({("decoder_var",): 5e-324}, _TINY_DECODER_VAR, _TINY_DECODER_VAR,
+                 id="decoder-var-reciprocal"),
     pytest.param({("encoder", "weights", 0, 0, j): 1e308 for j in range(3)},
                  "numerical failure: encoder: overflow encountered in dot", None,
                  id="encoder-overflow"),
@@ -240,7 +244,8 @@ def test_metric_builds_and_solves_the_graph_once(workdir, tmp_path, monkeypatch)
                  "--spectrum-out", str(spectrum_out)]) == 0
     assert calls == ["knn", "eig"]
     _, srows = read_rows(spectrum_out)
-    lap = spectral.laplacian(real_knn(read_embeddings_csv(emb_csv)[1], 6))
+    adj = real_knn(read_embeddings_csv(emb_csv)[1], 6)
+    lap = np.diag(adj.sum(axis=1)) - adj
     for name in ("alpha", "gamma"):
         got = np.array([float(r[2]) for r in srows if r[0] == name])
         assert np.abs(got - np.linalg.eigvalsh(lap)).max() < 1e-10
@@ -1027,7 +1032,33 @@ def test_training_blow_up_gives_exit_2_naming_epoch_and_batch(workdir, tmp_path,
     assert not (tmp_path / "run" / "checkpoint.json").exists()
 
 
-@pytest.mark.filterwarnings("ignore:cluster .* received ~zero responsibility mass")
+@pytest.mark.filterwarnings("default:cluster 0 held back")
+def test_a_failed_command_prints_only_its_failure_line(workdir, tmp_path, capsys, monkeypatch):
+    # epoch 0's EM pass warns, then the weights blow up after the 5th Adam step
+    # (64 rows in batches of 16), so epoch 1's batch 1 fails: the warning of the
+    # completed epoch is dropped with the run, and the failure is all stderr says
+    train_module = sys.modules["gmvlab.gmvae.train"]
+    real_adam, real_em = train_module.adam_step, train_module.em_step
+
+    def adam_then_blow_up(theta, grad, state):
+        real_adam(theta, grad, state)
+        if state.step_count == 5:
+            theta[:] = 1e300
+
+    def em_and_warn(*args, **kwargs):
+        warnings.warn("cluster 0 held back")
+        return real_em(*args, **kwargs)
+
+    monkeypatch.setattr(train_module, "adam_step", adam_then_blow_up)
+    monkeypatch.setattr(train_module, "em_step", em_and_warn)
+    code = main(["train", "--config", workdir["ini"], "--dataset", str(workdir["data"]),
+                 "--out", str(tmp_path / "run"), "--quiet"])
+    assert (code, capsys.readouterr().err.splitlines()) == (2, [
+        "numerical failure: epoch 1, batch 1, forward pass: encoder log-variance overflows: "
+        "non-finite posterior variance (last good epoch 0)"])
+
+
+@pytest.mark.filterwarnings("default:cluster .* received ~zero responsibility mass")
 @pytest.mark.parametrize("lr", ["1e4", "1e5"])
 def test_diverging_learning_rate_gives_exit_2(tmp_path, capsys, lr):
     # the default model on 100 rows diverges within 50 epochs. At lr 1e4 a
@@ -1048,7 +1079,7 @@ def test_diverging_learning_rate_gives_exit_2(tmp_path, capsys, lr):
 
 
 @pytest.mark.parametrize("setting, cause", [
-    ("decoder_var = 5e-324", "overflow encountered in divide"),
+    ("decoder_var = 1e-308", "overflow encountered in divide"),
     ("beta = 1e308", "overflow encountered in multiply"),
 ], ids=["decoder_var", "beta"])
 def test_decoder_side_blow_up_gives_exit_2_and_no_warning(tmp_path, capsys, setting, cause):
@@ -1066,6 +1097,18 @@ def test_decoder_side_blow_up_gives_exit_2_and_no_warning(tmp_path, capsys, sett
     assert capsys.readouterr().err.splitlines() == [
         f"numerical failure: epoch 0, batch 0, gradient: {cause} (no completed epoch)"]
     assert not (tmp_path / "run" / "checkpoint.json").exists()
+
+
+def test_decoder_var_without_a_finite_reciprocal_exits_1_before_training(tmp_path, capsys):
+    # 1 / 5e-324 overflows, so the config is rejected where it loads, as
+    # [training] variance_floor is; it used to exit 2 in epoch 0's gradient
+    ini = tmp_path / "zero_var.ini"
+    ini.write_text("[model]\ndecoder_var = 5e-324\n")
+    code = main(["train", "--config", str(ini), "--dataset", str(tmp_path / "missing.csv"),
+                 "--out", str(tmp_path / "run"), "--quiet"])
+    assert (code, capsys.readouterr().err.splitlines()) == (1, [
+        "error: model.decoder_var must be > 0 with a finite reciprocal, got 5e-324"])
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("setting", ["kappa = 1e308", "horizon = 1e300"])

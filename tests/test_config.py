@@ -18,7 +18,6 @@ def test_defaults_match_reference_setup():
     assert cfg.training.lr == 1e-3
     assert cfg.training.epochs == 20000
     assert cfg.training.batch_size == 64
-    assert cfg.training.n_em == 1
     assert cfg.dataset.n_samples == 1280
     assert cfg.dataset.steps == 50
     assert cfg.metric.k == 10
@@ -97,7 +96,6 @@ OUT_OF_RANGE = {
     ("training", "lr"): ("-1", -1.0),
     ("training", "batch_size"): ("0", 0),
     ("training", "epochs"): ("-1", -1),
-    ("training", "n_em"): ("-1", -1),
     ("training", "variance_floor"): ("0", 0.0),
     ("training", "seed"): ("-1", -1),
     ("metric", "k"): ("0", 0),
@@ -132,6 +130,16 @@ def test_variance_floor_needs_a_finite_reciprocal():
     assert str(info.value) == ("training.variance_floor must be > 0 with a finite reciprocal, "
                                "got 5e-324")
     assert replace(RunConfig().training, variance_floor=1e-308).variance_floor == 1e-308
+
+
+def test_decoder_var_needs_a_finite_reciprocal(tmp_path):
+    # training divides by it: at 5e-324 the first gradient overflowed in epoch 0
+    path = tmp_path / "run.ini"
+    path.write_text("[model]\ndecoder_var = 5e-324\n")
+    with pytest.raises(InputError) as info:
+        load_config(path)
+    assert str(info.value) == "model.decoder_var must be > 0 with a finite reciprocal, got 5e-324"
+    assert replace(RunConfig().model, decoder_var=1e-308).decoder_var == 1e-308
 
 
 def test_load_config_reports_parse_errors_first_then_sections_in_run_config_order(tmp_path):

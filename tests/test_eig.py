@@ -62,6 +62,20 @@ def test_non_finite_input_is_a_numerical_failure(bad):
         symmetric_eig(m)
 
 
+def test_overflowing_symmetrization_raises_before_numpy_warns():
+    # m + m.T overflows at 2e308: numpy warned and LAPACK returned [nan, nan]
+    # with identity eigenvectors
+    with pytest.raises(NumericalError, match="^symmetric_eig: overflow encountered in add$"):
+        symmetric_eig(np.array([[1e308, 1.0], [1.0, 2.0]]))
+
+
+def test_non_finite_eigenvalue_of_a_finite_matrix_is_a_numerical_failure():
+    # the top eigenvalue is 60 * 8e306, which LAPACK returns as inf with no
+    # floating-point flag raised
+    with pytest.raises(NumericalError, match="^symmetric_eig: LAPACK returned a non-finite "):
+        symmetric_eig(np.full((60, 60), 8e306))
+
+
 def test_lapack_failure_is_a_numerical_failure(monkeypatch):
     def failing_eigh(a):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")

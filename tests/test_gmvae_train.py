@@ -193,9 +193,8 @@ def _ref_train(model, x, cfg):
         terms = ElboTerms(*(v / n for v in dataclasses.astuple(terms)))
         for name in ElboTerms.COLUMNS:
             history[name].append(getattr(terms, name))
-        for _ in range(cfg.n_em):
-            model.gmm = em_step(model.gmm, _ref_responsibilities(model.gmm, z), mu, var,
-                                variance_floor=cfg.variance_floor)
+        model.gmm = em_step(model.gmm, _ref_responsibilities(model.gmm, z), mu, var,
+                            variance_floor=cfg.variance_floor)
         for name, value in zip(("pi", "mean", "var"),
                                (model.gmm.pi, model.gmm.means, model.gmm.variances)):
             history[name].append(value)
@@ -205,7 +204,7 @@ def _ref_train(model, x, cfg):
 @pytest.mark.parametrize("n,batch_size,k,beta", [(50, 16, 3, 0.1), (30, 7, 2, 0.0)])
 def test_fused_loop_matches_the_per_batch_reference_bit_for_bit(n, batch_size, k, beta):
     x = np.random.default_rng(11).standard_normal((n, 10))
-    cfg = TrainConfig(epochs=4, batch_size=batch_size, n_em=2, lr=3e-3, seed=12)
+    cfg = TrainConfig(epochs=4, batch_size=batch_size, lr=3e-3, seed=12)
     assert n % batch_size  # a short last batch
     fused = make_model(seed=13, data_dim=10, k=k, hidden=(8, 5), beta=beta)
     reference = copy.deepcopy(fused)
@@ -218,12 +217,15 @@ def test_fused_loop_matches_the_per_batch_reference_bit_for_bit(n, batch_size, k
 
 
 def test_history_holds_the_objective_of_the_re_embed_pass():
-    # n_em = 0 leaves the mixture as it was, so the logged objective is the
-    # ELBO of the trained nets on the re-embed noise, which follows the
-    # epoch's permutation and its one batch-noise block in the stream
+    # the logged objective is the ELBO of the trained nets on the re-embed noise,
+    # which follows the epoch's permutation and its one batch-noise block in the
+    # stream, under the mixture from before the epoch's EM update
     x = np.random.default_rng(14).standard_normal((20, 6))
     model = make_model(seed=15)
-    history = train(model, x, TrainConfig(epochs=1, batch_size=8, n_em=0, seed=16))
+    before_em = model.gmm
+    history = train(model, x, TrainConfig(epochs=1, batch_size=8, seed=16))
+    assert model.gmm is not before_em
+    model.gmm = before_em
     rng = np.random.Generator(np.random.PCG64(16))
     rng.permutation(20)
     rng.standard_normal((20, 2))

@@ -13,7 +13,6 @@ from gmvlab.spectral import (
     component_sizes,
     eta,
     interpretability_report,
-    laplacian,
     project,
     spectrum,
 )
@@ -110,20 +109,30 @@ def test_non_finite_points_rejected(bad):
 
 # -------------------------------------------------------------- laplacian
 
+def reconstruction(adjacency):
+    """V diag(w) V^T from `spectrum`'s eigenpairs of the graph's Laplacian."""
+    w, v = spectrum(adjacency)
+    return v @ np.diag(w) @ v.T
+
+
 def test_path_graph_laplacian_explicit():
-    lap = laplacian(build_knn(np.array([[0.0], [1.0], [2.0]]), 1))
-    assert np.array_equal(lap, np.array([[1, -1, 0], [-1, 2, -1], [0, -1, 1]], dtype=float))
-    assert np.allclose(lap.sum(axis=1), 0.0)
+    adj = build_knn(np.array([[0.0], [1.0], [2.0]]), 1)
+    lap = np.array([[1, -1, 0], [-1, 2, -1], [0, -1, 1]], dtype=float)
+    assert np.abs(reconstruction(adj) - lap).max() < 1e-12
 
 
 def test_edgeless_graph_laplacian_is_zero():
-    assert np.array_equal(laplacian(np.zeros((3, 3))), np.zeros((3, 3)))
+    w, _ = spectrum(np.zeros((3, 3)))
+    assert np.array_equal(w, np.zeros(3))
+    assert np.array_equal(reconstruction(np.zeros((3, 3))), np.zeros((3, 3)))
 
 
 def test_complete_k4_eigenvalues():
     adj = build_knn(np.random.default_rng(0).standard_normal((4, 2)), 3)
-    w, _ = np.linalg.eigh(laplacian(adj))
-    assert np.allclose(np.sort(w), [0.0, 4.0, 4.0, 4.0], atol=1e-12)
+    assert np.array_equal(adj, 1.0 - np.eye(4))
+    w, _ = spectrum(adj)
+    assert np.allclose(w, [0.0, 4.0, 4.0, 4.0], atol=1e-12)
+    assert np.abs(reconstruction(adj) - (4.0 * np.eye(4) - 1.0)).max() < 1e-12
 
 
 # ------------------------------------------------------- component labels
@@ -162,7 +171,7 @@ def test_component_labels_match_transitive_closure():
 
 def test_path3_spectrum():
     adj = build_knn(np.array([[0.0], [1.0], [2.0]]), 1)
-    w, v = spectrum(laplacian(adj))
+    w, v = spectrum(adj)
     assert np.allclose(w, [0.0, 1.0, 3.0], atol=1e-12)
     # constant vector spans the zero eigenspace on a connected graph
     v0 = v[:, 0]
@@ -173,29 +182,40 @@ def test_two_disconnected_edges_zero_multiplicity():
     points = np.array([[0.0], [0.1], [100.0], [100.1]])
     adj = build_knn(points, 1)
     assert np.bincount(component_labels(adj)).tolist() == [2, 2]
-    w, _ = spectrum(laplacian(adj))
+    w, _ = spectrum(adj)
     assert np.sum(np.abs(w) < 1e-10) == 2
 
 
 def test_spectrum_reconstructs_laplacian():
     points = np.random.default_rng(5).standard_normal((100, 2))
-    lap = laplacian(build_knn(points, 6))
-    w, v = spectrum(lap)
+    adj = build_knn(points, 6)
+    lap = np.diag(adj.sum(axis=1)) - adj
+    w, v = spectrum(adj)
     recon = v @ np.diag(w) @ v.T
     assert np.abs(recon - lap).max() < 1e-8
     assert w.min() >= -1e-10
 
 
-def test_spectrum_rejects_nonzero_row_sums():
-    with pytest.raises(InputError):
-        spectrum(np.array([[1.0, 0.0], [0.0, 1.0]]))
+def test_spectrum_rejects_a_non_square_or_asymmetric_adjacency():
+    with pytest.raises(InputError, match=r"^spectrum expects a square adjacency matrix, "
+                                         r"got shape \(2, 3\)$"):
+        spectrum(np.zeros((2, 3)))
+    with pytest.raises(InputError, match="not symmetric"):
+        spectrum(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]))
+
+
+def test_spectrum_of_an_adjacency_whose_degree_overflows_raises_before_numpy_warns():
+    adj = np.zeros((3, 3))
+    adj[0, 1:] = adj[1:, 0] = 1e308
+    with pytest.raises(NumericalError, match="^spectrum: overflow encountered in reduce$"):
+        spectrum(adj)
 
 
 # ---------------------------------------------------------------- project
 
 def test_project_eigenvector_is_one_hot():
     adj = build_knn(np.random.default_rng(2).standard_normal((20, 2)), 3)
-    _, v = spectrum(laplacian(adj))
+    _, v = spectrum(adj)
     alpha = project(v, v[:, 7])
     expected = np.zeros(20)
     expected[7] = 1.0
@@ -204,14 +224,14 @@ def test_project_eigenvector_is_one_hot():
 
 def test_project_zero_signal():
     adj = build_knn(np.random.default_rng(2).standard_normal((10, 2)), 2)
-    _, v = spectrum(laplacian(adj))
+    _, v = spectrum(adj)
     assert np.array_equal(project(v, np.zeros(10)), np.zeros(10))
 
 
 def test_project_round_trip_and_parseval():
     rng = np.random.default_rng(4)
     adj = build_knn(rng.standard_normal((50, 2)), 5)
-    _, v = spectrum(laplacian(adj))
+    _, v = spectrum(adj)
     p = rng.standard_normal(50)
     alpha = project(v, p)
     assert np.abs(v @ alpha - p).max() < 1e-8
@@ -220,7 +240,7 @@ def test_project_round_trip_and_parseval():
 
 def test_project_length_mismatch():
     adj = build_knn(np.random.default_rng(2).standard_normal((10, 2)), 2)
-    _, v = spectrum(laplacian(adj))
+    _, v = spectrum(adj)
     with pytest.raises(InputError):
         project(v, np.ones(9))
 
@@ -230,21 +250,21 @@ def test_project_length_mismatch():
 def test_constant_signal_eta_one():
     adj = build_knn(np.random.default_rng(0).standard_normal((30, 2)), 4)
     assert np.bincount(component_labels(adj)).tolist() == [30]
-    _, v = spectrum(laplacian(adj))
+    _, v = spectrum(adj)
     alpha = project(v, np.full(30, 2.5))
     assert eta(alpha, 100.0 / 30.0) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_highest_mode_eta_zero():
     adj = build_knn(np.random.default_rng(1).standard_normal((25, 2)), 4)
-    _, v = spectrum(laplacian(adj))
+    _, v = spectrum(adj)
     alpha = project(v, v[:, -1])
     assert eta(alpha, 20.0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_r_100_gives_one():
     adj = build_knn(np.random.default_rng(1).standard_normal((25, 2)), 4)
-    _, v = spectrum(laplacian(adj))
+    _, v = spectrum(adj)
     alpha = project(v, np.random.default_rng(2).standard_normal(25))
     assert eta(alpha, 100.0) == pytest.approx(1.0, abs=1e-15)
 
@@ -252,7 +272,7 @@ def test_r_100_gives_one():
 def test_eta_monotone_in_r():
     rng = np.random.default_rng(6)
     adj = build_knn(rng.standard_normal((40, 2)), 5)
-    _, v = spectrum(laplacian(adj))
+    _, v = spectrum(adj)
     alpha = project(v, rng.standard_normal(40))
     values = [eta(alpha, r) for r in np.linspace(1, 100, 25)]
     assert all(b >= a - 1e-15 for a, b in zip(values, values[1:]))
@@ -294,7 +314,7 @@ def test_isometry_invariance():
     q = rng.standard_normal(60)
     a1, a2 = build_knn(points, 6), build_knn(moved, 6)
     assert np.array_equal(a1, a2)
-    (_, v1), (_, v2) = spectrum(laplacian(a1)), spectrum(laplacian(a2))
+    (_, v1), (_, v2) = spectrum(a1), spectrum(a2)
     e1 = eta(project(v1, q), 20.0)
     e2 = eta(project(v2, q), 20.0)
     assert abs(e1 - e2) < 1e-9
@@ -325,7 +345,7 @@ def test_report_holds_the_graph_once_and_each_quantity_by_name():
     points = rng.standard_normal((30, 2))
     quantities = {"y": points[:, 1], "x": points[:, 0], "noise": rng.standard_normal(30)}
     report = interpretability_report(points, quantities, MetricConfig(k=5, r_percent=30.0))
-    w, v = spectrum(laplacian(build_knn(points, 5)))
+    w, v = spectrum(build_knn(points, 5))
     assert np.array_equal(report.eigenvalues, w)
     assert list(report.coefficients) == list(report.eta) == ["y", "x", "noise"]
     for name, q in quantities.items():

@@ -353,12 +353,11 @@ hidden_dims = 4
 [training]
 epochs = 2
 batch_size = 4
-n_em = 1
 [metric]
 k = 3
 """
 _SIZE_KEYS = ("n_samples", "steps", "substeps", "latent_dim", "n_clusters", "hidden_dims",
-              "epochs", "batch_size", "n_em")
+              "epochs", "batch_size")
 # what a size key is set to: never a large value
 _SIZES = ["-1", "0", "1", "2", "3", "11", "", "x", "1.5", "1e3", "2, 2", "3,"]
 _VALUES = ["1e308", "-1e308", "5e-324", "1e-308", "0", "-0", "nan", "inf", "-1", "1" + "0" * 400]
